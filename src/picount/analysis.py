@@ -39,6 +39,12 @@ def parse_query(text: str, index: SystemIndex) -> Query:
     """`mutex unit <var> over {l,...}` or
     `unit <var>: <k>*x@<label> (+ <k>*x@<label>)* <= <bound>`."""
 
+    def integer(tok: str, what: str) -> int:
+        try:
+            return int(tok.strip())
+        except ValueError:
+            raise SourceError(f"{what} {tok.strip()!r} is not an integer in query {text!r}") from None
+
     def resolve_label(tok: str) -> Label:
         lab: Label = int(tok) if tok.isdigit() else tok
         if lab not in set(index.labels):
@@ -75,7 +81,7 @@ def parse_query(text: str, index: SystemIndex) -> Query:
             raise SourceError(f"empty term in query {text!r}")
         coeff_part, star, var_part = piece.partition("*")
         if star:
-            coeff = int(coeff_part.strip())
+            coeff = integer(coeff_part, "coefficient")
         else:
             coeff, var_part = 1, piece
         var_part = var_part.strip()
@@ -90,7 +96,7 @@ def parse_query(text: str, index: SystemIndex) -> Query:
             terms.append((coeff, kind, (resolve_label(lq.strip()), resolve_label(le_.strip()))))
         else:
             raise SourceError(f"unknown query variable {var_part!r}")
-    return Query(var.strip(), tuple(terms), int(bound_part.strip()), text)
+    return Query(var.strip(), tuple(terms), integer(bound_part, "bound"), text)
 
 
 def query_unit(gv: GetVar, query: Query) -> tuple:
@@ -131,6 +137,8 @@ class AnalysisConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise SourceError("max iterations must be at least 1")
+        if self.max_configs < 1 or self.max_depth < 1:
+            raise SourceError("exploration limits must be at least 1")
 
 
 def _resolve_partition(spec: str, index: SystemIndex) -> GetVar:
@@ -199,7 +207,8 @@ class Report:
             lines.append("")
             lines.append("queries:")
             for q in self.queries:
-                lines.append(f"  [{q['result']:>7}] {q['query']}")
+                why = f"  ({q['reason']})" if "reason" in q else ""
+                lines.append(f"  [{q['result']:>7}] {q['query']}{why}")
         return "\n".join(lines) + "\n"
 
 
@@ -276,6 +285,17 @@ def run(config: AnalysisConfig) -> RunResult:
 
     query_report = []
     for q in queries:
+        if not fix.stabilized:
+            # a bound on an iterate that is not a fixpoint says nothing about
+            # the configurations later iterations would add
+            query_report.append(
+                {
+                    "query": q.text,
+                    "result": "unknown",
+                    "reason": f"not stabilized after {fix.iterations} iterations",
+                }
+            )
+            continue
         if con_fix is None:
             result = "unknown"
         else:
@@ -337,6 +357,8 @@ def verify_configs(
     Contents checking is trace-sensitive (step counters accumulate along
     paths), so the walk is over (configuration, per-unit counters) states.
     """
+    if max_configs < 1 or max_depth < 1:
+        raise ValueError("exploration limits must be positive")
     index, gv, layout = analysis.index, analysis.gv, analysis.layout
     violations: list[str] = []
     checked_env: set = set()

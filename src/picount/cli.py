@@ -7,7 +7,8 @@
                     [--partition ...] [--dump-oracle PATH]
 
 Exit codes: 0 everything proved / no violations, 1 unknown queries or
-violations, 2 bad input.
+violations, 2 bad input.  A run that stops at --max-iter before it
+stabilizes answers every query unknown.
 """
 
 from __future__ import annotations

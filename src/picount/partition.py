@@ -110,19 +110,41 @@ def getvar_marker(index: SystemIndex) -> GetVar:
     return _validated(index, GetVar(("b",), table, frozenset({"b"}), MARKER_ONLY))
 
 
+def _names(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def load_partition_spec(path: str, index: SystemIndex) -> GetVar:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise SourceError(f"cannot read partition spec {path}: {exc.strerror}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        where = (exc.lineno, exc.colno) if isinstance(exc, json.JSONDecodeError) else ()
+        raise SourceError(f"partition spec {path} is not JSON", *where) from exc
+    if not isinstance(raw, dict):
+        raise SourceError(f"partition spec {path} must be a JSON object")
+    if not _names(raw.get("keys")) or not _names(raw.get("stable", [])):
+        raise SourceError(f"partition spec {path} needs 'keys' (and 'stable') as lists of names")
+    if not isinstance(raw.get("map"), dict):
+        raise SourceError(f"partition spec {path} needs a 'map' object")
     keys = tuple(raw["keys"])
-    stable = frozenset(raw.get("stable", list(keys)))
+    stable = frozenset(raw.get("stable", keys))
     mode = raw.get("mode", FULL_NAME)
     table: dict[Label, dict[str, Var]] = {}
     by_text = {fmt_label(l): l for l in index.labels}
     for text, assignment in raw["map"].items():
         if text not in by_text:
             raise SourceError(f"partition spec names unknown label {text}")
+        if not (isinstance(assignment, dict) and _names(list(assignment.values()))):
+            raise SourceError(f"partition spec {path} must map label {text} to key names")
         table[by_text[text]] = dict(assignment)
-    return _validated(index, GetVar(keys, table, stable, mode))
+    try:
+        gv = GetVar(keys, table, stable, mode)
+    except ValueError as exc:
+        raise SourceError(f"partition spec {path}: {exc}") from exc
+    return _validated(index, gv)
 
 
 def alpha_unit(gv: GetVar, unit: tuple) -> tuple:

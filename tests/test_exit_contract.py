@@ -1,0 +1,133 @@
+"""The CLI exit contract: 0 everything proved, 1 unknown or violations,
+2 bad input.  A budget can only turn an answer into `unknown`, and bad input
+is a located error, never a traceback."""
+
+import json
+import random
+
+import pytest
+
+from picount.analysis import AnalysisConfig, parse_query, query_unit, run, verify_configs
+from picount.cli import main
+from picount.concrete import explore
+from picount.engine import Analysis
+from picount.partition import getvar_channel
+from picount.syntax import fmt_label, load_system
+
+from conftest import corpus_path
+from test_fuzz_soundness import random_system
+
+SEMAPHORE_TIGHT = "unit a: 1*x@2 + 1*x@3 + 1*x@5 <= 1"
+
+
+def test_unstabilized_run_proves_nothing(capsys):
+    # one iteration does not reach the fixpoint; the tight bound is 2
+    code = main(
+        ["analyze", corpus_path("semaphore2.pi"), "--max-iter", "1", "--prove", SEMAPHORE_TIGHT]
+    )
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "NOT stabilized" in out
+    assert f"[unknown] {SEMAPHORE_TIGHT}  (not stabilized after 1 iterations)" in out
+
+
+def test_unstabilized_json_report_says_why(capsys):
+    code = main(
+        [
+            "analyze", corpus_path("semaphore2.pi"), "--max-iter", "1",
+            "--prove", SEMAPHORE_TIGHT, "--report", "json",
+        ]
+    )
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1 and payload["stabilized"] is False
+    assert payload["queries"] == [
+        {
+            "query": SEMAPHORE_TIGHT,
+            "result": "unknown",
+            "reason": "not stabilized after 1 iterations",
+        }
+    ]
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("partition", ["chan", "marker"])
+def test_budgeted_proofs_hold_in_explored_configs(seed, partition, tmp_path):
+    rng = random.Random(20260 + seed)
+    text = random_system(rng)
+    index = load_system(text)
+    path = tmp_path / "fuzz.pi"
+    path.write_text(text)
+    queries = tuple(
+        f"unit {var}: 1*x@{fmt_label(l)} <= {bound}"
+        for var in sorted(index.name_universe)
+        for l in index.labels
+        for bound in (0, 1)
+    )
+    configs = explore(index, max_configs=300, max_depth=30).configs
+    for max_iter in range(1, 6):
+        result = run(
+            AnalysisConfig(path=str(path), partition=partition, max_iter=max_iter, queries=queries)
+        )
+        gv = result.analysis.gv
+        for entry in result.report.queries:
+            if entry["result"] != "proved":
+                continue
+            q = parse_query(entry["query"], index)
+            ((_, _, label),) = q.terms
+            for config in configs:
+                per_unit = {}
+                for t in config:
+                    u = gv.concrete_unit(t.label, t.env)
+                    if t.label == label and gv.alpha_unit(u) == query_unit(gv, q):
+                        per_unit[u] = per_unit.get(u, 0) + 1
+                assert all(n <= q.bound for n in per_unit.values()), (
+                    text, partition, max_iter, entry["query"], config,
+                )
+
+
+@pytest.mark.parametrize(
+    "query,message",
+    [
+        ("unit a: a*x@2 <= 1", "coefficient 'a' is not an integer"),
+        ("unit a: 1*x@2 <= one", "bound 'one' is not an integer"),
+    ],
+)
+def test_cli_bad_query_number_exits_two(query, message, capsys):
+    assert main(["analyze", corpus_path("semaphore2.pi"), "--prove", query]) == 2
+    err = capsys.readouterr().err
+    assert message in err and query in err
+
+
+def test_cli_missing_partition_spec_exits_two(tmp_path, capsys):
+    missing = tmp_path / "nosuch.json"
+    assert main(["analyze", corpus_path("semaphore2.pi"), "--partition", str(missing)]) == 2
+    assert f"cannot read partition spec {missing}" in capsys.readouterr().err
+
+
+def test_cli_partition_spec_not_json_exits_two(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"keys": ["b"],\n "map": {')
+    assert main(["analyze", corpus_path("semaphore2.pi"), "--partition", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert f"partition spec {spec} is not JSON at 2:" in err
+
+
+def test_cli_partition_spec_without_map_exits_two(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"keys": ["b"], "stable": ["b"]}))
+    assert main(["analyze", corpus_path("semaphore2.pi"), "--partition", str(spec)]) == 2
+    assert f"partition spec {spec} needs a 'map' object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--max-configs", "--max-depth"])
+def test_cli_oracle_check_rejects_empty_limits(flag, capsys):
+    assert main(["oracle-check", corpus_path("synccomm.pi"), flag, "0"]) == 2
+    captured = capsys.readouterr()
+    assert "exploration limits must be at least 1" in captured.err
+    assert "violations" not in captured.out
+
+
+def test_verify_configs_rejects_empty_limits(semaphore_index):
+    analysis = Analysis.build(semaphore_index, getvar_channel(semaphore_index))
+    with pytest.raises(ValueError):
+        verify_configs(analysis, None, None, max_configs=0, max_depth=5)

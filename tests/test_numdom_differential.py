@@ -1,0 +1,129 @@
+"""Differential test of the sparse counting domain against the dense one.
+
+`numdom_reference` is the earlier implementation, which keeps every pinned
+counter as an `x = c` row next to its box.  Both run the same operations on
+the same random small elements (3 labels, 1 pair, boxes within 0..3); each
+result must agree on bottom, contain the same points, and give the same
+`entails` verdicts.
+
+One difference is expected.  The dense reduction stops after two rounds, and
+its last round can leave an entailed row `x = c` next to a box of x that is
+not yet pinned; the sparse form always pins x.  Both describe the same points,
+but a later join or widening takes the hull of the boxes, so from there on
+the sparse result may be strictly smaller.  Once a dense element on the way
+to a result is in that state, the sparse result is only required to be at
+least as precise and still sound.
+"""
+
+from itertools import product
+
+from hypothesis import given, settings, strategies as st
+
+import numdom_reference as ref
+from picount import numdom as nd
+
+LABELS = (1, 2, 3)
+PAIR = (1, 2)
+NEW = nd.CountLayout(LABELS, (PAIR,))
+OLD = ref.CountLayout(LABELS, (PAIR,))
+SIZE = NEW.size
+# add_chi moves a box of 0..3 up to 4
+POINTS = [dict(enumerate(p)) for p in product(range(5), repeat=SIZE)]
+
+
+@st.composite
+def raw_elements(draw):
+    """Boxes within 0..3 and up to three rows, most through a point of the box."""
+    ivs = []
+    for _ in range(SIZE):
+        lo = draw(st.integers(0, 3))
+        ivs.append((lo, draw(st.integers(lo, 3))))
+    rows = []
+    for _ in range(draw(st.integers(0, 3))):
+        idx = sorted(draw(st.sets(st.integers(0, SIZE - 1), min_size=1, max_size=3)))
+        terms = tuple((i, draw(st.integers(-2, 2))) for i in idx)
+        if draw(st.booleans()):
+            point = [draw(st.integers(lo, hi)) for lo, hi in ivs]
+            const = sum(c * point[i] for i, c in terms)
+        else:
+            const = draw(st.integers(-2, 4))
+        rows.append((terms, const))
+    return ivs, rows
+
+
+members = st.sets(st.integers(0, SIZE - 1), max_size=3)
+requirements = st.dictionaries(st.integers(0, SIZE - 1), st.integers(1, 2), max_size=2)
+expressions = st.lists(
+    st.tuples(
+        st.dictionaries(st.integers(0, SIZE - 1), st.integers(-2, 2), min_size=1, max_size=4),
+        st.integers(-1, 5),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def settled(old) -> bool:
+    """No dense row pins a variable whose box is not pinned yet."""
+    return old.is_bottom or all(
+        old.ivs[terms[0][0]][0] == old.ivs[terms[0][0]][1]
+        for terms, _ in old.rows
+        if len(terms) == 1
+    )
+
+
+def both(op, *inputs):
+    """Run `op(module, layout, *elements)` on the reference and on numdom.
+
+    Returns (dense result, sparse result, whether every dense element on
+    the way was settled)."""
+    old = op(ref, OLD, *(x[0] for x in inputs))
+    new = op(nd, NEW, *(x[1] for x in inputs))
+    return old, new, all(x[2] for x in inputs) and settled(old)
+
+
+def assert_same(result, queries, what, covers=()):
+    old, new, exact = result
+    if exact:
+        assert old.is_bottom == new.is_bottom, what
+    else:
+        assert new.is_bottom or not old.is_bottom, what
+    for p in POINTS:
+        in_old, in_new = ref.contains_point(old, p), nd.contains_point(new, p)
+        assert in_new == in_old or (not exact and in_old), (what, p)
+        if not exact and any(nd.contains_point(c[1], p) for c in covers):
+            assert in_new, (what, "unsound", p)
+    for expr, bound in queries:
+        old_says, new_says = ref.entails(old, expr, bound), nd.entails(new, expr, bound)
+        assert new_says == old_says or (not exact and new_says), (what, expr, bound)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_elements(), raw_elements(), members, members, requirements, expressions)
+def test_sparse_matches_dense(raw_a, raw_b, plus, minus, reqs, queries):
+    a = both(lambda m, lay: m.make(lay, *raw_a))
+    b = both(lambda m, lay: m.make(lay, *raw_b))
+    join = both(lambda m, lay, x, y: m.join(lay, [x, y]), a, b)
+    # one contents transfer: sync, consume, create, count the step
+    synced = both(lambda m, lay, x: m.sync_atleast(lay, reqs, x), join)
+    consumed = both(lambda m, lay, x: m.sub_chi(lay, x, minus), synced)
+    created = both(lambda m, lay, x: m.add_chi(lay, x, plus), consumed)
+    step = both(lambda m, lay, x: m.update_trans(lay, PAIR, x), created)
+    checks = [
+        ("make a", a, ()),
+        ("make b", b, ()),
+        ("join", join, (a, b)),
+        ("widen", both(lambda m, lay, x, y: m.widen(lay, x, y), a, b), (a, b)),
+        ("sync_atleast", both(lambda m, lay, x: m.sync_atleast(lay, reqs, x), a), ()),
+        ("add_chi", both(lambda m, lay, x: m.add_chi(lay, x, plus), a), ()),
+        ("sub_chi", both(lambda m, lay, x: m.sub_chi(lay, x, minus), a), ()),
+        ("update_trans", both(lambda m, lay, x: m.update_trans(lay, PAIR, x), a), ()),
+        ("transfer: sync_atleast", synced, ()),
+        ("transfer: sub_chi", consumed, ()),
+        ("transfer: add_chi", created, ()),
+        ("transfer: update_trans", step, ()),
+        ("join after transfer", both(lambda m, lay, x, y: m.join(lay, [x, y]), join, step), (join, step)),
+        ("widen after transfer", both(lambda m, lay, x, y: m.widen(lay, x, y), join, step), (join, step)),
+    ]
+    for what, result, covers in checks:
+        assert_same(result, queries, what, covers)
