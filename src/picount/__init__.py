@@ -7,7 +7,7 @@ trace-partitioned transition system, the coalesced product of a control-flow
 """
 
 from .analysis import AnalysisConfig, check_soundness, run
-from .engine import Analysis, abstract_step_labels, coalesced_product, iterate
+from .engine import Analysis, abstract_step_labels, iterate
 from .partition import getvar_channel, getvar_marker, load_partition_spec
 from .syntax import SourceError, check_wellformed, desugar_bang, load_system, parse_system
 
@@ -18,7 +18,6 @@ __all__ = [
     "abstract_step_labels",
     "check_soundness",
     "check_wellformed",
-    "coalesced_product",
     "desugar_bang",
     "getvar_channel",
     "getvar_marker",

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from . import numdom
 from .concrete import enabled_steps, initial_config, step_units
 from .contents import CUMap, describe_unit, unit_vector
-from .engine import Analysis, FixpointResult, fix_components
+from .engine import Analysis, FixpointResult
 from .envdom import EnvMap, atom_admits
 from .partition import (
     FULL_NAME,
@@ -241,7 +241,8 @@ def _env_entry(label, a) -> dict:
 
 
 def run(config: AnalysisConfig) -> RunResult:
-    """Parse, analyze, prove: exit code 0 all proved, 1 some unknown, 2 bad input."""
+    """Parse, analyze, prove: exit code 0 stabilized and all proved, 1 some
+    query unknown or not stabilized, 2 bad input."""
     try:
         with open(config.path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -256,7 +257,7 @@ def run(config: AnalysisConfig) -> RunResult:
 
     analysis = Analysis.build(index, gv)
     fix = analysis.run(config.abstraction, config.max_iter, keep_trace=config.trace)
-    env_fix, con_fix = fix_components(config.abstraction, fix.element)
+    env_fix, con_fix = fix.env, fix.con
 
     units_report = []
     if con_fix is not None:
@@ -318,7 +319,8 @@ def run(config: AnalysisConfig) -> RunResult:
         queries=query_report,
         trace=fix.trace,
     )
-    exit_code = 0 if report.all_proved else 1
+    # constraints of a run that has not stabilized are not invariants
+    exit_code = 0 if report.stabilized and report.all_proved else 1
     return RunResult(report, analysis, fix, env_fix, con_fix, exit_code)
 
 

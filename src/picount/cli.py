@@ -8,7 +8,7 @@
 
 Exit codes: 0 everything proved / no violations, 1 unknown queries or
 violations, 2 bad input.  A run that stops at --max-iter before it
-stabilizes answers every query unknown.
+stabilizes answers every query unknown and exits 1, with or without queries.
 """
 
 from __future__ import annotations

@@ -90,14 +90,17 @@ class ContentsDomain:
         }
         return CUMap.of(zero, entries)
 
-    def join(self, maps) -> CUMap:
+    def join(self, maps, deltas=None) -> CUMap:
+        """Join of `maps`, each unit also joined with its list of `deltas`."""
         maps = list(maps)
         if not maps:
             return self.bottom()
-        default = numdom.join(self.layout, [m.default for m in maps])
-        keys = sorted({u for m in maps for u in m.units()}, key=repr)
+        deltas = deltas or {}
+        layout = self.layout
+        default = numdom.join(layout, [m.default for m in maps])
+        keys = {u for m in maps for u in m.units()} | set(deltas)
         entries = {
-            u: numdom.join(self.layout, [m.accum(u, self.layout) for m in maps])
+            u: numdom.join(layout, [m.accum(u, layout) for m in maps] + deltas.get(u, []))
             for u in keys
         }
         return CUMap.of(default, entries)
@@ -125,12 +128,7 @@ class ContentsDomain:
         delta = self.post_delta(cu, lq, le, case)
         if delta is None:
             return self.bottom()
-        entries = {u: cu.accum(u, self.layout) for u in cu.units()}
-        for u, elems in delta.items():
-            entries[u] = numdom.join(
-                self.layout, [cu.accum(u, self.layout)] + elems
-            )
-        return CUMap.of(cu.default, entries)
+        return self.join([cu], delta)
 
     def post_delta(self, cu: CUMap, lq, le, case) -> dict[tuple, list[NumElem]] | None:
         """Per-unit contributions of one sub-case, or None when infeasible."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .partition import FULL_NAME, GetVar, PartitionCase, TopHint
+from .partition import FULL_NAME, GetVar, PartitionCase
 from .syntax import FETCH, Label, SystemIndex, Var, label_key
 
 RECV = "?"
@@ -340,7 +340,6 @@ class EnvDomain:
         self.index = index
         self.gv = gv
         self.universe = index.name_universe
-        self.top_hint = TopHint(self.universe)
         self._cache: dict = {}
 
     # -- lattice packaging -------------------------------------------------
@@ -360,15 +359,18 @@ class EnvDomain:
                 entries[l] = AtomEnv.bottom(sorted(self.index.iface[l]))
         return EnvMap.of(entries)
 
-    def join(self, maps) -> EnvMap:
+    def join(self, maps, deltas=None) -> EnvMap:
+        """Pointwise join of `maps` and of each label's list of `deltas`."""
         maps = list(maps)
         if not maps:
             return self.bottom()
+        deltas = deltas or {}
         entries = {}
         for l in self.index.labels:
-            entries[l] = maps[0].get(l)
-            for m in maps[1:]:
-                entries[l] = entries[l].join(m.get(l))
+            a = maps[0].get(l)
+            for b in [m.get(l) for m in maps[1:]] + deltas.get(l, []):
+                a = a.join(b)
+            entries[l] = a
         return EnvMap.of(entries)
 
     def widen(self, a: EnvMap, b: EnvMap) -> EnvMap:
@@ -421,10 +423,7 @@ class EnvDomain:
         delta = self.post_delta(env.get(lq), env.get(le), lq, le, case)
         if delta is None:
             return self.bottom()
-        entries = env.as_dict()
-        for l, a in delta.items():
-            entries[l] = entries[l].join(a)
-        return EnvMap.of(entries)
+        return self.join([env], {l: [a] for l, a in delta.items()})
 
     def post_delta(
         self, input0: AtomEnv, output0: AtomEnv, lq: Label, le: Label, case: PartitionCase
@@ -464,12 +463,6 @@ class EnvDomain:
         for l in index.beta_cont(le):
             delta[l] = gc(index.iface[l], mol_send)
         return delta
-
-    # -- concretization checks (oracle + tests) -----------------------------
-
-    def thread_ok(self, env: EnvMap, thread) -> bool:
-        a = env.get(thread.label)
-        return atom_admits(a, thread.env)
 
 
 def atom_admits(a: AtomEnv, env: dict) -> bool:

@@ -147,10 +147,6 @@ def load_partition_spec(path: str, index: SystemIndex) -> GetVar:
     return _validated(index, gv)
 
 
-def alpha_unit(gv: GetVar, unit: tuple) -> tuple:
-    return gv.alpha_unit(unit)
-
-
 # --- Step rosters and partition cases -------------------------------------
 
 

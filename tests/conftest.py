@@ -8,6 +8,8 @@ import pytest
 from picount.syntax import load_system
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
+# the memory system's writer half, which the benchmark analyzes
+MEMORY_WRITE = os.path.join(os.path.dirname(__file__), "..", "perfbench", "inputs", "memory_write.pi")
 
 
 def corpus_path(name: str) -> str:
@@ -32,6 +34,12 @@ def semaphore_index():
 @pytest.fixture(scope="session")
 def synccomm_index():
     return load_system(corpus_text("synccomm.pi"))
+
+
+@pytest.fixture(scope="session")
+def memory_write_index():
+    with open(MEMORY_WRITE, "r", encoding="utf-8") as fh:
+        return load_system(fh.read())
 
 
 @pytest.fixture(scope="session")

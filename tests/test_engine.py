@@ -1,15 +1,8 @@
 import pytest
 
 from picount import numdom as nd
-from picount.engine import (
-    AbstractionSpec,
-    Analysis,
-    abstract_step_labels,
-    coalesced_product,
-    iterate,
-    step_once,
-)
-from picount.partition import getvar_channel
+from picount.engine import Analysis, abstract_step_labels, iterate, step
+from picount.partition import getvar_channel, getvar_marker
 from picount.syntax import load_system
 
 from conftest import corpus_text
@@ -54,61 +47,136 @@ def test_iterate_empty_system():
     assert fix.element == (analysis.env_dom.init(), analysis.con_dom.init())
 
 
-def _set_spec(post):
-    return AbstractionSpec(
-        bottom=frozenset,
-        init=lambda: frozenset({"init"}),
-        join=lambda elems: frozenset().union(*elems) if elems else frozenset(),
-        post=post,
-        widen=lambda a, b: a | b,
-        is_bottom=lambda e: not e,
-        name="set",
-    )
+def _semaphore(semaphore_index):
+    return Analysis.build(semaphore_index, getvar_channel(semaphore_index))
 
 
-def test_iterate_identity_post(semaphore_index):
-    spec = _set_spec(lambda elem, lab: elem)
-    fix = iterate(spec, semaphore_index, getvar_channel(semaphore_index), max_iter=10)
-    assert fix.stabilized
-    assert fix.element == {"init"}
+def _init(analysis):
+    return (analysis.env_dom.init(), analysis.con_dom.init())
 
 
-def test_iterate_respects_max_iter(semaphore_index):
+def test_iterate_identity_post(semaphore_index, monkeypatch):
+    # sub-cases that launch nothing leave every kind of run at init
+    analysis = _semaphore(semaphore_index)
+    monkeypatch.setattr(analysis.env_dom, "post_delta", lambda *case: {})
+    monkeypatch.setattr(analysis.con_dom, "post_delta", lambda *case: {})
+    env_init, con_init = _init(analysis)
+    for kind, expected in (
+        ("product", (env_init, con_init)),
+        ("env", env_init),
+        ("contents", con_init),
+    ):
+        fix = analysis.run(kind, max_iter=10, keep_trace=True)
+        assert fix.stabilized
+        assert fix.element == expected
+        assert fix.trace[-1]["posts"] > 0  # sub-cases were posted, and added nothing
+
+
+def test_iterate_respects_max_iter(semaphore_index, monkeypatch):
+    analysis = _semaphore(semaphore_index)
     counter = [0]
+    zero = nd.chi(analysis.layout, ())
 
-    def growing(elem, lab):
+    def growing(cu, lq, le, case):
         counter[0] += 1
-        return frozenset({counter[0]})
+        return {(f"u{counter[0]}",): [zero]}
 
-    spec = _set_spec(growing)
-    fix = iterate(spec, semaphore_index, getvar_channel(semaphore_index), max_iter=3)
+    monkeypatch.setattr(analysis.con_dom, "post_delta", growing)
+    fix = analysis.run("contents", max_iter=3)
     assert not fix.stabilized and fix.iterations == 3
     with pytest.raises(ValueError):
-        iterate(spec, semaphore_index, getvar_channel(semaphore_index), max_iter=0)
+        analysis.run("contents", max_iter=0)
+    with pytest.raises(ValueError):
+        iterate(analysis, analysis.start("contents"), max_iter=0)
+    with pytest.raises(ValueError):
+        analysis.start("both")
 
 
-def test_product_annihilates_on_either_bottom(semaphore_index):
+def test_product_annihilates_on_either_bottom(semaphore_index, monkeypatch):
+    analysis = _semaphore(semaphore_index)
+    start = _init(analysis)
+    # unpatched, one round from init posts sub-cases that move both components
+    tallies = {}
+    moved = step(analysis, start, tallies)
+    assert moved[0] != start[0] and moved[1] != start[1]
+    assert sum(t["cases"] for t in tallies.values()) > 0
+
+    # env refutes everything: contents is never consulted, nothing is joined
     hits = []
-    a1 = _set_spec(lambda elem, lab: frozenset())  # always bottom
-    a2 = _set_spec(lambda elem, lab: hits.append(lab) or frozenset({"x"}))
-    product = coalesced_product(a1, a2)
-    out = product.post((frozenset({"i"}), frozenset({"i"})), "label")
-    assert product.is_bottom(out)
-    assert hits == []  # short-circuited before the second analysis ran
-
-
-def test_product_of_identical_abstractions(semaphore_index):
-    gv = getvar_channel(semaphore_index)
-    analysis = Analysis.build(semaphore_index, gv)
-    single = analysis.run("contents").element
-    from picount.engine import contents_abstraction
-
-    twin = coalesced_product(
-        contents_abstraction(analysis.con_dom), contents_abstraction(analysis.con_dom)
+    real_con = analysis.con_dom.post_delta
+    monkeypatch.setattr(analysis.env_dom, "post_delta", lambda *case: None)
+    monkeypatch.setattr(
+        analysis.con_dom, "post_delta", lambda *case: hits.append(case) or real_con(*case)
     )
-    fix = iterate(twin, semaphore_index, gv, max_iter=100)
-    assert fix.stabilized
-    assert fix.element[0] == fix.element[1]
+    tallies = {}
+    assert step(analysis, start, tallies) == start
+    assert hits == []  # short-circuited before the second analysis ran
+    assert all(t["bottom"] == t["cases"] > 0 for t in tallies.values())
+
+    # contents refutes everything: env's deltas are dropped as well
+    monkeypatch.undo()
+    monkeypatch.setattr(analysis.con_dom, "post_delta", lambda *case: None)
+    assert step(analysis, start) == start
+
+
+def test_env_refuted_cases_never_reach_contents(synccomm_index, monkeypatch):
+    # chan: contents refutes sub-cases env admits; marker: env refutes
+    # sub-cases its hint cannot prune, and contents must not see them
+    for gv in (getvar_channel(synccomm_index), getvar_marker(synccomm_index)):
+        analysis = Analysis.build(synccomm_index, gv)
+        real_env, real_con = analysis.env_dom.post_delta, analysis.con_dom.post_delta
+        admitted = [None]
+        refuted = {"env": 0, "contents": 0}
+
+        def env_post(input0, output0, lq, le, case):
+            delta = real_env(input0, output0, lq, le, case)
+            admitted[0] = None if delta is None else (lq, le, case)
+            refuted["env"] += delta is None
+            return delta
+
+        def con_post(cu, lq, le, case):
+            assert admitted[0] == (lq, le, case)
+            delta = real_con(cu, lq, le, case)
+            refuted["contents"] += delta is None
+            return delta
+
+        monkeypatch.setattr(analysis.env_dom, "post_delta", env_post)
+        monkeypatch.setattr(analysis.con_dom, "post_delta", con_post)
+        fix = analysis.run("product", keep_trace=True)
+        assert fix.stabilized
+        assert sum(t["bottom_posts"] for t in fix.trace) == refuted["env"] + refuted["contents"]
+        assert refuted["env" if gv.mode == "marker-only" else "contents"] > 0
+
+
+def test_env_run_posts_no_refuted_case(memory_write_index, monkeypatch):
+    # steered by its own env component, the env-only run enumerates only
+    # sub-cases that its transfer admits
+    analysis = Analysis.build(memory_write_index, getvar_channel(memory_write_index))
+    real_env = analysis.env_dom.post_delta
+    calls = []
+    monkeypatch.setattr(
+        analysis.env_dom, "post_delta", lambda *case: calls.append(real_env(*case)) or calls[-1]
+    )
+    fix = analysis.run("env", keep_trace=True)
+    assert fix.stabilized and fix.iterations == 8
+    assert calls and None not in calls
+    assert sum(t["posts"] for t in fix.trace) == len(calls) == 38
+    assert all(t["bottom_posts"] == 0 for t in fix.trace)
+
+
+def test_product_of_identical_abstractions(semaphore_index, synccomm_index, monkeypatch):
+    # a partner that refutes nothing and adds nothing leaves the other
+    # component exactly as it is alone: same element, rounds and tallies
+    for index in (semaphore_index, synccomm_index):
+        analysis = Analysis.build(index, getvar_channel(index))
+        alone = analysis.run("env", keep_trace=True)
+        monkeypatch.setattr(analysis.con_dom, "post_delta", lambda *case: {})
+        paired = analysis.run("product", keep_trace=True)
+        monkeypatch.undo()
+        assert paired.stabilized and alone.stabilized
+        assert paired.env == alone.env
+        assert paired.con == analysis.con_dom.init()
+        assert (paired.iterations, paired.trace) == (alone.iterations, alone.trace)
 
 
 def test_memory_fixpoint_entails_cell_invariants(memory_product):
@@ -126,10 +194,9 @@ def test_fixpoints_are_stationary(semaphore_index, synccomm_index):
         gv = getvar_channel(index)
         analysis = Analysis.build(index, gv)
         for kind in ("product", "env", "contents"):
-            spec = analysis.spec(kind)
-            fix = iterate(spec, index, gv, max_iter=200)
+            fix = analysis.run(kind, max_iter=200)
             assert fix.stabilized
-            assert step_once(spec, index, gv, fix.element) == fix.element
+            assert step(analysis, (fix.env, fix.con)) == (fix.env, fix.con)
 
 
 def test_product_components_refine_standalone(semaphore_index, synccomm_index):

@@ -31,6 +31,14 @@ def test_unstabilized_run_proves_nothing(capsys):
     assert f"[unknown] {SEMAPHORE_TIGHT}  (not stabilized after 1 iterations)" in out
 
 
+def test_unstabilized_run_without_queries_exits_one(capsys):
+    # the unit constraints of an iterate that is not a fixpoint are not invariants
+    code = main(["analyze", corpus_path("semaphore2.pi"), "--max-iter", "1"])
+    assert code == 1
+    assert "NOT stabilized" in capsys.readouterr().out
+    assert main(["analyze", corpus_path("semaphore2.pi")]) == 0
+
+
 def test_unstabilized_json_report_says_why(capsys):
     code = main(
         [
