@@ -8,7 +8,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import numdom
-from .concrete import enabled_steps, initial_config, step_units
+from .concrete import Walk
 from .contents import CUMap, describe_unit, unit_vector
 from .engine import Analysis, FixpointResult
 from .envdom import EnvMap, atom_admits
@@ -329,10 +329,14 @@ def run(config: AnalysisConfig) -> RunResult:
 
 @dataclass
 class OracleReport:
-    configs_visited: int
+    configs: set  # the configurations checked
     states_visited: int
     truncated: bool
     violations: list[str]
+
+    @property
+    def configs_visited(self) -> int:
+        return len(self.configs)
 
     def to_text(self) -> str:
         lines = [
@@ -357,11 +361,12 @@ def verify_configs(
     count vector outside the corresponding fixpoint component.
 
     Contents checking is trace-sensitive (step counters accumulate along
-    paths), so the walk is over (configuration, per-unit counters) states.
+    paths), so the walk is over (configuration, per-unit counters) states and
+    `max_configs` bounds those states.  The walk stops, truncated, once
+    `max_violations` violations are found.
     """
-    if max_configs < 1 or max_depth < 1:
-        raise ValueError("exploration limits must be positive")
     index, gv, layout = analysis.index, analysis.gv, analysis.layout
+    walk = Walk(index, max_configs, max_depth, gv)
     violations: list[str] = []
     checked_env: set = set()
     checked_vec: set = set()
@@ -374,10 +379,10 @@ def verify_configs(
             pairs.append(f"({fmt_label(pair[0])},{fmt_label(pair[1])})")
         return " -> ".join(reversed(pairs)) if pairs else "(initial configuration)"
 
-    def check_env(config, state):
+    def check_env(state):
         if env_fix is None:
             return
-        for t in config:
+        for t in state[0]:
             if t in checked_env:
                 continue
             checked_env.add(t)
@@ -387,9 +392,13 @@ def verify_configs(
                     f"{fmt_label(t.label)}; trace {trace_of(state)}"
                 )
 
-    def check_units(config, counters, state):
+    def check_units(state):
         if con_fix is None:
             return
+        config, tally = state
+        counters: dict[tuple, dict] = {}
+        for (u, pair), n in tally:
+            counters.setdefault(u, {})[pair] = n
         units_here: dict[tuple, dict] = {}
         for t in config:
             u = gv.concrete_unit(t.label, t.env)
@@ -410,56 +419,24 @@ def verify_configs(
                     f"trace {trace_of(state)}"
                 )
 
-    init = initial_config(index)
-    init_state = (init, ())
-    visited = {init_state}
-    frontier = [init_state]
-    configs_seen = {init}
-    check_env(init, init_state)
-    check_units(init, {}, init_state)
-    truncated = False
-    depth = 0
-    while frontier and depth < max_depth and len(violations) < max_violations:
-        depth += 1
-        nxt = []
-        for source_state in frontier:
-            config, counter_key = source_state
-            counters = {u: dict(pairs) for u, pairs in counter_key}
-            for step in enabled_steps(index, config):
-                new_counters = {u: dict(d) for u, d in counters.items()}
-                for u in set(step_units(step, gv).values()):
-                    per = new_counters.setdefault(u, {})
-                    per[step.pair] = per.get(step.pair, 0) + 1
-                state = (
-                    step.target,
-                    tuple(
-                        sorted(
-                            (
-                                (u, tuple(sorted(d.items(), key=repr)))
-                                for u, d in new_counters.items()
-                            ),
-                            key=repr,
-                        )
-                    ),
-                )
-                if state in visited:
-                    continue
-                if len(visited) >= max_configs:
-                    truncated = True
-                    continue
-                visited.add(state)
-                parents[state] = (source_state, step.pair)
-                configs_seen.add(step.target)
-                check_env(step.target, state)
-                check_units(step.target, new_counters, state)
-                nxt.append(state)
-        frontier = nxt
-    if frontier:
-        truncated = True
+    def check(state) -> bool:
+        """Check one admitted state; False once enough violations are found."""
+        check_env(state)
+        check_units(state)
+        return len(violations) < max_violations
+
+    stopped = not check(walk.initial)
+    if not stopped:
+        for source, step, target, admitted in walk:
+            if admitted:
+                parents[target] = (source, step.pair)
+                if not check(target):
+                    stopped = True
+                    break
     return OracleReport(
-        configs_visited=len(configs_seen),
-        states_visited=len(visited),
-        truncated=truncated,
+        configs={config for config, _ in walk.visited},
+        states_visited=len(walk.visited),
+        truncated=walk.truncated or stopped,
         violations=violations,
     )
 

@@ -7,8 +7,9 @@
                     [--partition ...] [--dump-oracle PATH]
 
 Exit codes: 0 everything proved / no violations, 1 unknown queries or
-violations, 2 bad input.  A run that stops at --max-iter before it
-stabilizes answers every query unknown and exits 1, with or without queries.
+violations, 2 bad input, 3 internal error (traceback on stderr).  A run that
+stops at --max-iter before it stabilizes answers every query unknown and
+exits 1, with or without queries.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import argparse
 import sys
 
 from .analysis import AnalysisConfig, check_soundness, run
-from .concrete import dump_configs, explore
-from .syntax import SourceError, load_system
+from .concrete import dump_configs
+from .syntax import SourceError
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -45,7 +46,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     oc.add_argument("--partition", default="chan")
     oc.add_argument("--max-configs", type=int, default=5000)
     oc.add_argument("--max-depth", type=int, default=1 << 30)
-    oc.add_argument("--dump-oracle", metavar="PATH", help="also write explored configurations (JSON lines)")
+    oc.add_argument("--dump-oracle", metavar="PATH", help="also write the checked configurations (JSON lines)")
     return ap
 
 
@@ -77,16 +78,20 @@ def main(argv=None) -> int:
         )
         oracle, _result = check_soundness(config)
         if args.dump_oracle:
-            with open(args.file, "r", encoding="utf-8") as fh:
-                index = load_system(fh.read())
-            explored = explore(index, max_configs=args.max_configs, max_depth=args.max_depth)
-            with open(args.dump_oracle, "w", encoding="utf-8") as out:
-                dump_configs(explored.configs, out)
+            try:
+                with open(args.dump_oracle, "w", encoding="utf-8") as out:
+                    dump_configs(oracle.configs, out)
+            except OSError as exc:
+                raise SourceError(f"cannot write {args.dump_oracle}: {exc}") from exc
         sys.stdout.write(oracle.to_text())
         return 0 if not oracle.violations else 1
     except SourceError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception:
+        import traceback  # only a crash needs it; every run would pay for its import
+        sys.stderr.write("internal error:\n" + traceback.format_exc())
+        return 3
 
 
 if __name__ == "__main__":

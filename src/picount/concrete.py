@@ -8,12 +8,14 @@ and launches one thread per parallel component of each continuation; threads
 launched by a replicated input are tagged with the sender's label prepended to
 the sender's marker.
 
-`explore` gives a deterministic bounded breadth-first enumeration of reachable
-configurations, used as the ground-truth oracle by the soundness harness.
+`Walk` is the one deterministic bounded breadth-first walk over reachable
+configurations, optionally carrying per-unit step counters; the soundness
+oracle (`analysis.verify_configs`) and `explore` both consume it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -63,7 +65,8 @@ class Thread:
         return f"Thread({fmt_label(self.label)}, {list(self.marker)}, [{env}])"
 
     def sort_key(self):
-        return (label_key(self.label), _marker_key(self.marker), self._key[2])
+        env = tuple((v, (n[0], _marker_key(n[1]))) for v, n in self._key[2])
+        return (label_key(self.label), _marker_key(self.marker), env)
 
 
 def _marker_key(m: Marker):
@@ -164,6 +167,52 @@ def enabled_steps(index: SystemIndex, config: Configuration) -> list[ConcreteSte
     return steps
 
 
+class Walk:
+    """The one bounded breadth-first walk over concrete states, in canonical
+    step order.  A state is a configuration with a frozenset of
+    ((unit, pair), n): how often each step pair has involved each concrete
+    unit of `gv` (empty without `gv`).  Iterating yields every explored edge
+    as (source, step, target, admitted); a new target is admitted while fewer
+    than `max_configs` states have been, and `truncated` records a refused
+    target or states left at `max_depth`."""
+
+    def __init__(self, index: SystemIndex, max_configs: int, max_depth: int, gv=None):
+        if max_configs <= 0 or max_depth <= 0:
+            raise ValueError("exploration limits must be positive")
+        self.index, self.gv = index, gv
+        self.max_configs, self.max_depth = max_configs, max_depth
+        self.initial = (initial_config(index), frozenset())
+        self.visited = {self.initial}
+        self.truncated = False
+
+    def __iter__(self):
+        frontier = [self.initial]
+        depth = 0
+        while frontier and depth < self.max_depth:
+            depth += 1
+            nxt = []
+            for source in frontier:
+                for step in enabled_steps(self.index, source[0]):
+                    target = (step.target, self._count(source[1], step))
+                    new = target not in self.visited
+                    admitted = new and len(self.visited) < self.max_configs
+                    self.truncated |= new and not admitted
+                    if admitted:
+                        self.visited.add(target)
+                        nxt.append(target)
+                    yield source, step, target, admitted
+            frontier = nxt
+        self.truncated |= bool(frontier)
+
+    def _count(self, counters: frozenset, step: ConcreteStep) -> frozenset:
+        if self.gv is None:
+            return counters
+        tally = dict(counters)
+        for u in set(step_units(step, self.gv).values()):
+            tally[u, step.pair] = tally.get((u, step.pair), 0) + 1
+        return frozenset(tally.items())
+
+
 @dataclass
 class ExploreResult:
     configs: set[Configuration]
@@ -178,34 +227,12 @@ def explore(
     max_depth: int = 1 << 30,
     keep_steps: bool = False,
 ) -> ExploreResult:
-    """Deterministic BFS over reachable configurations, bounded by both the
-    number of distinct configurations and the transition depth."""
-    if max_configs <= 0 or max_depth <= 0:
-        raise ValueError("exploration limits must be positive")
-    init = initial_config(index)
-    visited = {init}
-    frontier = [init]
-    steps: list[ConcreteStep] = []
-    truncated = False
-    depth = 0
-    while frontier and depth < max_depth:
-        depth += 1
-        nxt = []
-        for config in frontier:
-            for step in enabled_steps(index, config):
-                if keep_steps:
-                    steps.append(step)
-                if step.target in visited:
-                    continue
-                if len(visited) >= max_configs:
-                    truncated = True
-                    continue
-                visited.add(step.target)
-                nxt.append(step.target)
-        frontier = nxt
-    if frontier:
-        truncated = True
-    return ExploreResult(configs=visited, truncated=truncated, initial=init, steps=steps)
+    """Configurations reached by the uninstrumented `Walk`, bounded by both
+    their number and the transition depth."""
+    walk = Walk(index, max_configs, max_depth)
+    steps = [step for _, step, _, _ in walk if keep_steps]
+    configs = {config for config, _ in walk.visited}
+    return ExploreResult(configs, walk.truncated, walk.initial[0], steps)
 
 
 # --- Oracle dump (JSON lines, one record per configuration) ---------------
@@ -217,9 +244,11 @@ def thread_to_json(t: Thread) -> list:
 
 
 def dump_configs(configs, stream):
-    ordered = sorted(configs, key=lambda c: sorted(t.sort_key() for t in c))
+    # equal threads recur across configurations; one key each keeps the sort small
+    thread_key = functools.cache(Thread.sort_key)
+    ordered = sorted(configs, key=lambda c: sorted(map(thread_key, c)))
     for config in ordered:
-        record = [thread_to_json(t) for t in sorted(config, key=Thread.sort_key)]
+        record = [thread_to_json(t) for t in sorted(config, key=thread_key)]
         stream.write(json.dumps(record, sort_keys=True) + "\n")
 
 

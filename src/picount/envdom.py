@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .partition import FULL_NAME, GetVar, PartitionCase
-from .syntax import FETCH, Label, SystemIndex, Var, label_key
+from .syntax import Label, SystemIndex, Var, label_key
 
 RECV = "?"
 SEND = "!"
@@ -217,11 +217,6 @@ def extend(x, a: AtomEnv, universe) -> AtomEnv:
     labels = dict(a.labels)
     labels[x] = frozenset(universe)
     return AtomEnv.make(a.vars + (x,), labels, a.eqs, a.neqs)
-
-
-def fetch_marker(l: Label, a: AtomEnv) -> AtomEnv:
-    """Marker allocation is invisible to this domain."""
-    return a
 
 
 def gc(keep, a: AtomEnv) -> AtomEnv:
@@ -443,8 +438,7 @@ class EnvDomain:
 
     def _post_delta(self, input0, output0, lq, le, cons):
         index = self.index
-        input1 = fetch_marker(le, input0) if index.type[lq] == FETCH else input0
-        a_recv = input1
+        a_recv = input0
         for y in index.arg[lq]:
             a_recv = extend(y, a_recv, self.universe)
         for u in sorted(index.fresh[lq]):

@@ -189,9 +189,6 @@ class PartitionCase:
     def items(self):
         return zip(self.classes, self.assign)
 
-    def related(self, m1: Member, m2: Member) -> bool:
-        return self.class_of(m1) is self.class_of(m2)
-
     def describe(self) -> str:
         parts = []
         for c, a in self.items():

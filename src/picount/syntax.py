@@ -419,9 +419,6 @@ class SystemIndex:
             raise SourceError(f"unknown label {fmt_label(l)}")
         return self.iface[l]
 
-    def beta_of(self, p: Process) -> frozenset[Label]:
-        return beta(p)
-
     def beta_cont(self, l: Label) -> frozenset[Label]:
         return beta(self.cont[l])
 

@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+from picount import cli, concrete, syntax
 from picount import numdom as nd
 from picount.analysis import (
     AnalysisConfig,
@@ -13,6 +15,7 @@ from picount.analysis import (
     verify_configs,
 )
 from picount.cli import main
+from picount.concrete import Thread, thread_to_json
 from picount.contents import CUMap
 from picount.envdom import AtomEnv, EnvMap
 from picount.partition import getvar_channel, getvar_marker
@@ -139,6 +142,56 @@ def test_cli_oracle_check_with_dump(tmp_path, capsys):
     assert lines and all(json.loads(l) is not None for l in lines)
 
 
+def _count_calls(monkeypatch, fn):
+    """Count calls of `fn` through every `picount` module that holds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "picount" and getattr(mod, fn.__name__, None) is fn:
+            monkeypatch.setattr(mod, fn.__name__, counted)
+    return calls
+
+
+def test_oracle_dump_parses_and_walks_once(tmp_path, capsys, monkeypatch):
+    loads = _count_calls(monkeypatch, syntax.load_system)
+    walks = _count_calls(monkeypatch, concrete.initial_config)
+    expansions = _count_calls(monkeypatch, concrete.enabled_steps)
+    dump = tmp_path / "oracle.jsonl"
+    path = corpus_path("synccomm.pi")
+    code = main(["oracle-check", path, "--max-configs", "300", "--dump-oracle", str(dump)])
+    assert code == 0
+    assert "instrumented states 300" in capsys.readouterr().out
+    assert len(loads) == 1 and len(walks) == 1
+    assert 0 < len(expansions) <= 300
+
+
+def test_oracle_dump_holds_the_checked_configs(tmp_path, capsys, monkeypatch):
+    reports = []
+
+    def keep(config):
+        oracle, result = check_soundness(config)
+        reports.append(oracle)
+        return oracle, result
+
+    monkeypatch.setattr(cli, "check_soundness", keep)
+    dump = tmp_path / "oracle.jsonl"
+    path = corpus_path("semaphore2.pi")
+    assert main(["oracle-check", path, "--max-configs", "400", "--dump-oracle", str(dump)]) == 0
+    (oracle,) = reports
+    lines = dump.read_text().splitlines()
+    checked = {
+        json.dumps([thread_to_json(t) for t in sorted(c, key=Thread.sort_key)], sort_keys=True)
+        for c in oracle.configs
+    }
+    assert len(lines) == oracle.configs_visited == len(checked)
+    assert set(lines) == checked
+    assert f"configurations {len(lines)} " in capsys.readouterr().out
+
+
 def test_check_soundness_clean(semaphore_index):
     oracle, result = check_soundness(
         AnalysisConfig(path=corpus_path("semaphore2.pi"), max_configs=500)
@@ -161,6 +214,24 @@ def test_corrupted_env_fixpoint_is_flagged():
         result.analysis, corrupted, result.con_fix, max_configs=300, max_depth=20
     )
     assert any(v.startswith("env:") for v in report.violations)
+
+
+def test_verify_configs_stops_at_max_violations():
+    result = run(AnalysisConfig(path=corpus_path("semaphore2.pi")))
+    entries = result.env_fix.as_dict()
+    entries[4] = AtomEnv.make(("a",), {"a": frozenset({"rec@1"})}, frozenset(), frozenset())
+    corrupted = EnvMap.of(entries)
+    full = verify_configs(
+        result.analysis, corrupted, result.con_fix, max_configs=300, max_depth=20
+    )
+    assert len(full.violations) > 1 and full.states_visited == 300
+    report = verify_configs(
+        result.analysis, corrupted, result.con_fix, max_configs=300, max_depth=20,
+        max_violations=1,
+    )
+    assert report.violations == full.violations[:1]
+    assert report.truncated
+    assert report.states_visited < full.states_visited
 
 
 def test_corrupted_contents_fixpoint_is_flagged():

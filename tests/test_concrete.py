@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -6,6 +7,7 @@ from picount.concrete import (
     EPSILON,
     InternalError,
     Thread,
+    Walk,
     alpha_step,
     dump_configs,
     enabled_steps,
@@ -13,6 +15,7 @@ from picount.concrete import (
     initial_config,
     launch,
     make_config,
+    step_units,
 )
 from picount.partition import getvar_channel
 from picount.syntax import Nil, load_system
@@ -180,6 +183,43 @@ def test_dump_configs_json_lines(semaphore_index, tmp_path):
             assert isinstance(label, str) and isinstance(marker, list)
             for var, (name_var, name_marker) in env.items():
                 assert isinstance(var, str) and isinstance(name_marker, list)
+
+
+def test_dump_configs_orders_env_markers_of_mixed_type():
+    # two threads share label and marker and differ only in an env name whose
+    # marker holds an int label in one and a primed str label in the other
+    plain = make_config([Thread(1, (), {"x": ("x", (12,))})])
+    primed = make_config([Thread(1, (), {"x": ("x", ("12'",))})])
+    lines = []
+    for configs in ([plain, primed], [primed, plain]):
+        out = io.StringIO()
+        dump_configs(configs, out)
+        lines.append(out.getvalue().splitlines())
+    assert lines[0] == lines[1]
+    assert [json.loads(l)[0][2]["x"][1] for l in lines[0]] == [["12"], ["12'"]]
+
+
+def test_walk_counters_stay_empty_without_getvar(synccomm_index):
+    walk = Walk(synccomm_index, max_configs=200, max_depth=1 << 30)
+    edges = list(walk)
+    assert all(not source[1] and not target[1] for source, _, target, _ in edges)
+    admitted = [target for _, _, target, ok in edges if ok]
+    assert len(admitted) == len(set(admitted)) == len(walk.visited) - 1
+    assert set(admitted) | {walk.initial} == walk.visited
+
+
+def test_walk_counts_steps_per_unit(synccomm_index):
+    gv = getvar_channel(synccomm_index)
+    walk = Walk(synccomm_index, max_configs=300, max_depth=1 << 30, gv=gv)
+    for source, step, target, _ in walk:
+        before, after = dict(source[1]), dict(target[1])
+        bumped = {(u, step.pair) for u in step_units(step, gv).values()}
+        assert set(after) == set(before) | bumped
+        for key, n in after.items():
+            assert n == before.get(key, 0) + (key in bumped)
+    # the instrumented walk reaches the same configurations as `explore`
+    configs = {config for config, _ in walk.visited}
+    assert configs == explore(synccomm_index, max_configs=300).configs
 
 
 def test_alpha_step_memory_walkthrough(memory_index):

@@ -13,7 +13,6 @@ from picount.envdom import (
     atom_admits,
     declare,
     extend,
-    fetch_marker,
     fst,
     gc,
     normalize,
@@ -147,13 +146,6 @@ def test_extend_then_project_away_is_identity():
         if n.is_bottom:
             continue
         assert gc(("x", "y"), extend("t", n, universe)) == n
-
-
-def test_fetch_marker_is_identity():
-    a = declare("x", AtomEnv.empty())
-    assert fetch_marker(9, a) is a
-    assert fetch_marker(9, AtomEnv.bottom(("x",))).is_bottom
-    assert fetch_marker(9, fetch_marker(9, a)) == fetch_marker(9, a)
 
 
 def _walkthrough_parts():

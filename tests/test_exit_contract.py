@@ -1,12 +1,13 @@
 """The CLI exit contract: 0 everything proved, 1 unknown or violations,
-2 bad input.  A budget can only turn an answer into `unknown`, and bad input
-is a located error, never a traceback."""
+2 bad input, 3 internal error.  A budget can only turn an answer into
+`unknown`, and bad input is a located error, never a traceback."""
 
 import json
 import random
 
 import pytest
 
+from picount import cli
 from picount.analysis import AnalysisConfig, parse_query, query_unit, run, verify_configs
 from picount.cli import main
 from picount.concrete import explore
@@ -139,3 +140,29 @@ def test_verify_configs_rejects_empty_limits(semaphore_index):
     analysis = Analysis.build(semaphore_index, getvar_channel(semaphore_index))
     with pytest.raises(ValueError):
         verify_configs(analysis, None, None, max_configs=0, max_depth=5)
+
+
+def test_cli_unwritable_dump_exits_two(tmp_path, capsys):
+    dump = tmp_path / "missing" / "oracle.jsonl"
+    argv = ["oracle-check", corpus_path("synccomm.pi"), "--max-configs", "20"]
+    assert main(argv + ["--dump-oracle", str(dump)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {dump}: ")
+
+
+@pytest.mark.parametrize(
+    "target, argv",
+    [
+        ("run", ["analyze", corpus_path("synccomm.pi")]),
+        ("check_soundness", ["oracle-check", corpus_path("synccomm.pi")]),
+    ],
+)
+def test_internal_error_exits_three(target, argv, monkeypatch, capsys):
+    def broken(config):
+        raise KeyError("broken invariant")
+
+    monkeypatch.setattr(cli, target, broken)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error:\n")
+    assert "Traceback" in captured.err and "KeyError: 'broken invariant'" in captured.err
