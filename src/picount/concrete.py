@@ -10,7 +10,9 @@ the sender's marker.
 
 `Walk` is the one deterministic bounded breadth-first walk over reachable
 configurations, optionally carrying per-unit step counters; the soundness
-oracle (`analysis.verify_configs`) and `explore` both consume it.
+oracle (`analysis.verify_configs`) and `explore` both consume it.  The walk
+computes each distinct thread's concrete unit once, and `dump_configs` orders
+and encodes each distinct thread once.
 """
 
 from __future__ import annotations
@@ -144,9 +146,15 @@ def _apply(index: SystemIndex, config: Configuration, recv: Thread, send: Thread
         sender=send,
         target=target,
         pair=(lq, le),
-        launched_recv=tuple(sorted(ct_recv, key=Thread.sort_key)),
-        launched_send=tuple(sorted(ct_send, key=Thread.sort_key)),
+        launched_recv=tuple(sorted(ct_recv, key=_launch_order)),
+        launched_send=tuple(sorted(ct_send, key=_launch_order)),
     )
+
+
+def _launch_order(t: Thread):
+    # threads launched together share one marker and have distinct labels, so
+    # this is their `Thread.sort_key` order without building marker keys
+    return label_key(t.label)
 
 
 def enabled_steps(index: SystemIndex, config: Configuration) -> list[ConcreteStep]:
@@ -174,7 +182,8 @@ class Walk:
     unit of `gv` (empty without `gv`).  Iterating yields every explored edge
     as (source, step, target, admitted); a new target is admitted while fewer
     than `max_configs` states have been, and `truncated` records a refused
-    target or states left at `max_depth`."""
+    target or states left at `max_depth`.  `unit_of` computes each distinct
+    thread's concrete unit once per walk."""
 
     def __init__(self, index: SystemIndex, max_configs: int, max_depth: int, gv=None):
         if max_configs <= 0 or max_depth <= 0:
@@ -184,6 +193,7 @@ class Walk:
         self.initial = (initial_config(index), frozenset())
         self.visited = {self.initial}
         self.truncated = False
+        self._units: dict[Thread, tuple] = {}
 
     def __iter__(self):
         frontier = [self.initial]
@@ -208,9 +218,17 @@ class Walk:
         if self.gv is None:
             return counters
         tally = dict(counters)
-        for u in set(step_units(step, self.gv).values()):
+        takers = (step.receiver, step.sender, *step.launched_recv, *step.launched_send)
+        for u in set(map(self.unit_of, takers)):
             tally[u, step.pair] = tally.get((u, step.pair), 0) + 1
         return frozenset(tally.items())
+
+    def unit_of(self, t: Thread) -> tuple:
+        """Concrete unit of `t` under `gv`, computed once per distinct thread."""
+        u = self._units.get(t)
+        if u is None:
+            u = self._units[t] = self.gv.concrete_unit(t.label, t.env)
+        return u
 
 
 @dataclass
@@ -244,12 +262,14 @@ def thread_to_json(t: Thread) -> list:
 
 
 def dump_configs(configs, stream):
-    # equal threads recur across configurations; one key each keeps the sort small
+    # equal threads recur across configurations: each gets one key and one
+    # encoding.  Joining the encodings with ", " is byte-identical to
+    # `json.dumps` of the whole list.
     thread_key = functools.cache(Thread.sort_key)
+    thread_text = functools.cache(lambda t: json.dumps(thread_to_json(t), sort_keys=True))
     ordered = sorted(configs, key=lambda c: sorted(map(thread_key, c)))
     for config in ordered:
-        record = [thread_to_json(t) for t in sorted(config, key=thread_key)]
-        stream.write(json.dumps(record, sort_keys=True) + "\n")
+        stream.write("[" + ", ".join(map(thread_text, sorted(config, key=thread_key))) + "]\n")
 
 
 # --- Step abstraction ------------------------------------------------------

@@ -1,3 +1,4 @@
+import io
 import json
 import sys
 
@@ -18,7 +19,7 @@ from picount.cli import main
 from picount.concrete import Thread, thread_to_json
 from picount.contents import CUMap
 from picount.envdom import AtomEnv, EnvMap
-from picount.partition import getvar_channel, getvar_marker
+from picount.partition import GetVar, getvar_channel, getvar_marker
 from picount.syntax import SourceError
 
 from conftest import corpus_path
@@ -167,6 +168,47 @@ def test_oracle_dump_parses_and_walks_once(tmp_path, capsys, monkeypatch):
     assert "instrumented states 300" in capsys.readouterr().out
     assert len(loads) == 1 and len(walks) == 1
     assert 0 < len(expansions) <= 300
+
+
+def _synccomm_oracle_run():
+    result = run(AnalysisConfig(path=corpus_path("synccomm.pi")))
+    return result.analysis, result.env_fix, result.con_fix
+
+
+def test_walk_computes_each_thread_unit_once(monkeypatch):
+    analysis, env_fix, con_fix = _synccomm_oracle_run()
+    # every thread the walk meets sits in the source or the target of an edge
+    threads = set()
+    for source, _, target, _ in concrete.Walk(analysis.index, 300, 1 << 30, analysis.gv):
+        threads |= source[0] | target[0]
+    calls = []
+    original = GetVar.concrete_unit
+
+    def counted(self, label, env):
+        calls.append(label)
+        return original(self, label, env)
+
+    monkeypatch.setattr(GetVar, "concrete_unit", counted)
+    report = verify_configs(analysis, env_fix, con_fix, max_configs=300, max_depth=1 << 30)
+    assert report.states_visited == 300 and report.violations == []
+    assert 0 < len(calls) <= len(threads)
+
+
+def test_thread_sort_key_runs_only_in_the_dump_once_per_thread(monkeypatch):
+    analysis, env_fix, con_fix = _synccomm_oracle_run()
+    keyed = []
+    original = Thread.sort_key
+
+    def counted(self):
+        keyed.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Thread, "sort_key", counted)
+    report = verify_configs(analysis, env_fix, con_fix, max_configs=300, max_depth=1 << 30)
+    assert keyed == []
+    concrete.dump_configs(report.configs, io.StringIO())
+    assert keyed and len(keyed) == len(set(keyed))
+    assert set(keyed) == set().union(*report.configs)
 
 
 def test_oracle_dump_holds_the_checked_configs(tmp_path, capsys, monkeypatch):

@@ -16,6 +16,7 @@ from picount.concrete import (
     launch,
     make_config,
     step_units,
+    thread_to_json,
 )
 from picount.partition import getvar_channel
 from picount.syntax import Nil, load_system
@@ -197,6 +198,33 @@ def test_dump_configs_orders_env_markers_of_mixed_type():
         lines.append(out.getvalue().splitlines())
     assert lines[0] == lines[1]
     assert [json.loads(l)[0][2]["x"][1] for l in lines[0]] == [["12"], ["12'"]]
+
+
+CORPUS = ("memory.pi", "semaphore2.pi", "synccomm.pi", "objects.pi", "dlist.pi")
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_launched_threads_are_in_sort_key_order(name):
+    # `_apply` orders a step's launched threads by label alone
+    index = load_system(corpus_text(name))
+    steps = explore(index, max_configs=1000, keep_steps=True).steps
+    assert any(len(s.launched_recv) > 1 or len(s.launched_send) > 1 for s in steps)
+    for step in steps:
+        assert step.launched_recv == tuple(sorted(step.launched_recv, key=Thread.sort_key))
+        assert step.launched_send == tuple(sorted(step.launched_send, key=Thread.sort_key))
+
+
+@pytest.mark.parametrize("name", ["synccomm.pi", "objects.pi"])
+def test_dump_configs_lines_equal_whole_record_encoding(name):
+    configs = explore(load_system(corpus_text(name)), max_configs=300).configs
+    out = io.StringIO()
+    dump_configs(configs, out)
+    ordered = sorted(configs, key=lambda c: sorted(map(Thread.sort_key, c)))
+    expected = [
+        json.dumps([thread_to_json(t) for t in sorted(c, key=Thread.sort_key)], sort_keys=True)
+        for c in ordered
+    ]
+    assert out.getvalue().splitlines() == expected
 
 
 def test_walk_counters_stay_empty_without_getvar(synccomm_index):

@@ -3,7 +3,11 @@ cross-checked against bounded concrete exploration.  Any transfer-function
 bug that loses a reachable environment or count vector shows up here as a
 violation."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -97,3 +101,37 @@ def test_random_systems_standalone_sound(seed):
         analysis, env_fix.element, con_fix.element, max_configs=200, max_depth=25
     )
     assert report.violations == [], (text, report.violations[:3])
+
+
+def fuzz_violations(seeds) -> list[list[str]]:
+    """Violations of each seed's system against its product iterate after one
+    round: far from a fixpoint, so states hold several violations at once."""
+    lists = []
+    for seed in seeds:
+        index = load_system(random_system(random.Random(seed)))
+        analysis = Analysis.build(index, getvar_channel(index))
+        fix = analysis.run("product", max_iter=1)
+        report = verify_configs(
+            analysis, fix.element[0], fix.element[1], max_configs=300, max_depth=30
+        )
+        lists.append(report.violations)
+    return lists
+
+
+def test_violation_order_ignores_string_hashing():
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(here, "..", "src"), here])
+    code = (
+        "import json; from test_fuzz_soundness import fuzz_violations; "
+        "print(json.dumps(fuzz_violations(range(20))))"
+    )
+    outputs = set()
+    for hash_seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
+    assert sum(map(len, json.loads(outputs.pop()))) > 20
