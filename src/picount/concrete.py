@@ -10,9 +10,12 @@ the sender's marker.
 
 `Walk` is the one deterministic bounded breadth-first walk over reachable
 configurations, optionally carrying per-unit step counters; the soundness
-oracle (`analysis.verify_configs`) and `explore` both consume it.  The walk
-computes each distinct thread's concrete unit once, and `dump_configs` orders
-and encodes each distinct thread once.
+oracle (`analysis.verify_configs`) and `explore` both consume it.  Each walk
+keeps one `StepTable`: equal threads are one object, and what a step does
+apart from the rest of its configuration (consumed and launched threads,
+canonical order key) is built once per distinct (receiver, sender) pair.  The
+walk computes each distinct thread's concrete unit once, and `dump_configs`
+orders and encodes each distinct thread once.
 """
 
 from __future__ import annotations
@@ -116,39 +119,63 @@ class ConcreteStep:
     launched_recv: tuple[Thread, ...]
     launched_send: tuple[Thread, ...]
 
-    def sort_key(self):
-        return (
-            label_key(self.pair[0]),
-            label_key(self.pair[1]),
-            _marker_key(self.receiver.marker),
-            _marker_key(self.sender.marker),
-        )
+
+class StepShape:
+    """What a step does that depends only on its receiver and sender: the
+    threads it consumes ({sender} for a FETCH, else {receiver, sender}), the
+    threads each side launches and their union, and its canonical order key
+    (both labels, then both markers)."""
+
+    __slots__ = ("pair", "consumed", "launched_recv", "launched_send", "launched", "key")
+
+    def __init__(self, pair, consumed, launched_recv, launched_send, key):
+        self.pair = pair
+        self.consumed = consumed
+        self.launched_recv = launched_recv
+        self.launched_send = launched_send
+        self.launched = frozenset(launched_recv + launched_send)
+        self.key = key
 
 
-def _apply(index: SystemIndex, config: Configuration, recv: Thread, send: Thread) -> ConcreteStep:
-    lq, le = recv.label, send.label
-    ys, xs = index.arg[lq], index.arg[le]
-    passed = {y: send.env[x] for y, x in zip(ys, xs)}
-    recv_env = dict(recv.env)
-    recv_env.update(passed)
-    if index.type[lq] == FETCH:
-        new_marker: Marker = (le,) + send.marker
-        kept = config - {send}
-    else:
-        new_marker = recv.marker
-        kept = config - {recv, send}
-    ct_recv = launch(index, index.cont[lq], new_marker, recv_env)
-    ct_send = launch(index, index.cont[le], send.marker, dict(send.env))
-    target = make_config(kept | ct_recv | ct_send)
-    return ConcreteStep(
-        source=config,
-        receiver=recv,
-        sender=send,
-        target=target,
-        pair=(lq, le),
-        launched_recv=tuple(sorted(ct_recv, key=_launch_order)),
-        launched_send=tuple(sorted(ct_send, key=_launch_order)),
-    )
+class StepTable:
+    """One object per distinct thread, and one `StepShape` per distinct
+    (receiver, sender) pair, built on first use.  A table serves one walk, so
+    the threads and pairs that walk meets bound its size."""
+
+    def __init__(self, index: SystemIndex):
+        self.index = index
+        self._threads: dict[Thread, Thread] = {}
+        self._shapes: dict[tuple[Thread, Thread], StepShape] = {}
+
+    def intern(self, t: Thread) -> Thread:
+        """The table's one object equal to `t`."""
+        return self._threads.setdefault(t, t)
+
+    def shape(self, recv: Thread, send: Thread) -> StepShape:
+        shape = self._shapes.get((recv, send))
+        if shape is None:
+            shape = self._shapes[recv, send] = self._build(recv, send)
+        return shape
+
+    def _build(self, recv: Thread, send: Thread) -> StepShape:
+        index = self.index
+        lq, le = recv.label, send.label
+        passed = {y: send.env[x] for y, x in zip(index.arg[lq], index.arg[le])}
+        recv_env = dict(recv.env)
+        recv_env.update(passed)
+        if index.type[lq] == FETCH:
+            new_marker: Marker = (le,) + send.marker
+            consumed = frozenset({send})
+        else:
+            new_marker = recv.marker
+            consumed = frozenset({recv, send})
+        ct_recv = self._launched(launch(index, index.cont[lq], new_marker, recv_env))
+        ct_send = self._launched(launch(index, index.cont[le], send.marker, dict(send.env)))
+        key = (label_key(lq), label_key(le), _marker_key(recv.marker), _marker_key(send.marker))
+        return StepShape((lq, le), consumed, ct_recv, ct_send, key)
+
+    def _launched(self, threads: set[Thread]) -> tuple[Thread, ...]:
+        return tuple(sorted(map(self.intern, threads), key=_launch_order))
 
 
 def _launch_order(t: Thread):
@@ -157,11 +184,16 @@ def _launch_order(t: Thread):
     return label_key(t.label)
 
 
-def enabled_steps(index: SystemIndex, config: Configuration) -> list[ConcreteStep]:
-    """All synchronizations enabled in `config`, in a canonical order."""
+def enabled_steps(
+    index: SystemIndex, config: Configuration, table: StepTable | None = None
+) -> list[ConcreteStep]:
+    """All synchronizations enabled in `config`, in a canonical order.  Step
+    shapes come from `table`, or from a throwaway one."""
+    if table is None:
+        table = StepTable(index)
     receivers = [t for t in config if index.type[t.label] in (INPUT, FETCH)]
     senders = [t for t in config if index.type[t.label] == OUTPUT]
-    steps = []
+    matches = []
     for r in receivers:
         rc = r.env[index.chan[r.label]]
         rn = len(index.arg[r.label])
@@ -170,9 +202,20 @@ def enabled_steps(index: SystemIndex, config: Configuration) -> list[ConcreteSte
                 continue
             if s.env[index.chan[s.label]] != rc:
                 continue
-            steps.append(_apply(index, config, r, s))
-    steps.sort(key=ConcreteStep.sort_key)
-    return steps
+            matches.append((table.shape(r, s), r, s))
+    matches.sort(key=lambda m: m[0].key)
+    return [
+        ConcreteStep(
+            source=config,
+            receiver=r,
+            sender=s,
+            target=make_config((config - shape.consumed) | shape.launched),
+            pair=shape.pair,
+            launched_recv=shape.launched_recv,
+            launched_send=shape.launched_send,
+        )
+        for shape, r, s in matches
+    ]
 
 
 class Walk:
@@ -181,8 +224,13 @@ class Walk:
     ((unit, pair), n): how often each step pair has involved each concrete
     unit of `gv` (empty without `gv`).  Iterating yields every explored edge
     as (source, step, target, admitted); a new target is admitted while fewer
-    than `max_configs` states have been, and `truncated` records a refused
-    target or states left at `max_depth`.  `unit_of` computes each distinct
+    than `max_configs` states have been.  `truncated` records a refused
+    target, or a state left at `max_depth` with a step to a state not
+    visited.
+
+    The walk keeps one `StepTable`: every step of one (receiver, sender) pair
+    shares its shape, and equal threads are one object, so set and dict
+    lookups of threads compare identities.  `unit_of` computes each distinct
     thread's concrete unit once per walk."""
 
     def __init__(self, index: SystemIndex, max_configs: int, max_depth: int, gv=None):
@@ -190,7 +238,8 @@ class Walk:
             raise ValueError("exploration limits must be positive")
         self.index, self.gv = index, gv
         self.max_configs, self.max_depth = max_configs, max_depth
-        self.initial = (initial_config(index), frozenset())
+        self.table = StepTable(index)
+        self.initial = (frozenset(map(self.table.intern, initial_config(index))), frozenset())
         self.visited = {self.initial}
         self.truncated = False
         self._units: dict[Thread, tuple] = {}
@@ -202,7 +251,7 @@ class Walk:
             depth += 1
             nxt = []
             for source in frontier:
-                for step in enabled_steps(self.index, source[0]):
+                for step in enabled_steps(self.index, source[0], self.table):
                     target = (step.target, self._count(source[1], step))
                     new = target not in self.visited
                     admitted = new and len(self.visited) < self.max_configs
@@ -212,7 +261,12 @@ class Walk:
                         nxt.append(target)
                     yield source, step, target, admitted
             frontier = nxt
-        self.truncated |= bool(frontier)
+        if frontier and not self.truncated:
+            self.truncated = any(
+                (step.target, self._count(source[1], step)) not in self.visited
+                for source in frontier
+                for step in enabled_steps(self.index, source[0], self.table)
+            )
 
     def _count(self, counters: frozenset, step: ConcreteStep) -> frozenset:
         if self.gv is None:

@@ -170,6 +170,20 @@ def test_oracle_dump_parses_and_walks_once(tmp_path, capsys, monkeypatch):
     assert 0 < len(expansions) <= 300
 
 
+@pytest.mark.parametrize(
+    "text, verdict",
+    [
+        ("new a in (a![] | a?[].0)", "exhaustive"),
+        ("new a in (a![] | a?[].new b in (b![] | b?[].0))", "truncated"),
+    ],
+)
+def test_oracle_depth_limit_truncates_only_with_a_step_left(tmp_path, capsys, text, verdict):
+    path = tmp_path / "system.pi"
+    path.write_text(text)
+    assert main(["oracle-check", str(path), "--max-depth", "1"]) == 0
+    assert capsys.readouterr().out.startswith(f"configurations 2 ({verdict})\n")
+
+
 def _synccomm_oracle_run():
     result = run(AnalysisConfig(path=corpus_path("synccomm.pi")))
     return result.analysis, result.env_fix, result.con_fix

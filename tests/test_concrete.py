@@ -133,6 +133,19 @@ def test_explore_empty_system():
     assert result.truncated is False
 
 
+ONE_STEP = "new a in (a![] | a?[].0)"
+TWO_STEPS = "new a in (a![] | a?[].new b in (b![] | b?[].0))"
+
+
+def test_depth_limit_truncates_only_with_a_step_left():
+    # the one step reaches a state with nothing left to fire
+    one = explore(load_system(ONE_STEP), max_depth=1)
+    assert len(one.configs) == 2 and one.truncated is False
+    two = explore(load_system(TWO_STEPS), max_depth=1)
+    assert len(two.configs) == 2 and two.truncated is True
+    assert explore(load_system(TWO_STEPS), max_depth=2).truncated is False
+
+
 def test_explore_rejects_bad_limits(memory_index):
     with pytest.raises(ValueError):
         explore(memory_index, max_configs=0)
@@ -205,7 +218,7 @@ CORPUS = ("memory.pi", "semaphore2.pi", "synccomm.pi", "objects.pi", "dlist.pi")
 
 @pytest.mark.parametrize("name", CORPUS)
 def test_launched_threads_are_in_sort_key_order(name):
-    # `_apply` orders a step's launched threads by label alone
+    # the step table orders a step's launched threads by label alone
     index = load_system(corpus_text(name))
     steps = explore(index, max_configs=1000, keep_steps=True).steps
     assert any(len(s.launched_recv) > 1 or len(s.launched_send) > 1 for s in steps)

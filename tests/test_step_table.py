@@ -1,0 +1,131 @@
+"""The walk's step table against table-free step construction.
+
+A `Walk` builds each distinct (receiver, sender) step shape once and keeps one
+object per distinct thread.  Its edges must be exactly what a direct
+`enabled_steps` call, with a throwaway table, gives for each state it
+expands, and the configurations it reaches must dump as the record-by-record
+encoding does (checked on the systems whose dumps are small enough to encode
+twice).
+"""
+
+import io
+import json
+import random
+
+import pytest
+
+from picount import concrete
+from picount.concrete import (
+    InternalError,
+    Thread,
+    Walk,
+    dump_configs,
+    enabled_steps,
+    initial_config,
+    thread_to_json,
+)
+from picount.partition import getvar_channel, getvar_marker
+from picount.syntax import FETCH, load_system
+
+from conftest import corpus_text
+from test_concrete import CORPUS
+from test_fuzz_soundness import random_system
+
+SYSTEMS = [*CORPUS, *(f"fuzz-{seed}" for seed in range(8))]
+DUMPED = ("synccomm.pi", "objects.pi")
+
+
+def system_text(name: str) -> str:
+    if name.startswith("fuzz-"):
+        return random_system(random.Random(20260 + int(name[5:])))
+    return corpus_text(name)
+
+
+def edge_record(step):
+    return (
+        step.pair,
+        step.receiver,
+        step.sender,
+        step.target,
+        step.launched_recv,
+        step.launched_send,
+    )
+
+
+def record_encoding(configs) -> list[str]:
+    """One line per configuration, each thread keyed and encoded on its own."""
+    ordered = sorted(configs, key=lambda c: sorted(map(Thread.sort_key, c)))
+    return [
+        json.dumps([thread_to_json(t) for t in sorted(c, key=Thread.sort_key)], sort_keys=True)
+        for c in ordered
+    ]
+
+
+@pytest.mark.parametrize("partition", ["chan", "marker"])
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_walk_edges_equal_table_free_steps(name, partition):
+    index = load_system(system_text(name))
+    gv = getvar_channel(index) if partition == "chan" else getvar_marker(index)
+    walk = Walk(index, max_configs=300, max_depth=1 << 30, gv=gv)
+    edges = list(walk)
+    # breadth first: states are expanded in the order they were admitted
+    expanded = [walk.initial] + [target for _, _, target, admitted in edges if admitted]
+    assert [(source, edge_record(step)) for source, step, _, _ in edges] == [
+        (source, edge_record(step))
+        for source in expanded
+        for step in enabled_steps(index, source[0])
+    ]
+    if name not in DUMPED:
+        return
+    configs = {config for config, _ in walk.visited}
+    out = io.StringIO()
+    dump_configs(configs, out)
+    assert out.getvalue().splitlines() == record_encoding(configs)
+
+
+def test_walk_launches_once_per_distinct_pair(monkeypatch, synccomm_index):
+    calls = []
+    original = concrete.launch
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(concrete, "launch", counted)
+    walk = Walk(synccomm_index, 1000, 1 << 30, getvar_channel(synccomm_index))
+    steps = [step for _, step, _, _ in walk]
+    pairs = {(step.receiver, step.sender) for step in steps}
+    assert len(walk.visited) == 1000 and len(steps) > 10 * len(pairs)
+    # one launch for the initial configuration, two for each pair's shape
+    assert len(calls) <= 2 * len(pairs) + 1
+
+
+def test_walk_keeps_one_object_per_distinct_thread(synccomm_index):
+    walk = Walk(synccomm_index, 1000, 1 << 30, getvar_channel(synccomm_index))
+    steps = [step for _, step, _, _ in walk]
+    threads = [t for config, _ in walk.visited for t in config]
+    assert len({id(t) for t in threads}) == len(set(threads))
+    for step in steps:
+        in_target = {id(t) for t in step.target}
+        assert {id(t) for t in step.launched_recv + step.launched_send} <= in_target
+
+
+def test_relaunching_a_present_thread_site_is_internal_error(monkeypatch, synccomm_index):
+    # the replicated server stays in every configuration; a launched thread
+    # with its label and marker but another environment must be refused
+    server = next(
+        t for t in initial_config(synccomm_index) if synccomm_index.type[t.label] == FETCH
+    )
+    twin = Thread(server.label, server.marker, {**server.env, "twin": ("twin", ())})
+    calls = []
+    original = concrete.launch
+
+    def relaunch(*args):
+        calls.append(args)
+        out = original(*args)
+        return out | {twin} if len(calls) == 5 else out
+
+    monkeypatch.setattr(concrete, "launch", relaunch)
+    with pytest.raises(InternalError):
+        list(Walk(synccomm_index, 1000, 1 << 30))
+    assert len(calls) >= 5
