@@ -13,15 +13,18 @@ configurations, optionally carrying per-unit step counters; the soundness
 oracle (`analysis.verify_configs`) and `explore` both consume it.  Each walk
 keeps one `StepTable`: equal threads are one object, and what a step does
 apart from the rest of its configuration (consumed and launched threads,
-canonical order key) is built once per distinct (receiver, sender) pair.  The
-walk computes each distinct thread's concrete unit once, and `dump_configs`
-orders and encodes each distinct thread once.
+canonical order key) is built once per distinct (receiver, sender) pair.
+`enabled_steps` buckets a configuration's senders by (channel, arity), so
+each receiver meets only the senders it can synchronize with.  The walk
+computes each distinct thread's concrete unit once and each pair's counter
+increments once, and `dump_configs` ranks and encodes each distinct thread
+once and sorts each configuration once, by rank.
 """
 
 from __future__ import annotations
 
-import functools
 import json
+import operator
 from dataclasses import dataclass, field
 
 from .syntax import (
@@ -48,14 +51,17 @@ class InternalError(AssertionError):
 
 
 class Thread:
-    """One running prefix: (label, marker, environment over its interface)."""
+    """One running prefix: (label, marker, environment over its interface).
+    `site` is (label, marker), which no two threads of one configuration
+    share."""
 
-    __slots__ = ("label", "marker", "env", "_key", "_hash")
+    __slots__ = ("label", "marker", "env", "site", "_key", "_hash")
 
     def __init__(self, label: Label, marker: Marker, env: dict[Var, Name]):
         self.label = label
         self.marker = marker
         self.env = env
+        self.site = (label, marker)
         self._key = (label, marker, tuple(sorted(env.items())))
         self._hash = hash(self._key)
 
@@ -81,14 +87,19 @@ def _marker_key(m: Marker):
 Configuration = frozenset  # of Thread
 
 
+_site = operator.attrgetter("site")
+
+
 def make_config(threads) -> Configuration:
     threads = frozenset(threads)
-    seen = set()
-    for t in threads:
-        k = (t.label, t.marker)
-        if k in seen:
-            raise InternalError(f"two threads share (label, marker) {k}")
-        seen.add(k)
+    if len(set(map(_site, threads))) != len(threads):
+        # some site repeats: find the first one met, to name it
+        seen = set()
+        for t in threads:
+            k = t.site
+            if k in seen:
+                raise InternalError(f"two threads share (label, marker) {k}")
+            seen.add(k)
     return threads
 
 
@@ -109,15 +120,21 @@ def initial_config(index: SystemIndex) -> Configuration:
     return make_config(launch(index, index.root, EPSILON, {}))
 
 
-@dataclass(frozen=True)
 class ConcreteStep:
-    source: Configuration
-    receiver: Thread
-    sender: Thread
-    target: Configuration
-    pair: tuple[Label, Label]
-    launched_recv: tuple[Thread, ...]
-    launched_send: tuple[Thread, ...]
+    """One synchronization of `receiver` with `sender`, from `source` to
+    `target`; `pair` is their two labels, and `launched_recv` and
+    `launched_send` the threads each side's continuation launches."""
+
+    __slots__ = ("source", "receiver", "sender", "target", "pair", "launched_recv", "launched_send")
+
+    def __init__(self, *, source, receiver, sender, target, pair, launched_recv, launched_send):
+        self.source = source
+        self.receiver = receiver
+        self.sender = sender
+        self.target = target
+        self.pair = pair
+        self.launched_recv = launched_recv
+        self.launched_send = launched_send
 
 
 class StepShape:
@@ -188,20 +205,27 @@ def enabled_steps(
     index: SystemIndex, config: Configuration, table: StepTable | None = None
 ) -> list[ConcreteStep]:
     """All synchronizations enabled in `config`, in a canonical order.  Step
-    shapes come from `table`, or from a throwaway one."""
+    shapes come from `table`, or from a throwaway one.
+
+    Senders are bucketed by (channel name, arity), so each receiver meets only
+    its own bucket.  No two threads of `config` share a (label, marker), so
+    the order keys are distinct and the order does not depend on hashing."""
     if table is None:
         table = StepTable(index)
-    receivers = [t for t in config if index.type[t.label] in (INPUT, FETCH)]
-    senders = [t for t in config if index.type[t.label] == OUTPUT]
+    kinds, chan, arg = index.type, index.chan, index.arg
+    receivers = []
+    senders: dict[tuple[Name, int], list[Thread]] = {}
+    for t in config:
+        l = t.label
+        kind = kinds[l]
+        if kind == OUTPUT:
+            senders.setdefault((t.env[chan[l]], len(arg[l])), []).append(t)
+        elif kind in (INPUT, FETCH):
+            receivers.append(t)
     matches = []
     for r in receivers:
-        rc = r.env[index.chan[r.label]]
-        rn = len(index.arg[r.label])
-        for s in senders:
-            if len(index.arg[s.label]) != rn:
-                continue
-            if s.env[index.chan[s.label]] != rc:
-                continue
+        l = r.label
+        for s in senders.get((r.env[chan[l]], len(arg[l])), ()):
             matches.append((table.shape(r, s), r, s))
     matches.sort(key=lambda m: m[0].key)
     return [
@@ -231,7 +255,9 @@ class Walk:
     The walk keeps one `StepTable`: every step of one (receiver, sender) pair
     shares its shape, and equal threads are one object, so set and dict
     lookups of threads compare identities.  `unit_of` computes each distinct
-    thread's concrete unit once per walk."""
+    thread's concrete unit once per walk, and `_count` builds each pair's
+    counter increments, ((unit, pair), ...) for the distinct units taking
+    part, once per walk."""
 
     def __init__(self, index: SystemIndex, max_configs: int, max_depth: int, gv=None):
         if max_configs <= 0 or max_depth <= 0:
@@ -243,6 +269,7 @@ class Walk:
         self.visited = {self.initial}
         self.truncated = False
         self._units: dict[Thread, tuple] = {}
+        self._increments: dict[tuple[Thread, Thread], tuple] = {}
 
     def __iter__(self):
         frontier = [self.initial]
@@ -271,10 +298,14 @@ class Walk:
     def _count(self, counters: frozenset, step: ConcreteStep) -> frozenset:
         if self.gv is None:
             return counters
+        increments = self._increments.get((step.receiver, step.sender))
+        if increments is None:
+            takers = (step.receiver, step.sender, *step.launched_recv, *step.launched_send)
+            increments = tuple((u, step.pair) for u in set(map(self.unit_of, takers)))
+            self._increments[step.receiver, step.sender] = increments
         tally = dict(counters)
-        takers = (step.receiver, step.sender, *step.launched_recv, *step.launched_send)
-        for u in set(map(self.unit_of, takers)):
-            tally[u, step.pair] = tally.get((u, step.pair), 0) + 1
+        for k in increments:
+            tally[k] = tally.get(k, 0) + 1
         return frozenset(tally.items())
 
     def unit_of(self, t: Thread) -> tuple:
@@ -316,14 +347,16 @@ def thread_to_json(t: Thread) -> list:
 
 
 def dump_configs(configs, stream):
-    # equal threads recur across configurations: each gets one key and one
-    # encoding.  Joining the encodings with ", " is byte-identical to
-    # `json.dumps` of the whole list.
-    thread_key = functools.cache(Thread.sort_key)
-    thread_text = functools.cache(lambda t: json.dumps(thread_to_json(t), sort_keys=True))
-    ordered = sorted(configs, key=lambda c: sorted(map(thread_key, c)))
-    for config in ordered:
-        stream.write("[" + ", ".join(map(thread_text, sorted(config, key=thread_key))) + "]\n")
+    # each distinct thread is keyed, ranked and encoded once.  A configuration
+    # is then sorted once, as the list of its threads' ranks: ranks follow
+    # `Thread.sort_key`, so rank lists order the configurations as their
+    # sorted key lists do.  Joining the encodings with ", " is byte-identical
+    # to `json.dumps` of the whole list.
+    threads = sorted(set().union(*configs), key=Thread.sort_key)
+    rank = {t: i for i, t in enumerate(threads)}
+    text = [json.dumps(thread_to_json(t), sort_keys=True) for t in threads]
+    for row in sorted(sorted(map(rank.__getitem__, c)) for c in configs):
+        stream.write("[" + ", ".join(map(text.__getitem__, row)) + "]\n")
 
 
 # --- Step abstraction ------------------------------------------------------

@@ -175,7 +175,8 @@ class _Parser:
     def expect(self, kind: str) -> _Tok:
         t = self.peek()
         if t.kind != kind:
-            raise SourceError(f"expected {kind!r}, found {t.text!r}", t.line, t.col)
+            found = "end of input" if t.kind == "eof" else repr(t.text)
+            raise SourceError(f"expected {kind!r}, found {found}", t.line, t.col)
         return self.next()
 
     def error(self, msg: str):
@@ -238,7 +239,7 @@ class _Parser:
                 self.next()
                 return self.parse_prefix(INPUT, chan)
             raise SourceError("expected '!' or '?' after channel", op.line, op.col)
-        self.error(f"unexpected token {t.text!r}")
+        self.error("unexpected end of input" if t.kind == "eof" else f"unexpected token {t.text!r}")
 
     def parse_label(self) -> Label | None:
         t = self.peek()

@@ -107,6 +107,13 @@ def test_cli_bad_query_number_exits_two(query, message, capsys):
     assert message in err and query in err
 
 
+def test_cli_truncated_system_exits_two(tmp_path, capsys):
+    system = tmp_path / "truncated.pi"
+    system.write_text("new a in (a![] | ")
+    assert main(["analyze", str(system)]) == 2
+    assert capsys.readouterr().err == "error: unexpected end of input at 1:18\n"
+
+
 def test_cli_missing_partition_spec_exits_two(tmp_path, capsys):
     missing = tmp_path / "nosuch.json"
     assert main(["analyze", corpus_path("semaphore2.pi"), "--partition", str(missing)]) == 2

@@ -5,7 +5,8 @@ object per distinct thread.  Its edges must be exactly what a direct
 `enabled_steps` call, with a throwaway table, gives for each state it
 expands, and the configurations it reaches must dump as the record-by-record
 encoding does (checked on the systems whose dumps are small enough to encode
-twice).
+twice).  `enabled_steps` matches senders by (channel, arity) bucket; its steps
+must be those of an all-pairs match, in the same order.
 """
 
 import io
@@ -17,15 +18,17 @@ import pytest
 from picount import concrete
 from picount.concrete import (
     InternalError,
+    StepTable,
     Thread,
     Walk,
     dump_configs,
     enabled_steps,
     initial_config,
+    make_config,
     thread_to_json,
 )
 from picount.partition import getvar_channel, getvar_marker
-from picount.syntax import FETCH, load_system
+from picount.syntax import FETCH, INPUT, OUTPUT, load_system
 
 from conftest import corpus_text
 from test_concrete import CORPUS
@@ -81,6 +84,57 @@ def test_walk_edges_equal_table_free_steps(name, partition):
     out = io.StringIO()
     dump_configs(configs, out)
     assert out.getvalue().splitlines() == record_encoding(configs)
+
+
+def all_pairs_steps(index, config) -> list[tuple]:
+    """(pair, receiver, sender, target) of every enabled step, found by
+    testing every receiver against every sender, in order key order."""
+    table = StepTable(index)
+    receivers = [t for t in config if index.type[t.label] in (INPUT, FETCH)]
+    senders = [t for t in config if index.type[t.label] == OUTPUT]
+    matches = []
+    for r in receivers:
+        for s in senders:
+            if len(index.arg[s.label]) != len(index.arg[r.label]):
+                continue
+            if s.env[index.chan[s.label]] != r.env[index.chan[r.label]]:
+                continue
+            matches.append((table.shape(r, s), r, s))
+    matches.sort(key=lambda m: m[0].key)
+    return [
+        (shape.pair, r, s, make_config((config - shape.consumed) | shape.launched))
+        for shape, r, s in matches
+    ]
+
+
+@pytest.mark.parametrize("partition", ["chan", "marker"])
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_bucketed_matching_equals_all_pairs(name, partition):
+    index = load_system(system_text(name))
+    gv = getvar_channel(index) if partition == "chan" else getvar_marker(index)
+    walk = Walk(index, max_configs=300, max_depth=1 << 30, gv=gv)
+    edges = list(walk)
+    expanded = [walk.initial] + [target for _, _, target, admitted in edges if admitted]
+    assert [
+        (source, (step.pair, step.receiver, step.sender, step.target))
+        for source, step, _, _ in edges
+    ] == [(source, step) for source in expanded for step in all_pairs_steps(index, source[0])]
+
+
+def test_walk_checks_every_target(monkeypatch, synccomm_index):
+    calls = []
+    original = concrete.make_config
+
+    def counted(threads):
+        calls.append(threads)
+        return original(threads)
+
+    monkeypatch.setattr(concrete, "make_config", counted)
+    walk = Walk(synccomm_index, 1000, 1 << 30, getvar_channel(synccomm_index))
+    edges = list(walk)
+    assert len(walk.visited) == 1000
+    # the initial configuration, then one target per edge
+    assert len(calls) == len(edges) + 1
 
 
 def test_walk_launches_once_per_distinct_pair(monkeypatch, synccomm_index):

@@ -39,6 +39,20 @@ def test_nondistinct_input_args_rejected():
         parse_system("c?1[x, x].0")
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("", "unexpected end of input at 1:1"),
+        ("new a in (a![] | ", "unexpected end of input at 1:18"),
+        ("new a in (a![]", "expected ')', found end of input at 1:15"),
+    ],
+)
+def test_truncated_input_names_end_of_input(text, message):
+    with pytest.raises(SourceError) as exc:
+        load_system(text)
+    assert str(exc.value) == message
+
+
 def test_trailing_stop_optional():
     assert parse_system("new c in c!1[]") == parse_system("new c in c!1[].0")
 
