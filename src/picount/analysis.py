@@ -62,7 +62,10 @@ def parse_query(text: str, index: SystemIndex) -> Query:
         labels_part = labels_part.strip()
         if not (labels_part.startswith("{") and labels_part.endswith("}")):
             raise SourceError(f"malformed mutex query {text!r}")
-        labels = [resolve_label(t.strip()) for t in labels_part[1:-1].split(",") if t.strip()]
+        # a set: a repeated label counts once
+        labels = dict.fromkeys(
+            resolve_label(t.strip()) for t in labels_part[1:-1].split(",") if t.strip()
+        )
         terms = tuple((1, "x", l) for l in labels)
         return Query(var, terms, 1, text, mutex=True)
     if not s.startswith("unit "):

@@ -16,7 +16,11 @@ rows into pins, and tightens boxes through the remaining rows in integer
 arithmetic; contradictions collapse to bottom.
 
 Join is the affine hull plus the interval hull; counters pinned to the same
-value in every input factor out, the other pins join the hull as rows.
+value in every input factor out, the other pins join the hull as rows.  The
+hull stays on the constraint side (Karr's join): the equalities valid on
+every input are the intersection of the inputs' homogenized row spaces,
+which one elimination by `affine_from_rows` yields, so every affine
+operation shares that one canonical routine.
 Widening keeps the hull on the affine side and widens boxes through the
 threshold set {0, 1} before giving up to infinity, which is exactly enough to
 keep one-shot step counters bounded.
@@ -150,6 +154,8 @@ def affine_from_rows(raw_rows) -> tuple[Row, ...]:
             raise Contradiction
         p, pc = row[0][0]
         for qp, q in list(pivot_rows.items()):
+            if not qp < p <= q[0][-1][0]:
+                continue  # p lies outside q's sorted index range
             coeff = next((c for i, c in q[0] if i == p), 0)
             if coeff:
                 pivot_rows[qp] = _combine(q, pc, row, -coeff)
@@ -192,113 +198,40 @@ def affine_translate(rows: tuple[Row, ...], shifts: dict[int, int]) -> tuple[Row
     return tuple(out)
 
 
-def _solve(rows: tuple[Row, ...], var_order):
-    """One witness point and a kernel basis over `var_order` (Fractions).
+def _intersect(a: tuple[Row, ...], b: tuple[Row, ...]) -> tuple[Row, ...]:
+    """Rows implied by both systems: the intersection of their homogenized
+    row spaces, by Zassenhaus's construction.
 
-    In reduced echelon form every non-pivot entry of a row is a free
-    variable, so setting the free variables fixes each pivot directly.
+    Each row of `b` enters as (r | 0) and each row of `a` as (r | r), where
+    the left half (negative indices, below every variable) holds the row's
+    coefficients and its constant.  After elimination, the rows whose left
+    half vanished carry a basis of the intersection in their right half,
+    already in canonical form.
     """
-    pivot_of = {r[0][0][0]: r for r in rows}
-    free = [v for v in var_order if v not in pivot_of]
-    point = {v: Fraction(0) for v in free}
-    for v in var_order:
-        if v in pivot_of:
-            terms, const = pivot_of[v]
-            s = Fraction(const)
-            for i, c in terms[1:]:
-                s -= c * point[i]
-            point[v] = s / terms[0][1]
-    basis = []
-    for f in free:
-        vec = {f: Fraction(1)}
-        for v in var_order:
-            if v in pivot_of:
-                terms, _ = pivot_of[v]
-                c_f = next((c for i, c in terms[1:] if i == f), 0)
-                if c_f:
-                    vec[v] = Fraction(-c_f, terms[0][1])
-        basis.append(vec)
-    return point, basis
 
+    def left(terms, const):
+        return tuple((-2 - i, c) for i, c in terms) + ((-1, const),)
 
-def _echelon_insert(echelon: dict, g: dict):
-    g = {v: c for v, c in g.items() if c}
-    while g:
-        v = min(g)
-        if v in echelon:
-            coeff = g.pop(v)
-            for w, c in echelon[v].items():
-                if w == v:
-                    continue
-                nc = g.get(w, Fraction(0)) - coeff * c
-                if nc:
-                    g[w] = nc
-                elif w in g:
-                    del g[w]
-        else:
-            lead = g[v]
-            echelon[v] = {w: c / lead for w, c in g.items()}
-            return
+    # the result does not depend on the order; this one eliminates fastest
+    raw = [(left(terms, const), 0) for terms, const in b]
+    raw += [(left(terms, const) + terms, const) for terms, const in a]
+    return tuple(r for r in affine_from_rows(raw) if r[0][0][0] >= 0)
 
 
 def affine_hull(systems: list[tuple[Row, ...]]) -> tuple[Row, ...]:
-    """Smallest affine system containing every input's solution set."""
+    """Smallest affine system containing every input's solution set.
+
+    The inputs are consistent, so the equalities valid on a solution set are
+    exactly its system's homogenized row space, and the hull's are the
+    intersection of those spaces.
+    """
     if not systems:
         raise ValueError("hull of nothing")
-    first = systems[0]
-    if all(s == first for s in systems):
-        return first
-    active = sorted({i for s in systems for r in s for i, _ in r[0]})
-
-    points = []
-    gens: list[dict[int, Fraction]] = []
-    for s in systems:
-        point, basis = _solve(s, active)
-        points.append(point)
-        gens.extend(basis)
-    base = points[0]
-    for p in points[1:]:
-        gens.append({v: p[v] - base[v] for v in active})
-
-    echelon: dict[int, dict[int, Fraction]] = {}
-    for g in gens:
-        _echelon_insert(echelon, g)
-
-    # back-substitute so every lead occurs in its own vector only; vectors
-    # then hold their lead plus free variables, as the kernel formula needs
-    for v in sorted(echelon, reverse=True):
-        vec = echelon[v]
-        while True:
-            w = next((u for u in vec if u != v and u in echelon), None)
-            if w is None:
-                break
-            c = vec[w]
-            other = echelon[w]
-            vec = {
-                u: vec.get(u, Fraction(0)) - c * other.get(u, Fraction(0))
-                for u in set(vec) | set(other)
-            }
-            vec = {u: cv for u, cv in vec.items() if cv}
-        echelon[v] = vec
-
-    # hull constraints = vectors orthogonal to the generator span, anchored at
-    # the base witness; one constraint per non-lead variable
-    frees = [v for v in active if v not in echelon]
-    rows = []
-    for f in frees:
-        coeffs = {f: Fraction(1)}
-        for v in sorted(echelon):
-            c = echelon[v].get(f)
-            if c:
-                coeffs[v] = -c
-        denom = 1
-        for c in coeffs.values():
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        terms = sorted((v, int(c * denom)) for v, c in coeffs.items())
-        const = sum(c * base[v] for v, c in coeffs.items()) * denom
-        assert const.denominator == 1
-        rows.append((tuple(terms), int(const)))
-    return affine_from_rows(rows)
+    hull = systems[0]
+    for s in systems[1:]:
+        if s != hull:
+            hull = _intersect(hull, s)
+    return hull
 
 
 # --- Elements ----------------------------------------------------------------
@@ -553,10 +486,6 @@ def sync_atleast(layout, requirements: dict[int, int], a: NumElem) -> NumElem:
             return bottom(layout)
         ivs[i] = (lo, hi)
     return _reduce(layout, tuple(ivs), a.rows)
-
-
-def sync_nonzero(layout, members, a: NumElem) -> NumElem:
-    return sync_atleast(layout, {i: 1 for i in members}, a)
 
 
 def add_chi(layout, a: NumElem, members) -> NumElem:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import product
 
 from .syntax import (
     FETCH,
@@ -306,6 +307,41 @@ def _forced_groups(index, gv, lq, le, roster):
     return group_list, forced_apart
 
 
+def _merged_cand(cand, block):
+    """Per key, the name labels every group of the block admits; None when a
+    key is left with none."""
+    per_key = []
+    for ki in range(len(cand[block[0]])):
+        cs = None
+        for g in block:
+            c = cand[g][ki]
+            cs = c if cs is None else cs & c
+        if not cs:
+            return None
+        per_key.append(cs)
+    return per_key
+
+
+def _partitions(i, blocks, n, forced_apart, cand):
+    """Restricted-growth enumeration of the partitions of groups i..n-1 into
+    `blocks` (extended in place).  A group never shares a block with a group
+    it is forced apart from, nor, unless `cand` is None, with groups that
+    leave a key without a common label."""
+    if i == n:
+        yield [list(b) for b in blocks]
+        return
+    for b in blocks:
+        if any((g, i) in forced_apart for g in b):
+            continue
+        b.append(i)
+        if cand is None or _merged_cand(cand, b) is not None:
+            yield from _partitions(i + 1, blocks, n, forced_apart, cand)
+        b.pop()
+    blocks.append([i])
+    yield from _partitions(i + 1, blocks, n, forced_apart, cand)
+    blocks.pop()
+
+
 def enumerate_contexts(index: SystemIndex, gv: GetVar, lq: Label, le: Label, hint):
     """Yield the partition cases of the (lq, le) transition that the hint does
     not trivially contradict, deterministically."""
@@ -316,6 +352,7 @@ def enumerate_contexts(index: SystemIndex, gv: GetVar, lq: Label, le: Label, hin
     roster = step_roster(index, lq, le)
     groups, forced_apart = _forced_groups(index, gv, lq, le, roster)
 
+    cand = None  # marker-only units carry no labels
     if gv.mode == FULL_NAME:
         cand = []
         for ms in groups:
@@ -329,65 +366,15 @@ def enumerate_contexts(index: SystemIndex, gv: GetVar, lq: Label, le: Label, hin
             if any(not c for c in per_key):
                 return  # a mandatory class has no admissible unit: every case is bottom
             cand.append(per_key)
-    else:
-        cand = [None] * len(groups)
 
-    n = len(groups)
-
-    def merged_cand(block):
-        if gv.mode == MARKER_ONLY:
-            return None
-        per_key = []
-        for ki in range(len(gv.keys)):
-            cs = None
-            for g in block:
-                c = cand[g][ki]
-                cs = c if cs is None else cs & c
-            if not cs:
-                return None
-            per_key.append(cs)
-        return per_key
-
-    # Restricted-growth enumeration of partitions of the forced groups.
-    def build(i, blocks):
-        if i == n:
-            yield [list(b) for b in blocks]
-            return
-        for b in blocks:
-            if any((min(g, i), max(g, i)) in forced_apart for g in b):
-                continue
-            b.append(i)
-            if gv.mode == MARKER_ONLY or merged_cand(b) is not None:
-                yield from build(i + 1, blocks)
-            b.pop()
-        blocks.append([i])
-        yield from build(i + 1, blocks)
-        blocks.pop()
-
-    for blocks in build(0, []):
+    for blocks in _partitions(0, [], len(groups), forced_apart, cand):
         classes = tuple(
             frozenset(m for g in block for m in groups[g]) for block in blocks
         )
-        if gv.mode == MARKER_ONLY:
+        if cand is None:
             yield PartitionCase.make(classes, tuple(TRIVIAL_UNIT for _ in classes))
             continue
-        options = [merged_cand(block) for block in blocks]
         # every admissible label choice per class and key, in sorted order
-        def assignments(ci):
-            if ci == len(classes):
-                yield []
-                return
-            per_key = options[ci]
-            def keys_choice(ki):
-                if ki == len(gv.keys):
-                    yield []
-                    return
-                for v in sorted(per_key[ki]):
-                    for rest in keys_choice(ki + 1):
-                        yield [v] + rest
-            for unit in keys_choice(0):
-                for rest in assignments(ci + 1):
-                    yield [tuple(unit)] + rest
-
-        for assign in assignments(0):
-            yield PartitionCase.make(classes, tuple(assign))
+        units = [product(*map(sorted, _merged_cand(cand, block))) for block in blocks]
+        for assign in product(*units):
+            yield PartitionCase.make(classes, assign)

@@ -40,6 +40,13 @@ def test_unstabilized_run_without_queries_exits_one(capsys):
     assert main(["analyze", corpus_path("semaphore2.pi")]) == 0
 
 
+@pytest.mark.parametrize("labels", ["{2}", "{2,2}"])
+def test_mutex_label_set_ignores_repeats(labels, capsys):
+    code = main(["analyze", corpus_path("memory.pi"), "--prove", f"mutex unit cell over {labels}"])
+    assert code == 0
+    assert f"[ proved] mutex unit cell over {labels}" in capsys.readouterr().out
+
+
 def test_unstabilized_json_report_says_why(capsys):
     code = main(
         [

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import numdom_reference as ref
 from picount import numdom as nd
 from picount.numdom import INF, CountLayout
 
@@ -152,13 +153,13 @@ def walkthrough_element():
 
 def test_sync_nonzero_reduction():
     lay, a = walkthrough_element()
-    t = nd.sync_nonzero(lay, [lay.x(5), lay.x(10)], a)
+    t = nd.sync_atleast(lay, {lay.x(5): 1, lay.x(10): 1}, a)
     assert t.ivs[lay.x(5)] == (1, INF)
     assert t.ivs[lay.x(10)] == (1, 1)
     assert t.ivs[lay.y((1, 13))] == (1, 1)
     assert t.ivs[lay.x(6)] == (0, 0) and t.ivs[lay.x(2)] == (0, 0)
-    assert nd.sync_nonzero(lay, [], a) == a
-    dead = nd.sync_nonzero(lay, [lay.x(6)], nd.chi(lay, ()))
+    assert nd.sync_atleast(lay, {}, a) == a
+    dead = nd.sync_atleast(lay, {lay.x(6): 1}, nd.chi(lay, ()))
     assert dead.is_bottom
 
 
@@ -172,7 +173,7 @@ def test_sync_multiplicities():
 
 def test_add_sub_walkthrough():
     lay, a = walkthrough_element()
-    t = nd.sync_nonzero(lay, [lay.x(5), lay.x(10)], a)
+    t = nd.sync_atleast(lay, {lay.x(5): 1, lay.x(10): 1}, a)
     c0 = nd.add_chi(lay, nd.sub_chi(lay, t, [lay.x(5), lay.x(10)]), [lay.x(6)])
     assert c0.ivs[lay.x(5)] == (0, INF)
     assert c0.ivs[lay.x(10)] == (0, 0)
@@ -185,7 +186,7 @@ def test_add_sub_walkthrough():
 
 def test_update_trans_walkthrough():
     lay, a = walkthrough_element()
-    t = nd.sync_nonzero(lay, [lay.x(5), lay.x(10)], a)
+    t = nd.sync_atleast(lay, {lay.x(5): 1, lay.x(10): 1}, a)
     c0 = nd.add_chi(lay, nd.sub_chi(lay, t, [lay.x(5), lay.x(10)]), [lay.x(6)])
     c1 = nd.update_trans(lay, (5, 10), c0)
     assert c1.ivs[lay.y((5, 10))][0] >= 1
@@ -270,6 +271,25 @@ def test_affine_hull_matches_brute_force_span():
             expected = in_affine_span(pts, q)
             got = satisfies_rows(hull, q)
             assert got == expected, (pts, q)
+
+
+def test_affine_hull_matches_reference_with_free_variables():
+    # consistent systems that leave variables free, each through a point of
+    # its own; the hull must be the reference's rows exactly
+    rng = random.Random(2027)
+    for trial in range(600):
+        n = rng.randint(2, 7)
+        systems = []
+        for _ in range(rng.randint(2, 4)):
+            point = [rng.randrange(4) for _ in range(n)]
+            raw = []
+            for _ in range(rng.randrange(n)):
+                terms = tuple(
+                    (i, c) for i in range(n) if (c := rng.choice((-2, -1, 0, 0, 1, 2)))
+                )
+                raw.append((terms, sum(c * point[i] for i, c in terms)))
+            systems.append(nd.affine_from_rows(raw))
+        assert nd.affine_hull(systems) == ref.affine_hull(systems), (trial, systems)
 
 
 def test_reduction_preserves_gamma_on_boxes():

@@ -1,3 +1,4 @@
+import gc
 import json
 from itertools import product
 
@@ -213,3 +214,22 @@ def test_pruning_only_removes_empty_candidate_classes(synccomm_index):
         top_cases = set(enumerate_contexts(synccomm_index, gv, lq, le, top))
         hint_cases = set(enumerate_contexts(synccomm_index, gv, lq, le, env))
         assert hint_cases <= top_cases
+
+
+@pytest.mark.parametrize("make_gv", [getvar_channel, getvar_marker])
+def test_enumeration_leaves_no_reference_cycles(make_gv, memory_index):
+    # the enumeration runs on every sub-case of every round; what it leaves
+    # behind must go with reference counting, not wait for the cycle collector
+    gv = make_gv(memory_index)
+    hint = TopHint(memory_index.name_universe)
+    pairs = abstract_step_labels(memory_index)
+    gc.collect()
+    gc.disable()
+    try:
+        cases = sum(
+            1 for lq, le in pairs for _ in enumerate_contexts(memory_index, gv, lq, le, hint)
+        )
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert cases > len(pairs)
