@@ -70,7 +70,6 @@ class ContentsDomain:
         self.index = index
         self.gv = gv
         self.layout = layout
-        self._cache: dict = {}
 
     def bottom(self) -> CUMap:
         return CUMap(numdom.bottom(self.layout), ())
@@ -132,15 +131,6 @@ class ContentsDomain:
 
     def post_delta(self, cu: CUMap, lq, le, case) -> dict[tuple, list[NumElem]] | None:
         """Per-unit contributions of one sub-case, or None when infeasible."""
-        inputs = tuple(cu.accum(a, self.layout) for _, a in case.items())
-        key = (lq, le, case, inputs, cu.default)
-        if key in self._cache:
-            return self._cache[key]
-        result = self._post_delta(cu, lq, le, case)
-        self._cache[key] = result
-        return result
-
-    def _post_delta(self, cu, lq, le, case):
         index, gv, layout = self.index, self.gv, self.layout
         interacting = {(lq, "?"), (le, "!")}
 

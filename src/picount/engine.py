@@ -14,13 +14,14 @@ refute anyway; a contents-only run enumerates under `TopHint`.
 A sub-case refuted by either component is discarded for both (the coalesced
 product): env judges first, and contents only sees what env admits.  The
 round collects the surviving sub-cases' per-label and per-unit deltas and
-joins each slot once: init, the current value if anything was posted, and
-the slot's deltas.
+joins each slot once: init (computed once per `Analysis`), the current value
+if anything was posted, and the slot's deltas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .contents import ContentsDomain, CUMap, count_layout
 from .envdom import EnvDomain, EnvMap
@@ -85,6 +86,14 @@ class Analysis:
             pairs=pairs,
         )
 
+    @cached_property
+    def env_init(self) -> EnvMap:
+        return self.env_dom.init()
+
+    @cached_property
+    def con_init(self) -> CUMap:
+        return self.con_dom.init()
+
     def start(self, kind: str = "product") -> tuple[EnvMap | None, CUMap | None]:
         """The bottom pair of a `product`, `env` or `contents` run."""
         if kind not in ("product", "env", "contents"):
@@ -131,10 +140,10 @@ def step(analysis: Analysis, elem: tuple, tallies: dict | None = None) -> tuple:
         if tallies is not None and cases:
             tallies[f"{fmt_label(lq)},{fmt_label(le)}"] = {"cases": cases, "bottom": refuted}
     if env is not None:
-        bases = [env_dom.init(), env] if posted else [env_dom.init()]
+        bases = [analysis.env_init, env] if posted else [analysis.env_init]
         env = env_dom.widen(env, env_dom.join(bases, env_deltas))
     if con is not None:
-        bases = [con_dom.init(), con] if posted else [con_dom.init()]
+        bases = [analysis.con_init, con] if posted else [analysis.con_init]
         con = con_dom.widen(con, con_dom.join(bases, con_deltas))
     return env, con
 

@@ -14,6 +14,14 @@ The transfer function of a synchronization builds a two-sided "molecule" over
 tagged variables (v,?)/(v,!), constrains it with the communication equalities
 and the partition-case constraints, and projects the result onto each
 launched thread's interface.
+
+Only `AtomEnv.make` (and `normalize`, which calls it) and `sync` close a
+description into normal form; a transfer closes once, in `sync`.  The other
+primitives take normal forms and build normal forms directly: `gc` and
+`split` restrict one, `declare` adds a variable distinct from every other,
+`extend` adds one labelled with the whole name universe (which meets every
+label set), and `pair` merges two sides over disjoint variables, adding the
+cross disequalities their label sets imply.
 """
 
 from __future__ import annotations
@@ -28,47 +36,41 @@ RECV = "?"
 SEND = "!"
 
 
-def _canon_pair(a, b):
-    return (a, b) if repr(a) <= repr(b) else (b, a)
+def _sorted(vars) -> tuple:
+    """Variables in the canonical order: by repr.  A constraint pair lists its
+    lower variable first."""
+    return tuple(sorted(vars, key=repr))
 
 
 class AtomEnv:
     """Label sets plus =/!= constraints over a fixed variable set, in normal form.
 
     Variables are plain strings at program points and (name, role) pairs
-    inside molecules; both sort and compare uniformly via repr.
+    inside molecules; both sort and compare uniformly via repr.  `vars` must
+    come sorted that way (`_sorted`); `bottom` and `make` sort it themselves.
     """
 
     __slots__ = ("vars", "is_bottom", "labels", "eqs", "neqs", "_hash")
 
     def __init__(self, vars, is_bottom, labels, eqs, neqs):
-        self.vars = tuple(sorted(vars, key=repr))
+        self.vars = vars
         self.is_bottom = is_bottom
         self.labels = labels  # var -> frozenset of name labels
         self.eqs = eqs  # frozenset of canonical pairs, transitively closed
         self.neqs = neqs  # frozenset of canonical pairs, class-lifted
-        if is_bottom:
-            key = (self.vars, True)
-        else:
-            key = (
-                self.vars,
-                False,
-                tuple(sorted((v, tuple(sorted(labels[v]))) for v in self.vars)),
-                tuple(sorted(eqs)),
-                tuple(sorted(neqs)),
-            )
-        self._hash = hash(key)
+        self._hash = None  # computed on first use: most elements are never hashed
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
     def bottom(vars) -> "AtomEnv":
-        return AtomEnv(vars, True, {}, frozenset(), frozenset())
+        return AtomEnv(_sorted(vars), True, {}, frozenset(), frozenset())
 
     @staticmethod
     def make(vars, labels, eqs, neqs) -> "AtomEnv":
         """Normalize an arbitrary description (the closure `rho`)."""
-        vars = tuple(sorted(vars, key=repr))
+        vars = _sorted(vars)
+        rank = {v: i for i, v in enumerate(vars)}
         parent = {v: v for v in vars}
 
         def find(x):
@@ -81,42 +83,37 @@ class AtomEnv:
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[ra] = rb
+        rep = {v: find(v) for v in vars}
 
         classes: dict = {}
         for v in vars:
-            classes.setdefault(find(v), []).append(v)
+            classes.setdefault(rep[v], []).append(v)  # members in var order
 
         class_labels = {}
-        for rep, members in classes.items():
+        for r, members in classes.items():
             s = frozenset(labels[members[0]])
             for m in members[1:]:
                 s &= labels[m]
             if not s:
                 return AtomEnv.bottom(vars)
-            class_labels[rep] = s
+            class_labels[r] = s
 
-        class_neq = set()
-        for a, b in neqs:
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                return AtomEnv.bottom(vars)
-            class_neq.add(_canon_pair(ra, rb))
-        reps = sorted(classes, key=repr)
-        for ra, rb in combinations(reps, 2):
-            if not (class_labels[ra] & class_labels[rb]):
-                class_neq.add(_canon_pair(ra, rb))
+        class_neq = {(rep[a], rep[b]) for a, b in neqs}
+        if any(ra == rb for ra, rb in class_neq):
+            return AtomEnv.bottom(vars)
+        for ra, rb in combinations(classes, 2):
+            if class_labels[ra].isdisjoint(class_labels[rb]):
+                class_neq.add((ra, rb))
 
-        out_labels = {v: class_labels[find(v)] for v in vars}
-        out_eqs = set()
-        for members in classes.values():
-            for a, b in combinations(sorted(members, key=repr), 2):
-                out_eqs.add(_canon_pair(a, b))
-        out_neqs = set()
-        for ra, rb in class_neq:
-            for a in classes[ra]:
-                for b in classes[rb]:
-                    out_neqs.add(_canon_pair(a, b))
-        return AtomEnv(vars, False, out_labels, frozenset(out_eqs), frozenset(out_neqs))
+        out_labels = {v: class_labels[rep[v]] for v in vars}
+        out_eqs = frozenset(p for members in classes.values() for p in combinations(members, 2))
+        out_neqs = frozenset(
+            (a, b) if rank[a] < rank[b] else (b, a)
+            for ra, rb in class_neq
+            for a in classes[ra]
+            for b in classes[rb]
+        )
+        return AtomEnv(vars, False, out_labels, out_eqs, out_neqs)
 
     @staticmethod
     def empty() -> "AtomEnv":
@@ -138,6 +135,9 @@ class AtomEnv:
         )
 
     def __hash__(self):
+        if self._hash is None:
+            labels = tuple(map(self.labels.get, self.vars))
+            self._hash = hash((self.vars, self.is_bottom, labels, self.eqs, self.neqs))
         return self._hash
 
     def __repr__(self):
@@ -201,22 +201,25 @@ def declare(x, a: AtomEnv) -> AtomEnv:
     if a.is_bottom:
         return AtomEnv.bottom(a.vars + (x,))
     assert x not in a.labels
+    vars = _sorted(a.vars + (x,))
+    i = vars.index(x)
     labels = dict(a.labels)
     labels[x] = frozenset({x})
-    neqs = set(a.neqs)
-    for v in a.vars:
-        neqs.add(_canon_pair(x, v))
-    return AtomEnv.make(a.vars + (x,), labels, a.eqs, neqs)
+    neqs = a.neqs | {(v, x) for v in vars[:i]} | {(x, v) for v in vars[i + 1 :]}
+    return AtomEnv(vars, False, labels, a.eqs, neqs)
 
 
 def extend(x, a: AtomEnv, universe) -> AtomEnv:
-    """Bind a communicated variable about which nothing is known yet."""
-    if a.is_bottom:
+    """Bind a communicated variable about which nothing is known yet.
+
+    Normal only when `universe` holds every label of `a`, as the name
+    universe of a system does."""
+    if a.is_bottom or not universe:
         return AtomEnv.bottom(a.vars + (x,))
     assert x not in a.labels
     labels = dict(a.labels)
     labels[x] = frozenset(universe)
-    return AtomEnv.make(a.vars + (x,), labels, a.eqs, a.neqs)
+    return AtomEnv(_sorted(a.vars + (x,)), False, labels, a.eqs, a.neqs)
 
 
 def gc(keep, a: AtomEnv) -> AtomEnv:
@@ -225,35 +228,47 @@ def gc(keep, a: AtomEnv) -> AtomEnv:
     assert keep <= set(a.vars), (keep, a.vars)
     if a.is_bottom:
         return AtomEnv.bottom(keep)
-    labels = {v: a.labels[v] for v in keep}
-    eqs = {p for p in a.eqs if p[0] in keep and p[1] in keep}
-    neqs = {p for p in a.neqs if p[0] in keep and p[1] in keep}
-    return AtomEnv.make(keep, labels, eqs, neqs)
+    vars = tuple(v for v in a.vars if v in keep)
+    labels = {v: a.labels[v] for v in vars}
+    eqs = frozenset(p for p in a.eqs if p[0] in keep and p[1] in keep)
+    neqs = frozenset(p for p in a.neqs if p[0] in keep and p[1] in keep)
+    return AtomEnv(vars, False, labels, eqs, neqs)
+
+
+def _tag(pairs, role) -> set:
+    # one role on both sides keeps a pair's repr order, as does dropping it
+    return {((a, role), (b, role)) for a, b in pairs}
 
 
 def pair(a_recv: AtomEnv, a_send: AtomEnv) -> AtomEnv:
     """Tag both sides and merge into one element over (v,?) / (v,!) variables."""
+    recv = tuple((v, RECV) for v in a_recv.vars)
+    send = tuple((v, SEND) for v in a_send.vars)
     if a_recv.is_bottom or a_send.is_bottom:
-        return AtomEnv.bottom(
-            tuple((v, RECV) for v in a_recv.vars) + tuple((v, SEND) for v in a_send.vars)
-        )
+        return AtomEnv.bottom(recv + send)
+    vars = _sorted(recv + send)
+    rank = {v: i for i, v in enumerate(vars)}
     labels = {(v, RECV): a_recv.labels[v] for v in a_recv.vars}
     labels.update({(v, SEND): a_send.labels[v] for v in a_send.vars})
-    eqs = {_canon_pair((p[0], RECV), (p[1], RECV)) for p in a_recv.eqs}
-    eqs |= {_canon_pair((p[0], SEND), (p[1], SEND)) for p in a_send.eqs}
-    neqs = {_canon_pair((p[0], RECV), (p[1], RECV)) for p in a_recv.neqs}
-    neqs |= {_canon_pair((p[0], SEND), (p[1], SEND)) for p in a_send.neqs}
-    return AtomEnv.make(tuple(labels), labels, eqs, neqs)
+    eqs = _tag(a_recv.eqs, RECV) | _tag(a_send.eqs, SEND)
+    neqs = _tag(a_recv.neqs, RECV) | _tag(a_send.neqs, SEND)
+    neqs.update(
+        (r, t) if rank[r] < rank[t] else (t, r)
+        for r in recv
+        for t in send
+        if labels[r].isdisjoint(labels[t])
+    )
+    return AtomEnv(vars, False, labels, frozenset(eqs), frozenset(neqs))
 
 
 def _project_role(m: AtomEnv, role: str) -> AtomEnv:
-    base = [v for v in m.vars if v[1] == role]
+    vars = tuple(v[0] for v in m.vars if v[1] == role)
     if m.is_bottom:
-        return AtomEnv.bottom(tuple(v[0] for v in base))
-    labels = {v[0]: m.labels[v] for v in base}
-    eqs = {_canon_pair(p[0][0], p[1][0]) for p in m.eqs if p[0][1] == role and p[1][1] == role}
-    neqs = {_canon_pair(p[0][0], p[1][0]) for p in m.neqs if p[0][1] == role and p[1][1] == role}
-    return AtomEnv.make(tuple(labels), labels, eqs, neqs)
+        return AtomEnv.bottom(vars)
+    labels = {v: m.labels[(v, role)] for v in vars}
+    eqs = frozenset((a[0], b[0]) for a, b in m.eqs if a[1] == role and b[1] == role)
+    neqs = frozenset((a[0], b[0]) for a, b in m.neqs if a[1] == role and b[1] == role)
+    return AtomEnv(vars, False, labels, eqs, neqs)
 
 
 def fst(m: AtomEnv) -> AtomEnv:
@@ -283,11 +298,11 @@ def sync(cons, m: AtomEnv) -> AtomEnv:
     for c in cons:
         tag = c[0]
         if tag == EQ:
-            eqs.add(_canon_pair(c[1], c[2]))
+            eqs.add((c[1], c[2]))
         elif tag == NEQ:
             if c[1] == c[2]:
                 return AtomEnv.bottom(m.vars)
-            neqs.add(_canon_pair(c[1], c[2]))
+            neqs.add((c[1], c[2]))
         elif tag == LBL:
             labels[c[1]] = labels[c[1]] & {c[2]}
         else:
@@ -335,7 +350,6 @@ class EnvDomain:
         self.index = index
         self.gv = gv
         self.universe = index.name_universe
-        self._cache: dict = {}
 
     # -- lattice packaging -------------------------------------------------
 
@@ -425,18 +439,8 @@ class EnvDomain:
     ) -> dict[Label, AtomEnv] | None:
         """Environments of the launched threads, or None when the sub-case is
         unsatisfiable."""
-        index = self.index
         if input0.is_bottom or output0.is_bottom:
             return None
-        cons = self.constraints(lq, le, case)
-        key = (lq, le, frozenset(cons), input0, output0)
-        if key in self._cache:
-            return self._cache[key]
-        result = self._post_delta(input0, output0, lq, le, cons)
-        self._cache[key] = result
-        return result
-
-    def _post_delta(self, input0, output0, lq, le, cons):
         index = self.index
         a_recv = input0
         for y in index.arg[lq]:
@@ -447,7 +451,7 @@ class EnvDomain:
         for v in sorted(index.fresh[le]):
             a_send = declare(v, a_send)
         mol = pair(a_recv, a_send)
-        mol = sync(cons, mol)
+        mol = sync(self.constraints(lq, le, case), mol)
         if mol.is_bottom:
             return None
         mol_recv, mol_send = split(mol)

@@ -442,32 +442,28 @@ def check_wellformed(p: Process) -> SystemIndex:
             raise SourceError(f"variable {v} bound more than once ({binders[v]} and {what})")
         binders[v] = what
 
-    def walk(q: Process):
-        if isinstance(q, Nil):
-            return
+    # preorder, left before right; an explicit stack leaves no reference cycle
+    stack = [p]
+    while stack:
+        q = stack.pop()
         if isinstance(q, Par):
-            walk(q.left)
-            walk(q.right)
-            return
-        if isinstance(q, New):
+            stack += (q.right, q.left)
+        elif isinstance(q, New):
             bind(q.var, "restriction")
             restrictions.append(q.var)
-            walk(q.body)
-            return
-        if isinstance(q, Bang):
+            stack.append(q.body)
+        elif isinstance(q, Bang):
             raise SourceError("replication must be desugared before indexing")
-        if isinstance(q, Prefix):
+        elif isinstance(q, Prefix):
             if q.label in comp:
                 raise SourceError(f"duplicate label {fmt_label(q.label)}")
             comp[q.label] = q
             if q.kind in (INPUT, FETCH):
                 for a in q.args:
                     bind(a, f"input at {fmt_label(q.label)}")
-            walk(q.cont)
-            return
-        raise AssertionError(q)
-
-    walk(p)
+            stack.append(q.cont)
+        elif not isinstance(q, Nil):
+            raise AssertionError(q)
 
     labels = tuple(sorted(comp, key=label_key))
     iface = {l: free_vars(comp[l]) for l in labels}

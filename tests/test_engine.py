@@ -1,3 +1,5 @@
+from collections.abc import Sized
+
 import pytest
 
 from picount import numdom as nd
@@ -220,3 +222,15 @@ def test_trace_records_bottom_tallies(semaphore_index):
         for entry in fix.trace
     )
     assert fix.trace[-1]["posts"] >= fix.trace[-1]["bottom_posts"]
+
+
+def _state(dom):
+    return {k: len(v) if isinstance(v, Sized) else None for k, v in vars(dom).items()}
+
+
+@pytest.mark.parametrize("kind", ["product", "env", "contents"])
+def test_domains_keep_no_state_that_grows_with_a_run(memory_write_index, kind):
+    analysis = Analysis.build(memory_write_index, getvar_channel(memory_write_index))
+    before = (_state(analysis.env_dom), _state(analysis.con_dom))
+    assert analysis.run(kind).stabilized
+    assert (_state(analysis.env_dom), _state(analysis.con_dom)) == before

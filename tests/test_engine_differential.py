@@ -42,7 +42,7 @@ ref = _load_reference()
 def assert_same_runs(index, gv):
     new = Analysis.build(index, gv)
     # the same domain objects: both engines call the same transfer functions,
-    # and the second run reuses their memoized results
+    # which keep no results between calls, so each run recomputes them
     old = ref.Analysis(index, gv, new.layout, new.env_dom, new.con_dom)
     for kind in KINDS:
         fix = new.run(kind, max_iter=300, keep_trace=kind == "product")

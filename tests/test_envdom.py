@@ -98,20 +98,48 @@ def test_normalize_adds_implied_disequalities():
     assert ("x", "y") in n.neqs
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_normalize_random(data):
-    vars = ("x", "y", "z")
-    labels = {
-        v: frozenset(data.draw(st.sets(st.sampled_from(LABELS)), label=v)) for v in vars
-    }
+def descriptions(vars=("x", "y", "z")):
+    """Random raw descriptions over `vars`: label sets and =/!= pairs."""
     pairs = list(combinations(vars, 2))
-    eqs = data.draw(st.sets(st.sampled_from(pairs)), label="eqs")
-    neqs = data.draw(st.sets(st.sampled_from(pairs)), label="neqs")
-    e = raw(vars, labels, eqs, neqs)
+    return st.builds(
+        raw,
+        st.just(vars),
+        st.fixed_dictionaries({v: st.sets(st.sampled_from(LABELS)) for v in vars}),
+        st.sets(st.sampled_from(pairs)),
+        st.sets(st.sampled_from(pairs)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(descriptions())
+def test_normalize_random(e):
     n = normalize(e)
     assert gamma(n) == gamma(e)
     assert normalize(n) == n
+
+
+def assert_normal(r: AtomEnv):
+    assert normalize(r) == r
+    assert hash(r) == hash(normalize(r))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    descriptions().map(normalize),
+    descriptions(("x", "y")).map(normalize),
+    st.sets(st.sampled_from(("x", "y", "z"))),
+)
+def test_primitives_return_normal_forms(a, b, keep):
+    # inputs are normal forms, bottom included (an empty label set closes to it)
+    assert_normal(declare("w", a))
+    assert_normal(extend("w", a, LABELS))
+    assert_normal(gc(keep, a))
+    mol = pair(a, b)
+    assert_normal(mol)
+    for m in (mol, sync([(EQ, ("x", "?"), ("y", "!"))], mol)):
+        recv, send = split(m)
+        assert_normal(recv)
+        assert_normal(send)
 
 
 def test_declare_restriction_pair():

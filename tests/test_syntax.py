@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,7 +20,7 @@ from picount.syntax import (
     pretty,
 )
 
-from conftest import corpus_text
+from conftest import MEMORY_WRITE, corpus_text
 
 
 def test_parse_nil():
@@ -205,3 +207,15 @@ def test_desugar_preserves_user_labels(memory_index):
     assert len(desugared) == len(user) + 2 * sum(
         1 for l in user if isinstance(l, int) and l in (12, 15, 18)
     )
+
+
+def test_load_system_leaves_no_reference_cycle():
+    with open(MEMORY_WRITE, encoding="utf-8") as fh:
+        text = fh.read()
+    gc.collect()
+    gc.disable()
+    try:
+        load_system(text)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
