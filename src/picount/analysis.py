@@ -259,6 +259,14 @@ def run(config: AnalysisConfig) -> RunResult:
             raise SourceError(f"query unit {q.unit_var} is not a restriction variable")
 
     analysis = Analysis.build(index, gv)
+    for q in queries:
+        for _, kind, ref in q.terms:
+            if kind != "x" and numdom.CountVar(kind, ref) not in analysis.layout.index:
+                pair = f"({fmt_label(ref[0])},{fmt_label(ref[1])})"
+                raise SourceError(
+                    f"query term {kind}@{pair} in {q.text!r}: "
+                    f"{pair} is not a step pair of the system"
+                )
     fix = analysis.run(config.abstraction, config.max_iter, keep_trace=config.trace)
     env_fix, con_fix = fix.env, fix.con
 
@@ -352,6 +360,18 @@ class OracleReport:
         return "\n".join(lines) + "\n"
 
 
+def _plus(base: dict, changes: dict) -> dict:
+    """`base` with `changes` added, keeping no 0."""
+    out = dict(base)
+    for k, d in changes.items():
+        n = out.get(k, 0) + d
+        if n:
+            out[k] = n
+        else:
+            del out[k]
+    return out
+
+
 def verify_configs(
     analysis: Analysis,
     env_fix: EnvMap | None,
@@ -367,6 +387,15 @@ def verify_configs(
     paths), so the walk is over (configuration, per-unit counters) states and
     `max_configs` bounds those states.  The walk stops, truncated, once
     `max_violations` violations are found.
+
+    A state is checked as its difference from its source: the threads it
+    added, and the units of the threads it added or removed and of the
+    step's counter increments (the initial state is the difference from the
+    empty state).  That skips nothing because a source is always checked
+    before its edges are yielded: the initial state first, and every
+    admitted target when it is yielded, one layer before it is expanded.
+    So every other thread of the state, and every other unit's
+    (abstract unit, label counts, step counts) key, was already checked.
     """
     index, gv, layout = analysis.index, analysis.gv, analysis.layout
     walk = Walk(index, max_configs, max_depth, gv)
@@ -374,6 +403,8 @@ def verify_configs(
     checked_env: set = set()
     checked_vec: set = set()
     parents: dict = {}  # state -> (parent state, step pair), for counterexamples
+    empty = (frozenset(), frozenset())
+    grouped = (empty, ({}, {}))  # the source being expanded, with by_unit of it
 
     def trace_of(state) -> str:
         pairs = []
@@ -382,10 +413,22 @@ def verify_configs(
             pairs.append(f"({fmt_label(pair[0])},{fmt_label(pair[1])})")
         return " -> ".join(reversed(pairs)) if pairs else "(initial configuration)"
 
-    def check_env(state):
+    def by_unit(state) -> tuple[dict, dict]:
+        """Label counts and step counts of each unit of `state`."""
+        config, tally = state
+        counts: dict[tuple, dict] = {}
+        for t in config:
+            c = counts.setdefault(walk.unit_of(t), {})
+            c[t.label] = c.get(t.label, 0) + 1
+        steps: dict[tuple, dict] = {}
+        for (u, pair), n in tally:
+            steps.setdefault(u, {})[pair] = n
+        return counts, steps
+
+    def check_env(state, added):
         if env_fix is None:
             return
-        for t in state[0]:
+        for t in added:
             if t in checked_env:
                 continue
             checked_env.add(t)
@@ -395,21 +438,25 @@ def verify_configs(
                     f"{fmt_label(t.label)}; trace {trace_of(state)}"
                 )
 
-    def check_units(state):
+    def check_units(state, source, added, removed, increments):
+        nonlocal grouped
         if con_fix is None:
             return
-        config, tally = state
-        counters: dict[tuple, dict] = {}
-        for (u, pair), n in tally:
-            counters.setdefault(u, {})[pair] = n
-        units_here: dict[tuple, dict] = {}
-        for t in config:
-            counts = units_here.setdefault(walk.unit_of(t), {})
-            counts[t.label] = counts.get(t.label, 0) + 1
-        for u in counters:
-            units_here.setdefault(u, {})
-        for u, counts in units_here.items():
-            steps = counters.get(u, {})
+        if grouped[0] is not source:
+            grouped = (source, by_unit(source))
+        source_counts, source_steps = grouped[1]
+        # unit -> (change of each label count, change of each step count)
+        delta: dict[tuple, tuple[dict, dict]] = {}
+        for threads, d in ((removed, -1), (added, 1)):
+            for t in threads:
+                c = delta.setdefault(walk.unit_of(t), ({}, {}))[0]
+                c[t.label] = c.get(t.label, 0) + d
+        for u, pair in increments:
+            c = delta.setdefault(u, ({}, {}))[1]
+            c[pair] = c.get(pair, 0) + 1
+        for u, (count_changes, step_changes) in delta.items():
+            counts = _plus(source_counts.get(u, {}), count_changes)
+            steps = _plus(source_steps.get(u, {}), step_changes)
             abs_unit = gv.alpha_unit(u)
             # neither counts nor step tallies hold a 0, so this names the vector
             key = (abs_unit, frozenset(counts.items()), frozenset(steps.items()))
@@ -424,22 +471,24 @@ def verify_configs(
                     f"trace {trace_of(state)}"
                 )
 
-    def check(state) -> bool:
-        """Check one admitted state; False once enough violations are found."""
+    def check(state, source, increments) -> bool:
+        """Check what `state` changed from `source`, which is checked; False
+        once enough violations are found."""
         new = len(violations)
-        check_env(state)
-        check_units(state)
+        added = state[0] - source[0]
+        check_env(state, added)
+        check_units(state, source, added, source[0] - state[0], increments)
         if len(violations) - new > 1:
-            # a configuration iterates in string-hash order; fix the order here
+            # sets iterate in string-hash order; fix the order here
             violations[new:] = sorted(violations[new:])
         return len(violations) < max_violations
 
-    stopped = not check(walk.initial)
+    stopped = not check(walk.initial, empty, ())
     if not stopped:
         for source, step, target, admitted in walk:
             if admitted:
                 parents[target] = (source, step.pair)
-                if not check(target):
+                if not check(target, source, walk.increments(step)):
                     stopped = True
                     break
     return OracleReport(

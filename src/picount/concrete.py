@@ -17,8 +17,13 @@ canonical order key) is built once per distinct (receiver, sender) pair.
 `enabled_steps` buckets a configuration's senders by (channel, arity), so
 each receiver meets only the senders it can synchronize with.  The walk
 computes each distinct thread's concrete unit once and each pair's counter
-increments once, and `dump_configs` ranks and encodes each distinct thread
-once and sorts each configuration once, by rank.
+increments once, and a target's counters replace only the step's own keys.
+`dump_configs` ranks and encodes each distinct thread once and sorts each
+configuration once, by rank.
+
+The walk yields every state before the edges leaving it (see `Walk`), so
+the oracle, which checks each state when it is yielded, checks a target only
+where it differs from its already checked source.
 """
 
 from __future__ import annotations
@@ -252,12 +257,19 @@ class Walk:
     target, or a state left at `max_depth` with a step to a state not
     visited.
 
+    Edges are yielded layer by layer, so every source is yielded (as an
+    admitted target, or as `initial` before the walk starts) before any of
+    its own edges: a consumer that checks each state when it is yielded has
+    checked the source of every edge it meets.
+
     The walk keeps one `StepTable`: every step of one (receiver, sender) pair
     shares its shape, and equal threads are one object, so set and dict
     lookups of threads compare identities.  `unit_of` computes each distinct
-    thread's concrete unit once per walk, and `_count` builds each pair's
-    counter increments, ((unit, pair), ...) for the distinct units taking
-    part, once per walk."""
+    thread's concrete unit once per walk, and `increments` builds each pair's
+    counter keys, ((unit, pair), ...) for the distinct units taking part, once
+    per walk.  A target's counters are its source's with just those keys
+    replaced, read from one dict of the source's counters per expanded
+    source."""
 
     def __init__(self, index: SystemIndex, max_configs: int, max_depth: int, gv=None):
         if max_configs <= 0 or max_depth <= 0:
@@ -278,8 +290,7 @@ class Walk:
             depth += 1
             nxt = []
             for source in frontier:
-                for step in enabled_steps(self.index, source[0], self.table):
-                    target = (step.target, self._count(source[1], step))
+                for step, target in self._edges(source):
                     new = target not in self.visited
                     admitted = new and len(self.visited) < self.max_configs
                     self.truncated |= new and not admitted
@@ -290,23 +301,37 @@ class Walk:
             frontier = nxt
         if frontier and not self.truncated:
             self.truncated = any(
-                (step.target, self._count(source[1], step)) not in self.visited
+                target not in self.visited
                 for source in frontier
-                for step in enabled_steps(self.index, source[0], self.table)
+                for _, target in self._edges(source)
             )
 
-    def _count(self, counters: frozenset, step: ConcreteStep) -> frozenset:
+    def _edges(self, source):
+        """(step, target state) for every step enabled in `source`."""
+        counters = source[1]
+        tally = dict(counters)
+        for step in enabled_steps(self.index, source[0], self.table):
+            yield step, (step.target, self._count(counters, tally, step))
+
+    def _count(self, counters: frozenset, tally: dict, step: ConcreteStep) -> frozenset:
+        """`counters` after `step`; `tally` is `dict(counters)`.  Only the
+        step's own keys are read and replaced."""
         if self.gv is None:
             return counters
+        keys = self.increments(step)
+        old = [(k, tally[k]) for k in keys if k in tally]
+        return counters.difference(old).union([(k, tally.get(k, 0) + 1) for k in keys])
+
+    def increments(self, step: ConcreteStep) -> tuple:
+        """The counter keys ((unit, pair), ...) that `step` adds one to: one
+        per distinct unit of the threads it takes part with or launches.
+        Built once per (receiver, sender) pair; needs `gv`."""
         increments = self._increments.get((step.receiver, step.sender))
         if increments is None:
             takers = (step.receiver, step.sender, *step.launched_recv, *step.launched_send)
             increments = tuple((u, step.pair) for u in set(map(self.unit_of, takers)))
             self._increments[step.receiver, step.sender] = increments
-        tally = dict(counters)
-        for k in increments:
-            tally[k] = tally.get(k, 0) + 1
-        return frozenset(tally.items())
+        return increments
 
     def unit_of(self, t: Thread) -> tuple:
         """Concrete unit of `t` under `gv`, computed once per distinct thread."""

@@ -72,6 +72,23 @@ def test_run_unknown_query_exits_one():
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize(
+    "abstraction, max_iter", [("product", 1000), ("env", 1000), ("product", 1)]
+)
+def test_run_rejects_a_query_over_a_pair_that_never_steps(abstraction, max_iter):
+    # (2,3) pairs two outputs; the semaphore's step pairs are (4,2), (4,3), ...
+    query = "unit a: 1*y@(2,3) <= 0"
+    config = AnalysisConfig(
+        path=corpus_path("semaphore2.pi"), abstraction=abstraction, max_iter=max_iter,
+        queries=(query,),
+    )
+    with pytest.raises(SourceError) as info:
+        run(config)
+    assert str(info.value) == (
+        f"query term y@(2,3) in {query!r}: (2,3) is not a step pair of the system"
+    )
+
+
 def test_run_rejects_bad_query_unit():
     with pytest.raises(SourceError, match="restriction variable"):
         run(

@@ -114,6 +114,23 @@ def test_cli_bad_query_number_exits_two(query, message, capsys):
     assert message in err and query in err
 
 
+@pytest.mark.parametrize(
+    "query, term, pair",
+    [
+        ("unit a: 1*y@(2,3) <= 0", "y@(2,3)", "(2,3)"),
+        ("unit a: 1*z@(4,4) <= 0", "z@(4,4)", "(4,4)"),
+    ],
+)
+@pytest.mark.parametrize("flags", [[], ["--abstraction", "env"], ["--max-iter", "1"]])
+def test_cli_query_over_a_pair_that_never_steps_exits_two(query, term, pair, flags, capsys):
+    assert main(["analyze", corpus_path("semaphore2.pi"), "--prove", query, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: query term {term} in {query!r}: {pair} is not a step pair of the system\n"
+    )
+
+
 def test_cli_truncated_system_exits_two(tmp_path, capsys):
     system = tmp_path / "truncated.pi"
     system.write_text("new a in (a![] | ")

@@ -1,0 +1,165 @@
+"""The oracle check against a full-regroup reference, and its work bound.
+
+`verify_configs` checks each admitted state only where it differs from its
+source.  The reference below checks every thread and regroups every unit of
+every admitted state, deduplicating as `verify_configs` does; the two must
+report the same violations in the same order.  The inputs are far from a
+fixpoint (one-round product iterates of fuzz systems and of a system whose
+steps can leave a unit's threads unchanged, and corrupted semaphore2
+fixpoints), so states hold many violations at once.
+"""
+
+import random
+
+import pytest
+
+from picount import numdom as nd
+from picount.analysis import AnalysisConfig, run, verify_configs
+from picount.concrete import Walk, step_units
+from picount.contents import CUMap, unit_vector
+from picount.engine import Analysis
+from picount.envdom import AtomEnv, EnvMap, atom_admits
+from picount.partition import GetVar, getvar_channel
+from picount.syntax import fmt_label, load_system
+
+from conftest import corpus_path
+from test_fuzz_soundness import random_system
+
+
+def reference_violations(analysis, env_fix, con_fix, max_configs, max_depth, max_violations=100):
+    """Every thread and every unit of every admitted state, checked in full."""
+    index, gv, layout = analysis.index, analysis.gv, analysis.layout
+    walk = Walk(index, max_configs, max_depth, gv)
+    violations, checked_env, checked_vec, parents = [], set(), set(), {}
+
+    def trace_of(state):
+        pairs = []
+        while state in parents:
+            state, pair = parents[state]
+            pairs.append(f"({fmt_label(pair[0])},{fmt_label(pair[1])})")
+        return " -> ".join(reversed(pairs)) if pairs else "(initial configuration)"
+
+    def check(state):
+        new = len(violations)
+        config, tally = state
+        if env_fix is not None:
+            for t in config:
+                if t in checked_env:
+                    continue
+                checked_env.add(t)
+                if not atom_admits(env_fix.get(t.label), t.env):
+                    violations.append(
+                        f"env: thread {t!r} outside abstraction of point "
+                        f"{fmt_label(t.label)}; trace {trace_of(state)}"
+                    )
+        if con_fix is not None:
+            steps_of = {}
+            for (u, pair), n in tally:
+                steps_of.setdefault(u, {})[pair] = n
+            counts_of = {}
+            for t in config:
+                counts = counts_of.setdefault(gv.concrete_unit(t.label, t.env), {})
+                counts[t.label] = counts.get(t.label, 0) + 1
+            for u in steps_of:
+                counts_of.setdefault(u, {})
+            for u, counts in counts_of.items():
+                steps = steps_of.get(u, {})
+                abs_unit = gv.alpha_unit(u)
+                key = (abs_unit, frozenset(counts.items()), frozenset(steps.items()))
+                if key in checked_vec:
+                    continue
+                checked_vec.add(key)
+                vec = unit_vector(layout, counts, steps)
+                if not analysis.con_dom.admits_vector(con_fix, abs_unit, vec):
+                    violations.append(
+                        f"contents: unit {abs_unit} vector "
+                        f"{ {layout.pretty(i): v for i, v in sorted(vec.items())} } rejected; "
+                        f"trace {trace_of(state)}"
+                    )
+        violations[new:] = sorted(violations[new:])
+        return len(violations) < max_violations
+
+    if check(walk.initial):
+        for source, step, target, admitted in walk:
+            if admitted:
+                parents[target] = (source, step.pair)
+                if not check(target):
+                    break
+    return violations
+
+
+def _fuzz_iterate(seed):
+    index = load_system(random_system(random.Random(seed)))
+    analysis = Analysis.build(index, getvar_channel(index))
+    fix = analysis.run("product", max_iter=1)
+    return analysis, fix.element[0], fix.element[1]
+
+
+def _corrupted_env():
+    result = run(AnalysisConfig(path=corpus_path("semaphore2.pi")))
+    entries = result.env_fix.as_dict()
+    # claim the channel of the replicated receiver is a trigger name
+    entries[4] = AtomEnv.make(("a",), {"a": frozenset({"rec@1"})}, frozenset(), frozenset())
+    return result.analysis, EnvMap.of(entries), result.con_fix
+
+
+def _corrupted_contents():
+    result = run(AnalysisConfig(path=corpus_path("semaphore2.pi")))
+    lay = result.analysis.layout
+    # pretend the semaphore unit never holds more than one pending output
+    capped = nd.make(lay, [(0, 1) if i == lay.x(2) else (0, 0) for i in range(lay.size)], [])
+    return result.analysis, result.env_fix, CUMap.of(nd.bottom(lay), {("a",): capped})
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_delta_check_equals_full_regroup_on_fuzz_iterates(seed):
+    analysis, env_fix, con_fix = _fuzz_iterate(seed)
+    report = verify_configs(analysis, env_fix, con_fix, max_configs=300, max_depth=30)
+    expected = reference_violations(analysis, env_fix, con_fix, 300, 30)
+    assert expected and report.violations == expected
+
+
+@pytest.mark.parametrize("make", [_corrupted_env, _corrupted_contents])
+@pytest.mark.parametrize("max_violations", [1, 100])
+def test_delta_check_equals_full_regroup_on_corrupted_fixpoints(make, max_violations):
+    analysis, env_fix, con_fix = make()
+    report = verify_configs(
+        analysis, env_fix, con_fix, max_configs=300, max_depth=20, max_violations=max_violations
+    )
+    expected = reference_violations(analysis, env_fix, con_fix, 300, 20, max_violations)
+    assert expected and report.violations == expected
+
+
+def test_delta_check_equals_full_regroup_when_a_step_changes_only_counters():
+    # the replicated receiver is keyed by its channel and the senders by the
+    # name they send, so a step leaves the receiver's unit's threads as they
+    # were and changes only that unit's step counters
+    index = load_system("new a, b in (*a?[x] | a![b] | a![b])")
+    table = {l: {"k": max(index.iface[l])} for l in index.labels}
+    analysis = Analysis.build(index, GetVar(("k",), table, frozenset({"k"})))
+    fix = analysis.run("product", max_iter=1)
+    report = verify_configs(analysis, fix.element[0], fix.element[1], 300, 30)
+    expected = reference_violations(analysis, fix.element[0], fix.element[1], 300, 30)
+    assert any(v.startswith("contents: unit ('a',)") for v in expected)
+    assert report.violations == expected
+
+
+def test_unit_checks_touch_only_the_units_a_step_touches(monkeypatch, synccomm_index):
+    result = run(AnalysisConfig(path=corpus_path("synccomm.pi")))
+    analysis, gv = result.analysis, result.analysis.gv
+    walk = Walk(synccomm_index, 1000, 1 << 30, gv)
+    initial = {gv.concrete_unit(t.label, t.env) for t in walk.initial[0]}
+    bound = len(initial) + sum(
+        len(set(step_units(step, gv).values())) for _, step, _, admitted in walk if admitted
+    )
+    calls = []
+    original = GetVar.alpha_unit
+
+    def counted(self, unit):
+        calls.append(unit)
+        return original(self, unit)
+
+    monkeypatch.setattr(GetVar, "alpha_unit", counted)
+    report = verify_configs(analysis, result.env_fix, result.con_fix, 1000, 1 << 30)
+    assert report.states_visited == 1000 and report.violations == []
+    assert 0 < len(calls) <= bound
