@@ -10,10 +10,11 @@ the sender's marker.
 
 `Walk` is the one deterministic bounded breadth-first walk over reachable
 configurations, optionally carrying per-unit step counters; the soundness
-oracle (`analysis.verify_configs`) and `explore` both consume it.  Each walk
-keeps one `StepTable`: equal threads are one object, and what a step does
-apart from the rest of its configuration (consumed and launched threads,
-canonical order key) is built once per distinct (receiver, sender) pair.
+oracle (`analysis.verify_configs`) is its only consumer in the package.
+Each walk keeps one `StepTable`: equal threads are one object, and what a
+step does apart from the rest of its configuration (consumed and launched
+threads, canonical order key) is built once per distinct (receiver, sender)
+pair.
 `enabled_steps` buckets a configuration's senders by (channel, arity), so
 each receiver meets only the senders it can synchronize with.  The walk
 computes each distinct thread's concrete unit once and each pair's counter
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
 
 from .syntax import (
     FETCH,
@@ -341,28 +341,6 @@ class Walk:
         return u
 
 
-@dataclass
-class ExploreResult:
-    configs: set[Configuration]
-    truncated: bool
-    initial: Configuration
-    steps: list[ConcreteStep] = field(default_factory=list)  # one record per explored edge
-
-
-def explore(
-    index: SystemIndex,
-    max_configs: int = 10000,
-    max_depth: int = 1 << 30,
-    keep_steps: bool = False,
-) -> ExploreResult:
-    """Configurations reached by the uninstrumented `Walk`, bounded by both
-    their number and the transition depth."""
-    walk = Walk(index, max_configs, max_depth)
-    steps = [step for _, step, _, _ in walk if keep_steps]
-    configs = {config for config, _ in walk.visited}
-    return ExploreResult(configs, walk.truncated, walk.initial[0], steps)
-
-
 # --- Oracle dump (JSON lines, one record per configuration) ---------------
 
 
@@ -382,39 +360,3 @@ def dump_configs(configs, stream):
     text = [json.dumps(thread_to_json(t), sort_keys=True) for t in threads]
     for row in sorted(sorted(map(rank.__getitem__, c)) for c in configs):
         stream.write("[" + ", ".join(map(text.__getitem__, row)) + "]\n")
-
-
-# --- Step abstraction ------------------------------------------------------
-
-
-def step_units(step: ConcreteStep, gv) -> dict[tuple[Label, str], tuple]:
-    """Concrete computation unit of every thread taking part in `step`."""
-    units = {}
-
-    def unit_of(thread: Thread):
-        return gv.concrete_unit(thread.label, thread.env)
-
-    units[(step.receiver.label, "?")] = unit_of(step.receiver)
-    units[(step.sender.label, "!")] = unit_of(step.sender)
-    for t in step.launched_recv:
-        units[(t.label, "?")] = unit_of(t)
-    for t in step.launched_send:
-        units[(t.label, "!")] = unit_of(t)
-    return units
-
-
-def alpha_step(step: ConcreteStep, gv):
-    """Partition case realized by a concrete step: roster members grouped by
-    equal concrete units, each class mapped to its abstract unit."""
-    from .partition import PartitionCase
-
-    units = step_units(step, gv)
-    by_unit: dict[tuple, list] = {}
-    for member in sorted(units, key=lambda m: (0 if m[1] == "?" else 1, label_key(m[0]))):
-        by_unit.setdefault(units[member], []).append(member)
-    classes = []
-    assign = []
-    for unit, members in sorted(by_unit.items(), key=lambda kv: str(kv[0])):
-        classes.append(frozenset(members))
-        assign.append(gv.alpha_unit(unit))
-    return PartitionCase.make(tuple(classes), tuple(assign))

@@ -13,10 +13,10 @@ The transfer function of a transition sub-case first checks, unit by unit,
 that the interacting threads can be present at all; a failed check makes the
 whole sub-case infeasible, which is the contents half of the mutual
 refinement in the coalesced product.  For each roster class it then rebuilds
-the unit's contents: brand-new units (some launched thread is keyed by a
-just-restricted name) restart from the exact all-zero vector, existing units
-from the synchronized previous value, and the consumed/created deltas plus
-the per-transition step counter apply on top.
+the unit's contents: a unit the step creates (the case's `new_unit` flag,
+which `partition` decides) restarts from the exact all-zero vector, an
+existing unit from the synchronized previous value, and the consumed/created
+deltas plus the per-transition step counter apply on top.
 """
 
 from __future__ import annotations
@@ -123,15 +123,11 @@ class ContentsDomain:
 
     # -- transfer -----------------------------------------------------------
 
-    def post(self, cu: CUMap, lq: Label, le: Label, case: PartitionCase) -> CUMap:
-        delta = self.post_delta(cu, lq, le, case)
-        if delta is None:
-            return self.bottom()
-        return self.join([cu], delta)
-
-    def post_delta(self, cu: CUMap, lq, le, case) -> dict[tuple, list[NumElem]] | None:
+    def post_delta(
+        self, cu: CUMap, lq: Label, le: Label, case: PartitionCase
+    ) -> dict[tuple, list[NumElem]] | None:
         """Per-unit contributions of one sub-case, or None when infeasible."""
-        index, gv, layout = self.index, self.gv, self.layout
+        index, layout = self.index, self.layout
         interacting = {(lq, "?"), (le, "!")}
 
         def presence(cls) -> dict[int, int]:
@@ -154,16 +150,8 @@ class ContentsDomain:
                 return None
 
         delta: dict[tuple, list[NumElem]] = {}
-        for cls, unit in case.items():
-            fresh_member = any(
-                l != (lq if role == "?" else le)
-                and any(
-                    gv.keyvar(l, k) in index.fresh[lq if role == "?" else le]
-                    for k in gv.keys
-                )
-                for (l, role) in cls
-            )
-            if fresh_member:
+        for (cls, unit), new_unit in zip(case.items(), case.new_unit):
+            if new_unit:
                 olds = [numdom.chi(layout, ())]
             else:
                 olds = probes(cls, unit)

@@ -271,16 +271,8 @@ def _project_role(m: AtomEnv, role: str) -> AtomEnv:
     return AtomEnv(vars, False, labels, eqs, neqs)
 
 
-def fst(m: AtomEnv) -> AtomEnv:
-    return _project_role(m, RECV)
-
-
-def snd(m: AtomEnv) -> AtomEnv:
-    return _project_role(m, SEND)
-
-
 def split(m: AtomEnv) -> tuple[AtomEnv, AtomEnv]:
-    return fst(m), snd(m)
+    return _project_role(m, RECV), _project_role(m, SEND)
 
 
 EQ = "eq"
@@ -325,9 +317,6 @@ class EnvMap:
     @staticmethod
     def of(entries: dict[Label, AtomEnv]) -> "EnvMap":
         return EnvMap(tuple(sorted(entries.items(), key=lambda kv: label_key(kv[0]))))
-
-    def as_dict(self) -> dict[Label, AtomEnv]:
-        return dict(self.table)
 
     def get(self, l: Label) -> AtomEnv:
         return self._map[l]
@@ -427,12 +416,6 @@ class EnvDomain:
                             if f1 == f2:
                                 cons.append((NEQ, f1, f2))
         return cons
-
-    def post(self, env: EnvMap, lq: Label, le: Label, case: PartitionCase) -> EnvMap:
-        delta = self.post_delta(env.get(lq), env.get(le), lq, le, case)
-        if delta is None:
-            return self.bottom()
-        return self.join([env], {l: [a] for l, a in delta.items()})
 
     def post_delta(
         self, input0: AtomEnv, output0: AtomEnv, lq: Label, le: Label, case: PartitionCase

@@ -379,10 +379,6 @@ def make(layout, ivs, rows) -> NumElem:
     return _reduce(layout, tuple(ivs), canon)
 
 
-def top(layout) -> NumElem:
-    return NumElem(layout, False, tuple((0, INF) for _ in range(layout.size)), ())
-
-
 def chi(layout, members) -> NumElem:
     """Characteristic vector: 1 on `members` (variable indices), 0 elsewhere."""
     ivs = [(0, 0)] * layout.size

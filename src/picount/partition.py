@@ -19,7 +19,7 @@ The enumeration is pruned in two semantics-preserving ways:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from .syntax import (
@@ -160,20 +160,23 @@ def step_roster(index: SystemIndex, lq: Label, le: Label) -> tuple[Member, ...]:
 
 @dataclass(frozen=True)
 class PartitionCase:
-    """Equivalence classes over a step roster, each tagged with its abstract unit."""
+    """Equivalence classes over a step roster, each tagged with its abstract
+    unit and with whether the step creates that unit (`new_unit`).  The flag
+    follows from the classes and the step pair, so equality ignores it."""
 
     classes: tuple[frozenset, ...]
     assign: tuple[tuple, ...]
+    new_unit: tuple[bool, ...] = field(compare=False)
 
     @staticmethod
-    def make(classes, assign) -> "PartitionCase":
+    def make(classes, assign, new_unit=None) -> "PartitionCase":
+        new_unit = new_unit or (False,) * len(classes)
         order = sorted(range(len(classes)), key=lambda i: min(member_key(m) for m in classes[i]))
         return PartitionCase(
-            tuple(classes[i] for i in order), tuple(assign[i] for i in order)
+            tuple(classes[i] for i in order),
+            tuple(assign[i] for i in order),
+            tuple(new_unit[i] for i in order),
         )
-
-    def __hash__(self):
-        return hash((self.classes, self.assign))
 
     def class_of(self, member: Member) -> frozenset:
         for c in self.classes:
@@ -189,14 +192,6 @@ class PartitionCase:
 
     def items(self):
         return zip(self.classes, self.assign)
-
-    def describe(self) -> str:
-        parts = []
-        for c, a in self.items():
-            members = " ".join(fmt_member(m) for m in sorted(c, key=member_key))
-            unit = "*" if a == TRIVIAL_UNIT else ",".join(a)
-            parts.append(f"{{{members}}}->{unit}")
-        return " ".join(parts)
 
 
 class TopHint:
@@ -255,9 +250,32 @@ def _candidates(index, gv, hint, lq: Label, le: Label, member: Member, key: str)
     raise AssertionError(f"key variable {v} of {fmt_member(member)} has no source")
 
 
+def _fresh_kinds(index, gv, lq, le, members) -> set:
+    """Per member and key: the member's role when the key variable is a name
+    its parent's continuation restricts, else "old"."""
+    kinds = set()
+    for (l, role) in members:
+        parent = lq if role == "?" else le
+        for k in gv.keys:
+            kinds.add(role if gv.keyvar(l, k) in index.fresh[parent] else "old")
+    return kinds
+
+
+def _new_unit_roles(index, gv, lq) -> frozenset:
+    """Roles whose just-restricted names key a unit the step creates.  Under
+    full-name mode a restricted name is a unit of its own.  Under marker-only
+    mode its unit is its marker, and the only new marker is the one a
+    replicated receiver mints for its continuation, longer than any live one;
+    every other continuation keeps its parent's marker."""
+    if gv.mode == FULL_NAME:
+        return frozenset("?!")
+    return frozenset("?") if index.type[lq] == FETCH else frozenset()
+
+
 def _forced_groups(index, gv, lq, le, roster):
-    """Pre-merge roster members that provably share a unit, and record pairs of
-    groups that provably differ (marker-only mode, replicated receivers)."""
+    """Pre-merge roster members that provably share a unit, record pairs of
+    groups that provably differ (marker-only mode, replicated receivers), and
+    flag the groups keyed by a name of a unit the step creates."""
     uf = _com_classes(index, lq, le)
 
     def signature(m: Member):
@@ -268,23 +286,15 @@ def _forced_groups(index, gv, lq, le, roster):
     for m in roster:
         groups.setdefault(signature(m), []).append(m)
     group_list = [tuple(ms) for _, ms in sorted(groups.items(), key=lambda kv: str(kv[0]))]
+    fresh_kind = [_fresh_kinds(index, gv, lq, le, ms) for ms in group_list]
+    new_roles = _new_unit_roles(index, gv, lq)
 
     forced_apart: set[tuple[int, int]] = set()
     if gv.mode == MARKER_ONLY:
         # Names restricted inside a continuation all carry that launch's marker,
-        # so members keyed by them collapse; a replicated receiver mints a marker
-        # longer than any live one, so its fresh group differs from every group
-        # keyed by pre-existing names.
-        def freshness(ms):
-            kinds = set()
-            for (l, role) in ms:
-                parent = lq if role == "?" else le
-                for k in gv.keys:
-                    kinds.add(role if gv.keyvar(l, k) in index.fresh[parent] else "old")
-            return kinds
-
+        # so members keyed by them collapse; a group keyed only by names of a
+        # new unit differs from every group keyed by pre-existing names.
         merged = _UF()
-        fresh_kind = [freshness(ms) for ms in group_list]
         for i, ki in enumerate(fresh_kind):
             for j in range(i + 1, len(group_list)):
                 if ki == {"?"} and fresh_kind[j] == {"?"}:
@@ -295,16 +305,14 @@ def _forced_groups(index, gv, lq, le, roster):
         for i, ms in enumerate(group_list):
             regroup.setdefault(merged.find(i), []).extend(ms)
         group_list = [tuple(ms) for _, ms in sorted(regroup.items())]
-        fresh_kind = [freshness(ms) for ms in group_list]
-        fetching = index.type[lq] == FETCH
-        for i, ki in enumerate(fresh_kind):
-            for j in range(i + 1, len(group_list)):
-                kj = fresh_kind[j]
-                if not fetching:
-                    continue
-                if (ki == {"?"} and "?" not in kj) or (kj == {"?"} and "?" not in ki):
-                    forced_apart.add((i, j))
-    return group_list, forced_apart
+        fresh_kind = [_fresh_kinds(index, gv, lq, le, ms) for ms in group_list]
+        if "?" in new_roles:
+            for i, ki in enumerate(fresh_kind):
+                for j in range(i + 1, len(group_list)):
+                    kj = fresh_kind[j]
+                    if (ki == {"?"} and "?" not in kj) or (kj == {"?"} and "?" not in ki):
+                        forced_apart.add((i, j))
+    return group_list, forced_apart, [bool(new_roles & k) for k in fresh_kind]
 
 
 def _merged_cand(cand, block):
@@ -350,7 +358,7 @@ def enumerate_contexts(index: SystemIndex, gv: GetVar, lq: Label, le: Label, hin
     if len(index.arg[lq]) != len(index.arg[le]):
         raise ValueError("arity mismatch")
     roster = step_roster(index, lq, le)
-    groups, forced_apart = _forced_groups(index, gv, lq, le, roster)
+    groups, forced_apart, group_new = _forced_groups(index, gv, lq, le, roster)
 
     cand = None  # marker-only units carry no labels
     if gv.mode == FULL_NAME:
@@ -371,10 +379,11 @@ def enumerate_contexts(index: SystemIndex, gv: GetVar, lq: Label, le: Label, hin
         classes = tuple(
             frozenset(m for g in block for m in groups[g]) for block in blocks
         )
+        new_unit = tuple(any(group_new[g] for g in block) for block in blocks)
         if cand is None:
-            yield PartitionCase.make(classes, tuple(TRIVIAL_UNIT for _ in classes))
+            yield PartitionCase.make(classes, tuple(TRIVIAL_UNIT for _ in classes), new_unit)
             continue
         # every admissible label choice per class and key, in sorted order
         units = [product(*map(sorted, _merged_cand(cand, block))) for block in blocks]
         for assign in product(*units):
-            yield PartitionCase.make(classes, assign)
+            yield PartitionCase.make(classes, assign, new_unit)

@@ -1,0 +1,55 @@
+"""Test judges over the concrete semantics: what an uninstrumented `Walk`
+reaches, and the partition case a concrete step realizes (which the
+partition-completeness tests and the oracle reference check compare with the
+abstract enumeration)."""
+
+from picount.concrete import ConcreteStep, Walk
+from picount.partition import PartitionCase, member_key
+from picount.syntax import Label, SystemIndex
+
+
+def walked(index: SystemIndex, max_configs: int, max_depth: int = 1 << 30) -> Walk:
+    """An uninstrumented walk, run to its end."""
+    walk = Walk(index, max_configs, max_depth)
+    for _ in walk:
+        pass
+    return walk
+
+
+def reached(index: SystemIndex, max_configs: int, max_depth: int = 1 << 30) -> set:
+    """Configurations an uninstrumented walk admits, bounded by both their
+    number and the transition depth."""
+    return {config for config, _ in walked(index, max_configs, max_depth).visited}
+
+
+def walk_steps(index: SystemIndex, max_configs: int) -> list[ConcreteStep]:
+    """The step of every edge an uninstrumented walk explores, in walk order."""
+    return [step for _, step, _, _ in Walk(index, max_configs, 1 << 30)]
+
+
+def step_units(step: ConcreteStep, gv) -> dict[tuple[Label, str], tuple]:
+    """Concrete computation unit of every thread taking part in `step`."""
+    units = {
+        (step.receiver.label, "?"): gv.concrete_unit(step.receiver.label, step.receiver.env),
+        (step.sender.label, "!"): gv.concrete_unit(step.sender.label, step.sender.env),
+    }
+    for t in step.launched_recv:
+        units[(t.label, "?")] = gv.concrete_unit(t.label, t.env)
+    for t in step.launched_send:
+        units[(t.label, "!")] = gv.concrete_unit(t.label, t.env)
+    return units
+
+
+def alpha_step(step: ConcreteStep, gv) -> PartitionCase:
+    """Partition case realized by a concrete step: roster members grouped by
+    equal concrete units, each class mapped to its abstract unit."""
+    units = step_units(step, gv)
+    by_unit: dict[tuple, list] = {}
+    for member in sorted(units, key=member_key):
+        by_unit.setdefault(units[member], []).append(member)
+    classes = []
+    assign = []
+    for unit, members in sorted(by_unit.items(), key=lambda kv: str(kv[0])):
+        classes.append(frozenset(members))
+        assign.append(gv.alpha_unit(unit))
+    return PartitionCase.make(tuple(classes), tuple(assign))

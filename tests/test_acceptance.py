@@ -14,11 +14,11 @@ import pytest
 
 from picount import numdom as nd
 from picount.analysis import AnalysisConfig, check_soundness, run
-from picount.concrete import explore
 from picount.envdom import AtomEnv, atom_admits, normalize
 from picount.numdom import INF, CountLayout
 
 from conftest import corpus_path
+from judges import reached
 
 
 def report(line):
@@ -66,9 +66,8 @@ def test_criterion_2_two_semaphore_bounds():
     assert outcomes == ["proved", "unknown"]
     # the bound 2 is tight: the oracle reaches two simultaneous outputs
     index = result.analysis.index
-    explored = explore(index, max_configs=4000, max_depth=6)
     best = 0
-    for config in explored.configs:
+    for config in reached(index, max_configs=4000, max_depth=6):
         per = {}
         for t in config:
             if t.label in (2, 3, 5):

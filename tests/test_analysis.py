@@ -23,6 +23,7 @@ from picount.partition import GetVar, getvar_channel, getvar_marker
 from picount.syntax import SourceError
 
 from conftest import corpus_path
+from judges import reached
 
 
 def test_parse_mutex_query(memory_index):
@@ -280,7 +281,7 @@ def test_corrupted_env_fixpoint_is_flagged():
     wrong = AtomEnv.make(
         ("a",), {"a": frozenset({"rec@1"})}, frozenset(), frozenset()
     )
-    entries = env.as_dict()
+    entries = dict(env.table)
     entries[4] = wrong
     corrupted = EnvMap.of(entries)
     report = verify_configs(
@@ -291,7 +292,7 @@ def test_corrupted_env_fixpoint_is_flagged():
 
 def test_verify_configs_stops_at_max_violations():
     result = run(AnalysisConfig(path=corpus_path("semaphore2.pi")))
-    entries = result.env_fix.as_dict()
+    entries = dict(result.env_fix.table)
     entries[4] = AtomEnv.make(("a",), {"a": frozenset({"rec@1"})}, frozenset(), frozenset())
     corrupted = EnvMap.of(entries)
     full = verify_configs(
@@ -404,8 +405,6 @@ def test_marker_mode_run_smoke():
 )
 def test_proved_queries_hold_in_every_explored_config(name, partition, query):
     # meta-test: whatever the analyzer proves, brute-force exploration confirms
-    from picount.concrete import explore
-
     result = run(
         AnalysisConfig(path=corpus_path(name), partition=partition, queries=(query,))
     )
@@ -417,8 +416,7 @@ def test_proved_queries_hold_in_every_explored_config(name, partition, query):
     index = result.analysis.index
     gv = result.analysis.gv
     coeffs = {(kind, ref): c for c, kind, ref in q.terms}
-    explored = explore(index, max_configs=1500)
-    for config in explored.configs:
+    for config in reached(index, max_configs=1500):
         per_unit = {}
         for t in config:
             u = gv.concrete_unit(t.label, t.env)
@@ -431,17 +429,14 @@ def test_proved_queries_hold_in_every_explored_config(name, partition, query):
 
 def test_never_proves_what_the_oracle_refutes(semaphore_index):
     # meta-test: a bound the oracle can exceed is reported unknown
-    from picount.concrete import explore
-
     result = run(
         AnalysisConfig(
             path=corpus_path("semaphore2.pi"),
             queries=("unit a: 1*x@2 + 1*x@3 + 1*x@5 <= 1",),
         )
     )
-    explored = explore(semaphore_index, max_configs=2000, max_depth=6)
     best = 0
-    for config in explored.configs:
+    for config in reached(semaphore_index, max_configs=2000, max_depth=6):
         per = {}
         for t in config:
             if t.label in (2, 3, 5):

@@ -8,20 +8,18 @@ from picount.concrete import (
     InternalError,
     Thread,
     Walk,
-    alpha_step,
     dump_configs,
     enabled_steps,
-    explore,
     initial_config,
     launch,
     make_config,
-    step_units,
     thread_to_json,
 )
 from picount.partition import getvar_channel
 from picount.syntax import Nil, load_system
 
 from conftest import corpus_text
+from judges import alpha_step, reached, step_units, walk_steps, walked
 
 
 def drive(index, config, pairs):
@@ -96,9 +94,9 @@ def test_fetch_rule_keeps_resource(memory_index):
 
 def test_rule_cardinalities_on_corpus(semaphore_index, synccomm_index):
     for index in (semaphore_index, synccomm_index):
-        result = explore(index, max_configs=300, keep_steps=True)
-        assert result.steps
-        for step in result.steps:
+        steps = walk_steps(index, 300)
+        assert steps
+        for step in steps:
             n_recv = len(index.beta_cont(step.pair[0]))
             n_send = len(index.beta_cont(step.pair[1]))
             if index.type[step.pair[0]] == "input":
@@ -116,21 +114,21 @@ def test_marker_collision_is_internal_error():
 
 def test_name_provenance(semaphore_index):
     # every name's marker belongs to a thread that launch actually created
-    result = explore(semaphore_index, max_configs=400, keep_steps=True)
+    walk = Walk(semaphore_index, max_configs=400, max_depth=1 << 30)
     markers = {()}
-    for step in result.steps:
+    for _, step, _, _ in walk:
         for t in step.launched_recv + step.launched_send:
             markers.add(t.marker)
-    for config in result.configs:
+    for config, _ in walk.visited:
         for t in config:
             for name in t.env.values():
                 assert name[1] in markers
 
 
 def test_explore_empty_system():
-    result = explore(load_system("0"), max_configs=10, max_depth=10)
-    assert result.configs == {frozenset()}
-    assert result.truncated is False
+    walk = walked(load_system("0"), max_configs=10, max_depth=10)
+    assert walk.visited == {(frozenset(), frozenset())}
+    assert walk.truncated is False
 
 
 ONE_STEP = "new a in (a![] | a?[].0)"
@@ -139,23 +137,23 @@ TWO_STEPS = "new a in (a![] | a?[].new b in (b![] | b?[].0))"
 
 def test_depth_limit_truncates_only_with_a_step_left():
     # the one step reaches a state with nothing left to fire
-    one = explore(load_system(ONE_STEP), max_depth=1)
-    assert len(one.configs) == 2 and one.truncated is False
-    two = explore(load_system(TWO_STEPS), max_depth=1)
-    assert len(two.configs) == 2 and two.truncated is True
-    assert explore(load_system(TWO_STEPS), max_depth=2).truncated is False
+    one = walked(load_system(ONE_STEP), 10000, max_depth=1)
+    assert len(one.visited) == 2 and one.truncated is False
+    two = walked(load_system(TWO_STEPS), 10000, max_depth=1)
+    assert len(two.visited) == 2 and two.truncated is True
+    assert walked(load_system(TWO_STEPS), 10000, max_depth=2).truncated is False
 
 
 def test_explore_rejects_bad_limits(memory_index):
     with pytest.raises(ValueError):
-        explore(memory_index, max_configs=0)
+        Walk(memory_index, max_configs=0, max_depth=1)
+    with pytest.raises(ValueError):
+        Walk(memory_index, max_configs=1, max_depth=0)
 
 
 def test_semaphore_outputs_bounded_by_two(semaphore_index):
     index = semaphore_index
-    result = explore(index, max_configs=100000, max_depth=6)
-    assert not result.truncated or result.configs
-    for config in result.configs:
+    for config in reached(index, max_configs=100000, max_depth=6):
         per_channel = {}
         for t in config:
             if t.label in (2, 3, 5):
@@ -166,8 +164,7 @@ def test_semaphore_outputs_bounded_by_two(semaphore_index):
 
 def test_memory_cell_occupancy(memory_index):
     index = memory_index
-    result = explore(index, max_configs=5000)
-    for config in result.configs:
+    for config in reached(index, max_configs=5000):
         per_cell = {}
         for t in config:
             if t.label in (2, 6, 10):
@@ -177,21 +174,20 @@ def test_memory_cell_occupancy(memory_index):
 
 
 def test_explore_deterministic(synccomm_index):
-    a = explore(synccomm_index, max_configs=500, keep_steps=True)
-    b = explore(synccomm_index, max_configs=500, keep_steps=True)
-    assert a.configs == b.configs
-    assert [(s.pair, s.receiver, s.sender) for s in a.steps] == [
-        (s.pair, s.receiver, s.sender) for s in b.steps
+    assert reached(synccomm_index, 500) == reached(synccomm_index, 500)
+    a, b = walk_steps(synccomm_index, 500), walk_steps(synccomm_index, 500)
+    assert [(s.pair, s.receiver, s.sender) for s in a] == [
+        (s.pair, s.receiver, s.sender) for s in b
     ]
 
 
 def test_dump_configs_json_lines(semaphore_index, tmp_path):
-    result = explore(semaphore_index, max_configs=50)
+    configs = reached(semaphore_index, max_configs=50)
     out = tmp_path / "oracle.jsonl"
     with open(out, "w") as fh:
-        dump_configs(result.configs, fh)
+        dump_configs(configs, fh)
     lines = out.read_text().splitlines()
-    assert len(lines) == len(result.configs)
+    assert len(lines) == len(configs)
     for line in lines:
         for label, marker, env in json.loads(line):
             assert isinstance(label, str) and isinstance(marker, list)
@@ -220,7 +216,7 @@ CORPUS = ("memory.pi", "semaphore2.pi", "synccomm.pi", "objects.pi", "dlist.pi")
 def test_launched_threads_are_in_sort_key_order(name):
     # the step table orders a step's launched threads by label alone
     index = load_system(corpus_text(name))
-    steps = explore(index, max_configs=1000, keep_steps=True).steps
+    steps = walk_steps(index, 1000)
     assert any(len(s.launched_recv) > 1 or len(s.launched_send) > 1 for s in steps)
     for step in steps:
         assert step.launched_recv == tuple(sorted(step.launched_recv, key=Thread.sort_key))
@@ -229,7 +225,7 @@ def test_launched_threads_are_in_sort_key_order(name):
 
 @pytest.mark.parametrize("name", ["synccomm.pi", "objects.pi"])
 def test_dump_configs_lines_equal_whole_record_encoding(name):
-    configs = explore(load_system(corpus_text(name)), max_configs=300).configs
+    configs = reached(load_system(corpus_text(name)), max_configs=300)
     out = io.StringIO()
     dump_configs(configs, out)
     ordered = sorted(configs, key=lambda c: sorted(map(Thread.sort_key, c)))
@@ -258,9 +254,9 @@ def test_walk_counts_steps_per_unit(synccomm_index):
         assert set(after) == set(before) | bumped
         for key, n in after.items():
             assert n == before.get(key, 0) + (key in bumped)
-    # the instrumented walk reaches the same configurations as `explore`
+    # the instrumented walk reaches the same configurations as the plain one
     configs = {config for config, _ in walk.visited}
-    assert configs == explore(synccomm_index, max_configs=300).configs
+    assert configs == reached(synccomm_index, max_configs=300)
 
 
 def test_alpha_step_memory_walkthrough(memory_index):

@@ -1,14 +1,15 @@
 import pytest
 
 from picount import numdom as nd
-from picount.concrete import alpha_step, explore, step_units
+from picount.concrete import initial_config
 from picount.contents import ContentsDomain, CUMap, count_layout, unit_vector
 from picount.engine import Analysis, abstract_step_labels
 from picount.numdom import INF
-from picount.partition import PartitionCase, getvar_channel, getvar_marker
+from picount.partition import PartitionCase, enumerate_contexts, getvar_channel, getvar_marker
 from picount.syntax import load_system
 
 from conftest import corpus_text
+from judges import alpha_step, step_units, walk_steps
 
 
 def domain_for(index, gv=None):
@@ -109,9 +110,16 @@ def test_post_freshness_restarts_unit(memory_product):
         frozenset({(4, "?")}),
         frozenset({(8, "?")}),
     )
-    case = PartitionCase.make(
+    wanted = PartitionCase.make(
         classes, (("alloc",), ("add",), ("cell",), ("read",), ("write",))
     )
+    # the enumeration decides which units the step creates
+    (case,) = [
+        c
+        for c in enumerate_contexts(analysis.index, analysis.gv, 1, 13, fix.element[0])
+        if c == wanted
+    ]
+    assert case.new_unit == (False, True, False, True, True)
     delta = dom.post_delta(cu, 1, 13, case)
     assert delta is not None
     (cell,) = delta[("cell",)]
@@ -125,12 +133,12 @@ def test_post_freshness_restarts_unit(memory_product):
 def test_post_bottom_propagates(memory_index):
     dom, lay = domain_for(memory_index)
     assert dom.post_delta(dom.bottom(), 5, 10, case_5_10()) is None
-    assert dom.post(dom.bottom(), 5, 10, case_5_10()).is_bottom()
+    assert dom.join([dom.bottom()], dom.post_delta(dom.bottom(), 5, 10, case_5_10())).is_bottom()
 
 
 def test_post_monotone_per_unit(memory_index):
     dom, lay, cu = walkthrough_cu(memory_index)
-    out = dom.post(cu, 5, 10, case_5_10())
+    out = dom.join([cu], dom.post_delta(cu, 5, 10, case_5_10()))
     assert dom.leq(cu, out)
 
 
@@ -138,8 +146,7 @@ def test_decomposition_identity(semaphore_index, synccomm_index):
     # per class: |created| - |consumed| equals the unit's concrete thread delta
     for index in (semaphore_index, synccomm_index):
         gv = getvar_channel(index)
-        result = explore(index, max_configs=150, keep_steps=True)
-        for step in result.steps:
+        for step in walk_steps(index, 150):
             lq, le = step.pair
             case = alpha_step(step, gv)
             units = step_units(step, gv)
@@ -184,12 +191,12 @@ def test_oracle_vectors_admitted(semaphore_index):
     fix = analysis.run("product")
     cu = fix.element[1]
     lay = analysis.layout
-    result = explore(index, max_configs=60, keep_steps=True)
+    explored = walk_steps(index, 60)
     counters = {}
     # follow one linear trace of the BFS to accumulate true step counts
-    config = result.initial
+    config = initial_config(index)
     for _ in range(8):
-        steps = [s for s in result.steps if s.source == config]
+        steps = [s for s in explored if s.source == config]
         if not steps:
             break
         step = steps[0]

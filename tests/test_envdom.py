@@ -13,11 +13,9 @@ from picount.envdom import (
     atom_admits,
     declare,
     extend,
-    fst,
     gc,
     normalize,
     pair,
-    snd,
     split,
     sync,
 )

@@ -10,12 +10,12 @@ import pytest
 from picount import cli
 from picount.analysis import AnalysisConfig, parse_query, query_unit, run, verify_configs
 from picount.cli import main
-from picount.concrete import explore
 from picount.engine import Analysis
 from picount.partition import getvar_channel
 from picount.syntax import fmt_label, load_system
 
 from conftest import corpus_path
+from judges import reached
 from test_fuzz_soundness import random_system
 
 SEMAPHORE_TIGHT = "unit a: 1*x@2 + 1*x@3 + 1*x@5 <= 1"
@@ -45,6 +45,34 @@ def test_mutex_label_set_ignores_repeats(labels, capsys):
     code = main(["analyze", corpus_path("memory.pi"), "--prove", f"mutex unit cell over {labels}"])
     assert code == 0
     assert f"[ proved] mutex unit cell over {labels}" in capsys.readouterr().out
+
+
+# A non-replicated receiver's continuation keeps the receiver's marker, and a
+# sender's keeps the sender's: under marker partitioning the threads they
+# launch join a unit that already counts others.  After the one step of the
+# first system, `b!2` and `a!3` share the marker of `a?1` and `a!4`, and the
+# form below equals 1 there.
+MARKER_KEPT = (
+    "new a in (a?1[]. new b in (b!2[] | a!3[]) | a!4[])",
+    "new a in (a!1[]. new b in (b!2[] | a!3[]) | a?4[])",
+)
+MARKER_KEPT_FORM = "unit a: 1*x@2 + 1*x@3 + 1*x@4 + -1*x@1 + -1*y@(1,3) + -1*y@(1,4) <= 0"
+
+
+def test_marker_unit_kept_by_a_continuation_is_not_proved(tmp_path, capsys):
+    path = tmp_path / "kept.pi"
+    path.write_text(MARKER_KEPT[0])
+    code = main(["analyze", str(path), "--partition", "marker", "--prove", MARKER_KEPT_FORM])
+    assert code == 1
+    assert f"[unknown] {MARKER_KEPT_FORM}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", MARKER_KEPT, ids=("receiver", "sender"))
+def test_marker_unit_kept_by_a_continuation_passes_the_oracle(text, tmp_path, capsys):
+    path = tmp_path / "kept.pi"
+    path.write_text(text)
+    assert main(["oracle-check", str(path), "--partition", "marker"]) == 0
+    assert "violations 0" in capsys.readouterr().out
 
 
 def test_unstabilized_json_report_says_why(capsys):
@@ -79,7 +107,7 @@ def test_budgeted_proofs_hold_in_explored_configs(seed, partition, tmp_path):
         for l in index.labels
         for bound in (0, 1)
     )
-    configs = explore(index, max_configs=300, max_depth=30).configs
+    configs = reached(index, max_configs=300, max_depth=30)
     for max_iter in range(1, 6):
         result = run(
             AnalysisConfig(path=str(path), partition=partition, max_iter=max_iter, queries=queries)

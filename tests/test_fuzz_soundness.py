@@ -12,10 +12,11 @@ import sys
 import pytest
 
 from picount.analysis import verify_configs
-from picount.concrete import explore
 from picount.engine import Analysis
 from picount.partition import getvar_channel, getvar_marker
 from picount.syntax import load_system
+
+from judges import reached
 
 
 def candidate_system(rng: random.Random) -> str:
@@ -62,12 +63,12 @@ def random_system(rng: random.Random) -> str:
     for _ in range(40):
         text = candidate_system(rng)
         index = load_system(text)
-        if len(explore(index, max_configs=12, max_depth=6).configs) >= 3:
+        if len(reached(index, max_configs=12, max_depth=6)) >= 3:
             return text
     return text  # give up; still a valid system
 
 
-@pytest.mark.parametrize("seed", range(24))
+@pytest.mark.parametrize("seed", [*range(24), 42])
 def test_random_systems_are_sound(seed):
     rng = random.Random(20260 + seed)
     text = random_system(rng)

@@ -203,7 +203,8 @@ def test_entails_examples():
     lay, a = walkthrough_element()
     q = {lay.x(2): 1, lay.x(6): 1, lay.x(10): 1}
     assert nd.entails(a, q, 1)
-    assert not nd.entails(nd.top(lay), {lay.x(1): 1}, 0)
+    top = nd.make(lay, [(0, INF)] * lay.size, [])
+    assert not nd.entails(top, {lay.x(1): 1}, 0)
     lay2 = layout_of(2)
     b = nd.make(
         lay2,

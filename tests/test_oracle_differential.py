@@ -15,7 +15,7 @@ import pytest
 
 from picount import numdom as nd
 from picount.analysis import AnalysisConfig, run, verify_configs
-from picount.concrete import Walk, step_units
+from picount.concrete import Walk
 from picount.contents import CUMap, unit_vector
 from picount.engine import Analysis
 from picount.envdom import AtomEnv, EnvMap, atom_admits
@@ -23,6 +23,7 @@ from picount.partition import GetVar, getvar_channel
 from picount.syntax import fmt_label, load_system
 
 from conftest import corpus_path
+from judges import step_units
 from test_fuzz_soundness import random_system
 
 
@@ -97,7 +98,7 @@ def _fuzz_iterate(seed):
 
 def _corrupted_env():
     result = run(AnalysisConfig(path=corpus_path("semaphore2.pi")))
-    entries = result.env_fix.as_dict()
+    entries = dict(result.env_fix.table)
     # claim the channel of the replicated receiver is a trigger name
     entries[4] = AtomEnv.make(("a",), {"a": frozenset({"rec@1"})}, frozenset(), frozenset())
     return result.analysis, EnvMap.of(entries), result.con_fix

@@ -4,7 +4,6 @@ from itertools import product
 
 import pytest
 
-from picount.concrete import alpha_step, enabled_steps, explore, initial_config
 from picount.engine import Analysis, abstract_step_labels
 from picount.partition import (
     GetVar,
@@ -18,6 +17,9 @@ from picount.partition import (
     step_roster,
 )
 from picount.syntax import SourceError, load_system
+
+from conftest import corpus_text
+from judges import alpha_step, step_units, walk_steps
 
 
 def set_partitions(items):
@@ -174,14 +176,57 @@ def test_alpha_step_is_enumerated(name, mode, request):
     )
     gv = getvar_channel(index) if mode == "chan" else getvar_marker(index)
     hint = TopHint(index.name_universe)
-    result = explore(index, max_configs=120, keep_steps=True)
     seen = 0
-    for step in result.steps:
+    for step in walk_steps(index, 120):
         case = alpha_step(step, gv)
         lq, le = step.pair
         assert case in set(enumerate_contexts(index, gv, lq, le, hint))
         seen += 1
     assert seen > 10
+
+
+FRESH_NAME_SYSTEMS = {
+    "kept-by-receiver": "new a in (a?[]. new b in (b![] | a![]) | a![])",
+    "kept-by-sender": "new a in (a![]. new b in (b![] | a![]) | a?[])",
+    "minted": "new a in (*a?[]. new b in (b![] | a![]) | a![] | a![])",
+}
+
+
+@pytest.mark.parametrize(
+    "name,mode,creates",
+    [
+        ("kept-by-receiver", "chan", True),
+        ("kept-by-sender", "chan", True),
+        ("minted", "chan", True),
+        # a non-replicated continuation keeps its parent's marker
+        ("kept-by-receiver", "marker", False),
+        ("kept-by-sender", "marker", False),
+        ("minted", "marker", True),
+        ("memory.pi", "chan", True),
+        ("memory.pi", "marker", True),
+        ("objects.pi", "marker", True),
+    ],
+)
+def test_new_units_hold_no_thread_before_the_step(name, mode, creates):
+    # a class the enumeration marks as a new unit restarts from all-zero
+    # contents, so no thread of the step's source may already sit in its unit
+    index = load_system(FRESH_NAME_SYSTEMS.get(name) or corpus_text(name))
+    gv = getvar_channel(index) if mode == "chan" else getvar_marker(index)
+    hint = TopHint(index.name_universe)
+    enumerated = {}
+    new_classes = 0
+    for step in walk_steps(index, 150):
+        if step.pair not in enumerated:
+            cases = enumerate_contexts(index, gv, *step.pair, hint)
+            enumerated[step.pair] = {c: c for c in cases}
+        case = enumerated[step.pair][alpha_step(step, gv)]
+        units = step_units(step, gv)
+        before = {gv.concrete_unit(t.label, t.env) for t in step.source}
+        for cls, new in zip(case.classes, case.new_unit):
+            if new:
+                new_classes += 1
+                assert units[next(iter(cls))] not in before, (step.pair, case)
+    assert (new_classes > 0) == creates
 
 
 def test_alpha_step_survives_fixpoint_hint(memory_product):
@@ -190,15 +235,14 @@ def test_alpha_step_survives_fixpoint_hint(memory_product):
     analysis, fix = memory_product
     index, gv = analysis.index, analysis.gv
     env = fix.element[0]
-    result = explore(index, max_configs=350, keep_steps=True)
     cache = {}
     checked = 0
-    for step in result.steps[:400]:
+    for step in walk_steps(index, 350)[:400]:
         case = alpha_step(step, gv)
         lq, le = step.pair
         if (lq, le) not in cache:
             cache[(lq, le)] = set(enumerate_contexts(index, gv, lq, le, env))
-        assert case in cache[(lq, le)], (step.pair, case.describe())
+        assert case in cache[(lq, le)], (step.pair, case)
         checked += 1
     assert checked > 100
 
