@@ -134,7 +134,6 @@ class AnalysisConfig:
     queries: tuple[str, ...] = ()
     max_configs: int = 5000
     max_depth: int = 1 << 30
-    report_format: str = "text"
     trace: bool = False
 
     def __post_init__(self):

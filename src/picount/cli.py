@@ -60,7 +60,6 @@ def main(argv=None) -> int:
                 abstraction=args.abstraction,
                 max_iter=args.max_iter,
                 queries=tuple(args.prove),
-                report_format=args.report,
                 trace=args.trace,
             )
             result = run(config)

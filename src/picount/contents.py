@@ -185,10 +185,6 @@ class ContentsDomain:
         )
 
 
-def count_layout(index: SystemIndex, pairs) -> CountLayout:
-    return CountLayout(index.labels, pairs)
-
-
 def unit_vector(layout: CountLayout, counts: dict[Label, int], steps: dict) -> dict[int, int]:
     """Sparse K-vector of one concrete unit: occupancies, step counts, flags."""
     vec = {layout.x(l): n for l, n in counts.items() if n}

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .contents import ContentsDomain, CUMap, count_layout
+from .contents import ContentsDomain, CUMap
 from .envdom import EnvDomain, EnvMap
 from .numdom import CountLayout
 from .partition import GetVar, TopHint, enumerate_contexts
@@ -76,7 +76,7 @@ class Analysis:
     @staticmethod
     def build(index: SystemIndex, gv: GetVar) -> "Analysis":
         pairs = abstract_step_labels(index)
-        layout = count_layout(index, pairs)
+        layout = CountLayout(index.labels, pairs)
         return Analysis(
             index=index,
             gv=gv,

@@ -10,18 +10,13 @@ disjoint label sets, and any contradiction collapses to bottom.  Normal form
 makes the emptiness test a lookup, which is what lets unsatisfiable transition
 sub-cases annihilate in the coalesced product.
 
-The transfer function of a synchronization builds a two-sided "molecule" over
-tagged variables (v,?)/(v,!), constrains it with the communication equalities
-and the partition-case constraints, and projects the result onto each
-launched thread's interface.
-
-Only `AtomEnv.make` (and `normalize`, which calls it) and `sync` close a
-description into normal form; a transfer closes once, in `sync`.  The other
-primitives take normal forms and build normal forms directly: `gc` and
-`split` restrict one, `declare` adds a variable distinct from every other,
-`extend` adds one labelled with the whole name universe (which meets every
-label set), and `pair` merges two sides over disjoint variables, adding the
-cross disequalities their label sets imply.
+The transfer function of a synchronization describes a two-sided "molecule"
+over tagged variables (v,?)/(v,!): both threads' environments, the received
+variables, the names each side restricts, the communication equalities and
+the partition case's constraints.  `AtomEnv.make` closes that description
+into normal form, once per transfer, and `_project` untags one side for each
+launched thread.  Every other operation (join, projection) maps normal forms
+to normal forms directly.
 """
 
 from __future__ import annotations
@@ -115,10 +110,6 @@ class AtomEnv:
         )
         return AtomEnv(vars, False, out_labels, out_eqs, out_neqs)
 
-    @staticmethod
-    def empty() -> "AtomEnv":
-        return AtomEnv((), False, {}, frozenset(), frozenset())
-
     # -- basics -------------------------------------------------------------
 
     def __eq__(self, other):
@@ -193,113 +184,16 @@ def normalize(a: AtomEnv) -> AtomEnv:
     return AtomEnv.make(a.vars, a.labels, a.eqs, a.neqs)
 
 
-# --- Primitives ------------------------------------------------------------
-
-
-def declare(x, a: AtomEnv) -> AtomEnv:
-    """Bind a new restriction variable: label set {x}, distinct from everything."""
-    if a.is_bottom:
-        return AtomEnv.bottom(a.vars + (x,))
-    assert x not in a.labels
-    vars = _sorted(a.vars + (x,))
-    i = vars.index(x)
-    labels = dict(a.labels)
-    labels[x] = frozenset({x})
-    neqs = a.neqs | {(v, x) for v in vars[:i]} | {(x, v) for v in vars[i + 1 :]}
-    return AtomEnv(vars, False, labels, a.eqs, neqs)
-
-
-def extend(x, a: AtomEnv, universe) -> AtomEnv:
-    """Bind a communicated variable about which nothing is known yet.
-
-    Normal only when `universe` holds every label of `a`, as the name
-    universe of a system does."""
-    if a.is_bottom or not universe:
-        return AtomEnv.bottom(a.vars + (x,))
-    assert x not in a.labels
-    labels = dict(a.labels)
-    labels[x] = frozenset(universe)
-    return AtomEnv(_sorted(a.vars + (x,)), False, labels, a.eqs, a.neqs)
-
-
-def gc(keep, a: AtomEnv) -> AtomEnv:
-    """Project onto a variable subset."""
-    keep = frozenset(keep)
-    assert keep <= set(a.vars), (keep, a.vars)
-    if a.is_bottom:
-        return AtomEnv.bottom(keep)
-    vars = tuple(v for v in a.vars if v in keep)
-    labels = {v: a.labels[v] for v in vars}
-    eqs = frozenset(p for p in a.eqs if p[0] in keep and p[1] in keep)
-    neqs = frozenset(p for p in a.neqs if p[0] in keep and p[1] in keep)
-    return AtomEnv(vars, False, labels, eqs, neqs)
-
-
-def _tag(pairs, role) -> set:
-    # one role on both sides keeps a pair's repr order, as does dropping it
-    return {((a, role), (b, role)) for a, b in pairs}
-
-
-def pair(a_recv: AtomEnv, a_send: AtomEnv) -> AtomEnv:
-    """Tag both sides and merge into one element over (v,?) / (v,!) variables."""
-    recv = tuple((v, RECV) for v in a_recv.vars)
-    send = tuple((v, SEND) for v in a_send.vars)
-    if a_recv.is_bottom or a_send.is_bottom:
-        return AtomEnv.bottom(recv + send)
-    vars = _sorted(recv + send)
-    rank = {v: i for i, v in enumerate(vars)}
-    labels = {(v, RECV): a_recv.labels[v] for v in a_recv.vars}
-    labels.update({(v, SEND): a_send.labels[v] for v in a_send.vars})
-    eqs = _tag(a_recv.eqs, RECV) | _tag(a_send.eqs, SEND)
-    neqs = _tag(a_recv.neqs, RECV) | _tag(a_send.neqs, SEND)
-    neqs.update(
-        (r, t) if rank[r] < rank[t] else (t, r)
-        for r in recv
-        for t in send
-        if labels[r].isdisjoint(labels[t])
-    )
-    return AtomEnv(vars, False, labels, frozenset(eqs), frozenset(neqs))
-
-
-def _project_role(m: AtomEnv, role: str) -> AtomEnv:
-    vars = tuple(v[0] for v in m.vars if v[1] == role)
-    if m.is_bottom:
-        return AtomEnv.bottom(vars)
+def _project(m: AtomEnv, role: str, keep) -> AtomEnv:
+    """One side of a molecule, restricted to the variables in `keep` and
+    untagged.  Dropping a shared role keeps the repr order of variables and
+    of constraint pairs, so the result is a normal form."""
+    tagged = {(v, role) for v in keep}
+    vars = tuple(v[0] for v in m.vars if v in tagged)
     labels = {v: m.labels[(v, role)] for v in vars}
-    eqs = frozenset((a[0], b[0]) for a, b in m.eqs if a[1] == role and b[1] == role)
-    neqs = frozenset((a[0], b[0]) for a, b in m.neqs if a[1] == role and b[1] == role)
+    eqs = frozenset((a[0], b[0]) for a, b in m.eqs if a in tagged and b in tagged)
+    neqs = frozenset((a[0], b[0]) for a, b in m.neqs if a in tagged and b in tagged)
     return AtomEnv(vars, False, labels, eqs, neqs)
-
-
-def split(m: AtomEnv) -> tuple[AtomEnv, AtomEnv]:
-    return _project_role(m, RECV), _project_role(m, SEND)
-
-
-EQ = "eq"
-NEQ = "neq"
-LBL = "lbl"
-
-
-def sync(cons, m: AtomEnv) -> AtomEnv:
-    """Enforce eq/neq/label constraints, then re-normalize."""
-    if m.is_bottom:
-        return m
-    labels = dict(m.labels)
-    eqs = set(m.eqs)
-    neqs = set(m.neqs)
-    for c in cons:
-        tag = c[0]
-        if tag == EQ:
-            eqs.add((c[1], c[2]))
-        elif tag == NEQ:
-            if c[1] == c[2]:
-                return AtomEnv.bottom(m.vars)
-            neqs.add((c[1], c[2]))
-        elif tag == LBL:
-            labels[c[1]] = labels[c[1]] & {c[2]}
-        else:
-            raise ValueError(f"unknown constraint {c!r}")
-    return AtomEnv.make(m.vars, labels, eqs, neqs)
 
 
 # --- Per-program-point map ---------------------------------------------------
@@ -349,10 +243,9 @@ class EnvDomain:
         entries = {}
         for l in self.index.labels:
             if l in self.index.root_labels:
-                a = AtomEnv.empty()
-                for x in sorted(self.index.iface[l]):
-                    a = declare(x, a)
-                entries[l] = a
+                # each root name is its own label; disjoint labels make them distinct
+                iface = self.index.iface[l]
+                entries[l] = AtomEnv.make(iface, {x: frozenset({x}) for x in iface}, (), ())
             else:
                 entries[l] = AtomEnv.bottom(sorted(self.index.iface[l]))
         return EnvMap.of(entries)
@@ -380,43 +273,6 @@ class EnvDomain:
 
     # -- transfer -----------------------------------------------------------
 
-    def constraints(self, lq: Label, le: Label, case: PartitionCase):
-        index, gv = self.index, self.gv
-        cons = [(EQ, (index.chan[lq], RECV), (index.chan[le], SEND))]
-        for y, x in zip(index.arg[lq], index.arg[le]):
-            cons.append((EQ, (y, RECV), (x, SEND)))
-
-        def formal(member, key):
-            return (gv.keyvar(member[0], key), member[1])
-
-        if gv.mode == FULL_NAME:
-            for c in case.classes:
-                members = sorted(c, key=repr)
-                for m1, m2 in zip(members, members[1:]):
-                    for k in gv.keys:
-                        cons.append((EQ, formal(m1, k), formal(m2, k)))
-            if len(gv.stable) == 1:
-                (k,) = tuple(gv.stable)
-                for c1, c2 in combinations(case.classes, 2):
-                    for m1 in c1:
-                        for m2 in c2:
-                            cons.append((NEQ, formal(m1, k), formal(m2, k)))
-            for c, unit in case.items():
-                for m in c:
-                    for ki, k in enumerate(gv.keys):
-                        cons.append((LBL, formal(m, k), unit[ki]))
-        else:
-            # units carry no label data; only identical key variables forced
-            # into distinct classes are contradictory
-            for c1, c2 in combinations(case.classes, 2):
-                for m1 in c1:
-                    for m2 in c2:
-                        for k in gv.keys:
-                            f1, f2 = formal(m1, k), formal(m2, k)
-                            if f1 == f2:
-                                cons.append((NEQ, f1, f2))
-        return cons
-
     def post_delta(
         self, input0: AtomEnv, output0: AtomEnv, lq: Label, le: Label, case: PartitionCase
     ) -> dict[Label, AtomEnv] | None:
@@ -424,25 +280,54 @@ class EnvDomain:
         unsatisfiable."""
         if input0.is_bottom or output0.is_bottom:
             return None
-        index = self.index
-        a_recv = input0
-        for y in index.arg[lq]:
-            a_recv = extend(y, a_recv, self.universe)
-        for u in sorted(index.fresh[lq]):
-            a_recv = declare(u, a_recv)
-        a_send = output0
-        for v in sorted(index.fresh[le]):
-            a_send = declare(v, a_send)
-        mol = pair(a_recv, a_send)
-        mol = sync(self.constraints(lq, le, case), mol)
+        index, gv = self.index, self.gv
+        labels, eqs, neqs = {}, [], []
+        for a, role, l in ((input0, RECV, lq), (output0, SEND, le)):
+            side = [(v, role) for v in a.vars]
+            labels.update((t, a.labels[t[0]]) for t in side)
+            eqs += [((x, role), (y, role)) for x, y in a.eqs]
+            neqs += [((x, role), (y, role)) for x, y in a.neqs]
+            if role == RECV:
+                # a received variable may hold any name
+                for y in index.arg[lq]:
+                    side.append((y, RECV))
+                    labels[(y, RECV)] = self.universe
+            # a restricted name is new: distinct from everything on its side
+            for u in index.fresh[l]:
+                neqs += [((u, role), t) for t in side]
+                side.append((u, role))
+                labels[(u, role)] = frozenset({u})
+
+        # the communication: one channel, and each argument binds its formal
+        eqs.append(((index.chan[lq], RECV), (index.chan[le], SEND)))
+        eqs += [((y, RECV), (x, SEND)) for y, x in zip(index.arg[lq], index.arg[le])]
+
+        if gv.mode == FULL_NAME:
+            # a unit is the tuple of its members' key names, so a case fixes
+            # the label of each key formal and equates them within a class
+            def formal(member, key):
+                return (gv.keyvar(member[0], key), member[1])
+
+            for c, unit in case.items():
+                first, *rest = c
+                eqs += [(formal(first, k), formal(m, k)) for m in rest for k in gv.keys]
+                for m in c:
+                    for k, name in zip(gv.keys, unit):
+                        f = formal(m, k)
+                        labels[f] = labels[f] & {name}
+            if len(gv.stable) == 1:
+                # distinct units differ on their one stable key
+                (k,) = gv.stable
+                for c1, c2 in combinations(case.classes, 2):
+                    neqs += [(formal(m1, k), formal(m2, k)) for m1 in c1 for m2 in c2]
+
+        mol = AtomEnv.make(labels.keys(), labels, eqs, neqs)
         if mol.is_bottom:
             return None
-        mol_recv, mol_send = split(mol)
         delta = {}
-        for l in index.beta_cont(lq):
-            delta[l] = gc(index.iface[l], mol_recv)
-        for l in index.beta_cont(le):
-            delta[l] = gc(index.iface[l], mol_send)
+        for role, l in ((RECV, lq), (SEND, le)):
+            for launched in index.beta_cont(l):
+                delta[launched] = _project(mol, role, index.iface[launched])
         return delta
 
 

@@ -444,7 +444,13 @@ def widen(layout, a: NumElem, b: NumElem) -> NumElem:
             else:
                 hi = INF
         ivs.append((lo, hi))
-    return _reduce(layout, tuple(ivs), _hull_rows((a, b), ivs))
+    # No `_reduce`: tightening through the rows would narrow a bound just
+    # widened, and an increasing chain might never stop.  The result is
+    # already reduced in form: a counter pinned in the widened box is pinned
+    # to that value in both inputs, so no hull row mentions it, and a hull
+    # row over one counter would pin it in both.  It holds both inputs, so
+    # it is not empty.
+    return NumElem(layout, False, tuple(ivs), _hull_rows((a, b), ivs))
 
 
 def leq(a: NumElem, b: NumElem) -> bool:

@@ -231,10 +231,8 @@ def _com_classes(index: SystemIndex, lq: Label, le: Label) -> _UF:
 
 
 def _candidates(index, gv, hint, lq: Label, le: Label, member: Member, key: str):
-    """Name labels the hint allows for this member's key variable; None in
-    marker-only mode (units carry no label information)."""
-    if gv.mode == MARKER_ONLY:
-        return None
+    """Name labels the hint allows for this member's key variable.  Only
+    full-name mode asks: marker-only units carry no labels."""
     l, role = member
     parent = lq if role == "?" else le
     v = gv.keyvar(l, key)

@@ -400,7 +400,6 @@ class SystemIndex:
 
     root: Process
     labels: tuple[Label, ...]  # all prefix labels, sorted
-    comp: dict[Label, Prefix]
     type: dict[Label, str]
     chan: dict[Label, Var]
     arg: dict[Label, tuple[Var, ...]]
@@ -487,7 +486,6 @@ def check_wellformed(p: Process) -> SystemIndex:
     return SystemIndex(
         root=p,
         labels=labels,
-        comp=comp,
         type={l: comp[l].kind for l in labels},
         chan={l: comp[l].chan for l in labels},
         arg={l: comp[l].args for l in labels},

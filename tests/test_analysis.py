@@ -364,24 +364,25 @@ def test_env_report_structure():
 
 
 def test_part_disequalities_only_for_singleton_stable_keys(semaphore_index):
-    from picount.envdom import NEQ, EnvDomain
+    from picount.envdom import AtomEnv, EnvDomain
     from picount.partition import GetVar, PartitionCase
 
+    # *a?4[].a!5[] meets a!2[]: the continuation 5 keeps the channel a, so a
+    # case that gives 5 a unit of its own needs two units that agree on a
+    a = AtomEnv.make(("a",), {"a": frozenset({"a"})}, (), ())
+    apart = PartitionCase.make(
+        (frozenset({(4, "?"), (2, "!")}), frozenset({(5, "?")})), (("a", "a"), ("a", "a"))
+    )
     table = {l: {"b1": semaphore_index.chan[l], "b2": semaphore_index.chan[l]}
              for l in semaphore_index.labels}
     gv2 = GetVar(("b1", "b2"), table, frozenset({"b1", "b2"}))
-    dom = EnvDomain(semaphore_index, gv2)
-    case = PartitionCase.make(
-        (frozenset({(4, "?"), (2, "!"), (5, "?")}),), (("a", "a"),)
-    )
-    assert all(c[0] != NEQ for c in dom.constraints(4, 2, case))
+    # two stable keys: distinct units need only differ on one of them
+    assert EnvDomain(semaphore_index, gv2).post_delta(a, a, 4, 2, apart) is not None
     gv1 = GetVar(("b1",), {l: {"b1": semaphore_index.chan[l]} for l in semaphore_index.labels},
                  frozenset({"b1"}))
-    dom1 = EnvDomain(semaphore_index, gv1)
-    two_classes = PartitionCase.make(
-        (frozenset({(4, "?"), (2, "!")}), frozenset({(5, "?")})), (("a",), ("a",))
-    )
-    assert any(c[0] == NEQ for c in dom1.constraints(4, 2, two_classes))
+    one_key = PartitionCase.make(apart.classes, (("a",), ("a",)))
+    # one stable key: distinct units differ on it, which refutes the case
+    assert EnvDomain(semaphore_index, gv1).post_delta(a, a, 4, 2, one_key) is None
 
 
 def test_marker_mode_run_smoke():

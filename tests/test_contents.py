@@ -2,7 +2,7 @@ import pytest
 
 from picount import numdom as nd
 from picount.concrete import initial_config
-from picount.contents import ContentsDomain, CUMap, count_layout, unit_vector
+from picount.contents import ContentsDomain, CUMap, unit_vector
 from picount.engine import Analysis, abstract_step_labels
 from picount.numdom import INF
 from picount.partition import PartitionCase, enumerate_contexts, getvar_channel, getvar_marker
@@ -14,7 +14,7 @@ from judges import alpha_step, step_units, walk_steps
 
 def domain_for(index, gv=None):
     gv = gv or getvar_channel(index)
-    layout = count_layout(index, abstract_step_labels(index))
+    layout = nd.CountLayout(index.labels, abstract_step_labels(index))
     return ContentsDomain(index, gv, layout), layout
 
 

@@ -38,7 +38,13 @@ INPUTS = (
     ["semaphore2/chan", "synccomm/chan", "memory_write/chan"]
     + [f"fuzz{seed}/{partition}" for seed in range(8) for partition in ("chan", "marker")]
 )
-RUNS = [f"{name}/{kind}" for name in INPUTS for kind in KINDS]
+# runs that see env facts the inputs above do not: dlist's fixpoint holds
+# disequalities between fresh names, and objects exercises marker-only cases
+RUNS = [f"{name}/{kind}" for name in INPUTS for kind in KINDS] + [
+    "dlist/chan/product",
+    "dlist/chan/env",
+    "objects/marker/product",
+]
 
 
 @lru_cache(maxsize=None)

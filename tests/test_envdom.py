@@ -1,28 +1,19 @@
+from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from picount.engine import Analysis
-from picount.envdom import (
-    EQ,
-    LBL,
-    NEQ,
-    AtomEnv,
-    EnvDomain,
-    atom_admits,
-    declare,
-    extend,
-    gc,
-    normalize,
-    pair,
-    split,
-    sync,
+from picount.envdom import AtomEnv, EnvDomain, atom_admits, normalize
+from picount.partition import (
+    PartitionCase,
+    TopHint,
+    enumerate_contexts,
+    getvar_channel,
+    getvar_marker,
 )
-from picount.partition import PartitionCase, getvar_channel
 from picount.syntax import load_system
 
-from conftest import corpus_text
 
 LABELS = ("a", "b")
 MARKERS = ((), ("m",))
@@ -121,140 +112,213 @@ def assert_normal(r: AtomEnv):
     assert hash(r) == hash(normalize(r))
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    descriptions().map(normalize),
-    descriptions(("x", "y")).map(normalize),
-    st.sets(st.sampled_from(("x", "y", "z"))),
-)
-def test_primitives_return_normal_forms(a, b, keep):
-    # inputs are normal forms, bottom included (an empty label set closes to it)
-    assert_normal(declare("w", a))
-    assert_normal(extend("w", a, LABELS))
-    assert_normal(gc(keep, a))
-    mol = pair(a, b)
-    assert_normal(mol)
-    for m in (mol, sync([(EQ, ("x", "?"), ("y", "!"))], mol)):
-        recv, send = split(m)
-        assert_normal(recv)
-        assert_normal(send)
+# A step (1?, 4!) with a received variable and a name restricted on each side:
+# 1 launches 2 {x, n} and 3 {a, n}; 4 launches 5 {m} and 6 {b, m}.
+TOY = "new a, b in (*a?1[x]. new n in (x!2[n] | n!3[a]) | a!4[b]. new m in (m!5[] | b!6[m]))"
+TOY_UNIVERSE = frozenset("abmn")
+
+
+@lru_cache(maxsize=None)
+def toy_index():
+    return load_system(TOY)
+
+
+def toy_domain(getvar=getvar_channel) -> EnvDomain:
+    index = toy_index()
+    return EnvDomain(index, getvar(index))
+
+
+def toy_cases(dom: EnvDomain):
+    return list(enumerate_contexts(dom.index, dom.gv, 1, 4, TopHint(TOY_UNIVERSE)))
+
+
+def toy_case(*classes) -> PartitionCase:
+    """A chan case of the toy step; each class is (unit label, members)."""
+    return PartitionCase.make(tuple(frozenset(ms) for _, ms in classes), tuple((u,) for u, _ in classes))
+
+
+def toy_atom(labels: dict, neqs=()) -> AtomEnv:
+    return normalize(raw(sorted(labels), labels, neqs=neqs))
+
+
+def toy_atoms(vars):
+    """Random normal forms over `vars` with labels from the toy universe."""
+    pairs = list(combinations(vars, 2))
+    return st.builds(
+        raw,
+        st.just(vars),
+        st.fixed_dictionaries({v: st.sets(st.sampled_from(sorted(TOY_UNIVERSE)), min_size=1) for v in vars}),
+        st.sets(st.sampled_from(pairs)) if pairs else st.just(()),
+        st.sets(st.sampled_from(pairs)) if pairs else st.just(()),
+    ).map(normalize)
+
+
+def assert_toy_transfer_sound(dom: EnvDomain, in0: AtomEnv, out0: AtomEnv):
+    """Every concrete (1?, 4!) synchronization the inputs admit, over names
+    with markers 0 and 1, is admitted by the delta of its own case; the
+    restricted names get marker 2, so they are new."""
+    cases = set(toy_cases(dom))
+    names = [(l, mark) for l in sorted(TOY_UNIVERSE) for mark in (0, 1)]
+    n, m = ("n", 2), ("m", 2)
+    # both threads hold the channel a; the sender's b is the message
+    for a, b in product(names, repeat=2):
+        if not (atom_admits(in0, {"a": a}) and atom_admits(out0, {"a": a, "b": b})):
+            continue
+        units = {(1, "?"): a, (2, "?"): b, (3, "?"): n, (4, "!"): a, (5, "!"): m, (6, "!"): b}
+        # a concrete unit is a full name; its abstract unit is the name's label
+        by_name = {}
+        for member, name in units.items():
+            by_name.setdefault(name, []).append(member)
+        case = toy_case(*((name[0], ms) for name, ms in by_name.items()))
+        assert case in cases, units
+        delta = dom.post_delta(in0, out0, 1, 4, case)
+        assert delta is not None, units
+        launched = {2: {"x": b, "n": n}, 3: {"a": a, "n": n}, 5: {"m": m}, 6: {"b": b, "m": m}}
+        for l, env in launched.items():
+            assert atom_admits(delta[l], env), (l, env, delta[l])
+
+
+@settings(max_examples=150, deadline=None)
+@given(toy_atoms(("a",)), toy_atoms(("a", "b")))
+def test_primitives_return_normal_forms(in0, out0):
+    # every launched atom of every case is a normal form, bottom inputs included
+    dom = toy_domain()
+    for case in toy_cases(dom):
+        delta = dom.post_delta(in0, out0, 1, 4, case)
+        if delta is None:
+            continue
+        assert set(delta) == {2, 3, 5, 6}
+        for a in delta.values():
+            assert_normal(a)
 
 
 def test_declare_restriction_pair():
-    a = declare("null", declare("alloc", AtomEnv.empty()))
-    assert a.labels == {"alloc": frozenset({"alloc"}), "null": frozenset({"null"})}
-    assert ("alloc", "null") in a.neqs
+    # a name restricted on either side is its own label, distinct from the
+    # variables of its side
+    dom = toy_domain()
+    in0 = toy_atom({"a": {"a"}})
+    out0 = toy_atom({"a": {"a"}, "b": {"b"}})
+    case = toy_case(
+        ("a", [(1, "?"), (4, "!")]), ("b", [(2, "?"), (6, "!")]), ("n", [(3, "?")]), ("m", [(5, "!")])
+    )
+    delta = dom.post_delta(in0, out0, 1, 4, case)
+    assert delta[3].labels == {"a": frozenset("a"), "n": frozenset("n")}
+    assert ("a", "n") in delta[3].neqs
+    assert delta[6].labels == {"b": frozenset("b"), "m": frozenset("m")}
+    assert ("b", "m") in delta[6].neqs
 
 
 def test_declare_on_bottom():
-    b = declare("x", AtomEnv.bottom(("y",)))
-    assert b.is_bottom and set(b.vars) == {"x", "y"}
+    # a bottom input refutes the step, though it restricts names on both sides
+    dom = toy_domain()
+    in0 = toy_atom({"a": {"a"}})
+    out0 = toy_atom({"a": {"a"}, "b": {"b"}})
+    for case in toy_cases(dom):
+        assert dom.post_delta(AtomEnv.bottom(("a",)), out0, 1, 4, case) is None
+        assert dom.post_delta(in0, AtomEnv.bottom(("a", "b")), 1, 4, case) is None
 
 
 def test_declare_same_label_distinct_names():
-    base = raw(("y",), {"y": {"x"}})
-    a = declare("x", base)
-    assert a.labels["x"] == a.labels["y"] == frozenset({"x"})
-    assert ("x", "y") in a.neqs and not a.is_bottom
+    # x receives a name an earlier instance of `new n` created: same label as
+    # the fresh n, yet a different name
+    dom = toy_domain()
+    in0 = toy_atom({"a": {"a"}})
+    out0 = toy_atom({"a": {"a"}, "b": {"n"}})
+    case = toy_case(
+        ("a", [(1, "?"), (4, "!")]), ("n", [(2, "?"), (6, "!")]), ("n", [(3, "?")]), ("m", [(5, "!")])
+    )
+    delta = dom.post_delta(in0, out0, 1, 4, case)
+    assert delta[2].labels == {"n": frozenset("n"), "x": frozenset("n")}
+    assert ("n", "x") in delta[2].neqs and not delta[2].is_bottom
+    # the same name for both is a contradiction
+    same = toy_case(("a", [(1, "?"), (4, "!")]), ("n", [(2, "?"), (6, "!"), (3, "?")]), ("m", [(5, "!")]))
+    assert dom.post_delta(in0, out0, 1, 4, same) is None
 
 
 def test_extend_gives_full_universe():
-    universe = {"alloc", "cell", "ret"}
-    a = extend("val", declare("cell", AtomEnv.empty()), universe)
-    assert a.labels["val"] == frozenset(universe)
-    assert extend("v", AtomEnv.bottom(()), universe).is_bottom
+    # receiving narrows nothing: x may hold any name the sender's b may hold
+    dom = toy_domain(getvar_marker)
+    in0 = toy_atom({"a": {"a"}})
+    out0 = toy_atom({"a": {"a"}, "b": TOY_UNIVERSE})
+    for case in toy_cases(dom):
+        assert dom.post_delta(in0, out0, 1, 4, case)[2].labels["x"] == TOY_UNIVERSE
 
 
 def test_extend_then_project_away_is_identity():
-    universe = {"u", "w"}
-    for e in list(all_raw_elements(("x", "y")))[::97]:
-        n = normalize(e)
-        if n.is_bottom:
-            continue
-        assert gc(("x", "y"), extend("t", n, universe)) == n
-
-
-def _walkthrough_parts():
-    recv = raw(
-        ("cell", "fwd"), {"cell": {"cell"}, "fwd": {"ret"}}
-    )
-    send = raw(("cell", "valp"), {"cell": {"cell"}, "valp": {"data"}})
-    universe = {"alloc", "null", "cell", "read", "write", "ret", "data", "add"}
-    recv3 = extend("val", normalize(recv), universe)
-    return recv3, normalize(send), universe
-
-
-def test_pair_merges_tagged_sides():
-    recv3, send, universe = _walkthrough_parts()
-    mol = pair(recv3, send)
-    assert mol.labels[("cell", "?")] == frozenset({"cell"})
-    assert mol.labels[("fwd", "?")] == frozenset({"ret"})
-    assert mol.labels[("val", "?")] == frozenset(universe)
-    assert mol.labels[("cell", "!")] == frozenset({"cell"})
-    assert mol.labels[("valp", "!")] == frozenset({"data"})
-    assert pair(AtomEnv.bottom(()), send).is_bottom
-
-
-def test_split_is_sound_projection():
-    recv3, send, _ = _walkthrough_parts()
-    mol = pair(recv3, send)
-    back_recv, back_send = split(mol)
-    assert recv3.leq(back_recv)
-    assert send.leq(back_send)
-
-
-def test_sync_walkthrough_binds_message():
-    recv3, send, _ = _walkthrough_parts()
-    mol = pair(recv3, send)
-    cons = [
-        (EQ, ("cell", "?"), ("cell", "!")),
-        (EQ, ("val", "?"), ("valp", "!")),
-        (NEQ, ("cell", "?"), ("fwd", "?")),
-        (LBL, ("cell", "?"), "cell"),
-        (LBL, ("cell", "!"), "cell"),
-        (LBL, ("fwd", "?"), "ret"),
-    ]
-    out = sync(cons, mol)
-    assert not out.is_bottom
-    assert out.labels[("val", "?")] == frozenset({"data"})
-
-
-def test_sync_wrong_unit_label_collapses():
-    recv3, send, _ = _walkthrough_parts()
-    mol = pair(recv3, send)
-    out = sync([(LBL, ("cell", "?"), "alloc")], mol)
-    assert out.is_bottom
-
-
-def test_sync_no_constraints_is_normalize():
-    recv3, send, _ = _walkthrough_parts()
-    mol = pair(recv3, send)
-    assert sync([], mol) == normalize(mol)
-
-
-def test_sync_soundness_toy_universe():
-    # concrete pairs satisfying the constraints never escape the result
-    e = raw(("x", "y"), {"x": {"a", "b"}, "y": {"a", "b"}})
-    cons = [(EQ, "x", "y")]
-    out = sync(cons, normalize(e))
-    for values in gamma(normalize(e)):
-        env = dict(zip(e.vars, values))
-        if env["x"] == env["y"]:
-            assert atom_admits(out, env)
+    # a launched thread sees its parent's untouched variables as the parent did
+    dom = toy_domain(getvar_marker)
+    in0 = toy_atom({"a": {"a", "b"}})
+    out0 = toy_atom({"a": {"a", "b"}, "b": {"a", "b", "n"}}, neqs=[("a", "b")])
+    for case in toy_cases(dom):
+        delta = dom.post_delta(in0, out0, 1, 4, case)
+        assert delta[6].labels["b"] == out0.labels["b"]
+        assert delta[3].labels["a"] == in0.labels["a"]
 
 
 def test_gc_examples():
-    recv3, send, _ = _walkthrough_parts()
-    mol = sync(
-        [(EQ, ("cell", "?"), ("cell", "!")), (EQ, ("val", "?"), ("valp", "!"))],
-        pair(recv3, send),
-    )
-    cell_val = gc({("cell", "?"), ("val", "?")}, mol)
-    assert cell_val.labels[("cell", "?")] == frozenset({"cell"})
-    assert cell_val.labels[("val", "?")] == frozenset({"data"})
-    assert gc(mol.vars, mol) == mol
-    top0 = gc((), mol)
-    assert not top0.is_bottom and top0.vars == ()
+    # each launched thread gets an atom over exactly its own interface
+    dom = toy_domain()
+    index = dom.index
+    in0 = toy_atom({"a": {"a"}})
+    out0 = toy_atom({"a": {"a"}, "b": {"b"}})
+    for case in toy_cases(dom):
+        delta = dom.post_delta(in0, out0, 1, 4, case)
+        if delta is None:
+            continue
+        assert set(delta) == index.beta_cont(1) | index.beta_cont(4)
+        for l, a in delta.items():
+            assert a.vars == tuple(sorted(index.iface[l])) and set(a.labels) == index.iface[l]
+
+
+def test_pair_merges_tagged_sides():
+    # the two sides meet in one molecule: the sender's knowledge of the
+    # channel narrows what the receiver's continuation knows of it
+    dom = toy_domain(getvar_marker)
+    in0 = toy_atom({"a": {"a", "b"}})
+    out0 = toy_atom({"a": {"a"}, "b": {"b"}})
+    for case in toy_cases(dom):
+        assert dom.post_delta(in0, out0, 1, 4, case)[3].labels["a"] == frozenset("a")
+
+
+def test_split_is_sound_projection():
+    # with inputs that admit every name, every concrete step lands in its delta
+    top = toy_atom({"a": TOY_UNIVERSE})
+    assert_toy_transfer_sound(toy_domain(), top, toy_atom({"a": TOY_UNIVERSE, "b": TOY_UNIVERSE}))
+
+
+def test_sync_walkthrough_binds_message(memory_index):
+    # cell?5[val] receives the data that cell!10[valp] sends
+    dom = EnvDomain(memory_index, getvar_channel(memory_index))
+    a5 = normalize(raw(("cell", "fwd"), {"cell": {"cell"}, "fwd": {"ret"}}))
+    a10 = normalize(raw(("cell", "valp"), {"cell": {"cell"}, "valp": {"data"}}))
+    delta = dom.post_delta(a5, a10, 5, 10, _memory_case_5_10(memory_index))
+    assert delta[6].labels["val"] == delta[7].labels["val"] == frozenset({"data"})
+
+
+def test_sync_wrong_unit_label_collapses(memory_index):
+    dom = EnvDomain(memory_index, getvar_channel(memory_index))
+    a5 = normalize(raw(("cell", "fwd"), {"cell": {"cell"}, "fwd": {"ret"}}))
+    a10 = normalize(raw(("cell", "valp"), {"cell": {"cell"}, "valp": {"data"}}))
+    case = _memory_case_5_10(memory_index)
+    wrong = PartitionCase.make(case.classes, (("alloc",), ("ret",)))
+    assert dom.post_delta(a5, a10, 5, 10, case) is not None
+    assert dom.post_delta(a5, a10, 5, 10, wrong) is None
+
+
+def test_sync_no_constraints_is_normalize():
+    # marker-only units carry no names, so no case of a step constrains it
+    dom = toy_domain(getvar_marker)
+    in0 = toy_atom({"a": {"a", "b"}})
+    out0 = toy_atom({"a": {"a", "b"}, "b": TOY_UNIVERSE})
+    deltas = [dom.post_delta(in0, out0, 1, 4, case) for case in toy_cases(dom)]
+    assert len(deltas) > 1 and all(d == deltas[0] for d in deltas)
+
+
+@settings(max_examples=60, deadline=None)
+@given(toy_atoms(("a",)), toy_atoms(("a", "b")))
+def test_sync_soundness_toy_universe(in0, out0):
+    # concrete steps the inputs admit never escape the result
+    assert_toy_transfer_sound(toy_domain(), in0, out0)
 
 
 def test_init_env_memory(memory_index):

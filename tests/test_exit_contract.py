@@ -3,6 +3,7 @@
 `unknown`, and bad input is a located error, never a traceback."""
 
 import json
+import os
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from conftest import corpus_path
 from judges import reached
 from test_fuzz_soundness import random_system
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
 SEMAPHORE_TIGHT = "unit a: 1*x@2 + 1*x@3 + 1*x@5 <= 1"
 
 
@@ -72,6 +74,24 @@ def test_marker_unit_kept_by_a_continuation_passes_the_oracle(text, tmp_path, ca
     path = tmp_path / "kept.pi"
     path.write_text(text)
     assert main(["oracle-check", str(path), "--partition", "marker"]) == 0
+    assert "violations 0" in capsys.readouterr().out
+
+
+# A two-key marker-only spec: the sends at 2 share the receiver's key b1 (the
+# channel a) but their key b2 is the name n, whose marker is new.  Sharing a
+# key variable therefore does not put two threads in one unit.
+TWOKEY = (os.path.join(DATA, "twokey.pi"), "--partition", os.path.join(DATA, "twokey-marker.json"))
+TWOKEY_QUERY = "unit a: 1*x@2 <= 0"
+
+
+def test_two_key_marker_unit_is_not_proved(capsys):
+    code = main(["analyze", *TWOKEY, "--prove", TWOKEY_QUERY])
+    assert code == 1
+    assert f"[unknown] {TWOKEY_QUERY}" in capsys.readouterr().out
+
+
+def test_two_key_marker_spec_passes_the_oracle(capsys):
+    assert main(["oracle-check", *TWOKEY, "--max-configs", "300"]) == 0
     assert "violations 0" in capsys.readouterr().out
 
 

@@ -68,7 +68,11 @@ def random_system(rng: random.Random) -> str:
     return text  # give up; still a valid system
 
 
-@pytest.mark.parametrize("seed", [*range(24), 42])
+# seeds 39, 115, 118 and 134 climb forever if widening re-narrows its bounds
+WIDENING_SEEDS = (39, 115, 118, 134)
+
+
+@pytest.mark.parametrize("seed", [*range(24), 42, *WIDENING_SEEDS])
 def test_random_systems_are_sound(seed):
     rng = random.Random(20260 + seed)
     text = random_system(rng)
@@ -87,7 +91,7 @@ def test_random_systems_are_sound(seed):
         assert report.violations == [], (text, gv.mode, report.violations[:3])
 
 
-@pytest.mark.parametrize("seed", range(24, 30))
+@pytest.mark.parametrize("seed", [*range(24, 30), *WIDENING_SEEDS])
 def test_random_systems_standalone_sound(seed):
     # the single analyses must be sound on their own as well
     rng = random.Random(20260 + seed)
