@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Exhaustive small-scope soundness search.
 
-    python scripts/smallscope.py [--threads 2] [--depth 2] [--partition chan marker]
-                                 [--max-configs 200]
+    python scripts/smallscope.py [--threads 2] [--depth 2]
 
 Enumerates every system `new a in (T1 | ... | Tn)` whose threads are chains
 of at most `--depth` prefixes on names in scope.  A prefix is a send with 0
@@ -10,10 +9,11 @@ or 1 arguments, a receive, a replicated receive, or a receive that binds one
 variable, and any prefix may be followed by `new n in`.  The threads of a
 system are an unordered multiset, and bound names are named by their
 position, so each system is enumerated once.  Each system is analyzed (the
-coalesced product) under each partition and its fixpoint is checked against
-bounded concrete exploration.  Prints the number of systems and violations
-per partition, every violating system and the smallest one; exits 1 when
-there is a violation or a run that does not stabilize.
+coalesced product) under the chan and marker partitions, and its fixpoint is
+checked against bounded concrete exploration of 200 configurations.  Prints
+the number of systems and violations per partition, every violating system
+and the smallest one; exits 1 when there is a violation or a run that does
+not stabilize.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from picount.syntax import load_system
 
 PARTITIONS = {"chan": getvar_channel, "marker": getvar_marker}
 MAX_ITER = 300
+MAX_CONFIGS = 200
 
 
 def prefixes(scope, bound):
@@ -69,7 +70,7 @@ def systems(threads: int, depth: int):
         yield f"new a in ({body})"
 
 
-def judge(text: str, partition: str, max_configs: int) -> list[str] | None:
+def judge(text: str, partition: str) -> list[str] | None:
     """The oracle's violations of the system's product fixpoint, or None
     when the run does not stabilize."""
     index = load_system(text)
@@ -78,18 +79,18 @@ def judge(text: str, partition: str, max_configs: int) -> list[str] | None:
     if not fix.stabilized:
         return None
     env, con = fix.element
-    return verify_configs(analysis, env, con, max_configs=max_configs, max_depth=1 << 30).violations
+    return verify_configs(analysis, env, con, max_configs=MAX_CONFIGS, max_depth=1 << 30).violations
 
 
-def search(threads: int, depth: int, partitions, max_configs: int) -> dict:
+def search(threads: int, depth: int) -> dict:
     """Per partition: the systems whose fixpoint the oracle refutes, and
     those whose run did not stabilize."""
-    found = {p: {"violating": [], "unstabilized": []} for p in partitions}
+    found = {p: {"violating": [], "unstabilized": []} for p in PARTITIONS}
     count = 0
     for text in systems(threads, depth):
         count += 1
-        for p in partitions:
-            violations = judge(text, p, max_configs)
+        for p in PARTITIONS:
+            violations = judge(text, p)
             if violations is None:
                 found[p]["unstabilized"].append(text)
             elif violations:
@@ -102,15 +103,13 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--threads", type=int, default=2)
     ap.add_argument("--depth", type=int, default=2)
-    ap.add_argument("--partition", nargs="+", choices=sorted(PARTITIONS), default=["chan", "marker"])
-    ap.add_argument("--max-configs", type=int, default=200)
     args = ap.parse_args(argv)
     if args.threads < 1 or args.depth < 1:
         ap.error("--threads and --depth must be at least 1")
-    found = search(args.threads, args.depth, args.partition, args.max_configs)
+    found = search(args.threads, args.depth)
     print(f"systems {found['systems']}")
     bad = []
-    for p in args.partition:
+    for p in PARTITIONS:
         violating, unstabilized = found[p]["violating"], found[p]["unstabilized"]
         print(f"{p}: {len(violating)} violating, {len(unstabilized)} not stabilized")
         for text in violating:

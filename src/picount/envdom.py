@@ -190,6 +190,7 @@ def _project(m: AtomEnv, role: str, keep) -> AtomEnv:
     of constraint pairs, so the result is a normal form."""
     tagged = {(v, role) for v in keep}
     vars = tuple(v[0] for v in m.vars if v in tagged)
+    assert len(vars) == len(tagged), (keep, m.vars)
     labels = {v: m.labels[(v, role)] for v in vars}
     eqs = frozenset((a[0], b[0]) for a, b in m.eqs if a in tagged and b in tagged)
     neqs = frozenset((a[0], b[0]) for a, b in m.neqs if a in tagged and b in tagged)

@@ -13,6 +13,13 @@ but a later join or widening takes the hull of the boxes, so from there on
 the sparse result may be strictly smaller.  Once a dense element on the way
 to a result is in that state, the sparse result is only required to be at
 least as precise and still sound.
+
+Widening differs on purpose.  The reference reduces the widened element;
+`numdom.widen` does not, since tightening a box through the rows could
+narrow a bound it just widened.  Reduction only drops parts of the box that
+hold no integer solution, so the points still agree, but the sparse box may
+be looser and `entails` weaker.  For widening, an `entails` verdict of the
+sparse result is only required to hold for the reference as well.
 """
 
 from itertools import product
@@ -82,7 +89,7 @@ def both(op, *inputs):
     return old, new, all(x[2] for x in inputs) and settled(old)
 
 
-def assert_same(result, queries, what, covers=()):
+def assert_same(result, queries, what, covers=(), reduced=True):
     old, new, exact = result
     if exact:
         assert old.is_bottom == new.is_bottom, what
@@ -95,7 +102,10 @@ def assert_same(result, queries, what, covers=()):
             assert in_new, (what, "unsound", p)
     for expr, bound in queries:
         old_says, new_says = ref.entails(old, expr, bound), nd.entails(new, expr, bound)
-        assert new_says == old_says or (not exact and new_says), (what, expr, bound)
+        if reduced:
+            assert new_says == old_says or (not exact and new_says), (what, expr, bound)
+        else:
+            assert old_says or not (exact and new_says), (what, expr, bound)
 
 
 @settings(max_examples=150, deadline=None)
@@ -113,7 +123,6 @@ def test_sparse_matches_dense(raw_a, raw_b, plus, minus, reqs, queries):
         ("make a", a, ()),
         ("make b", b, ()),
         ("join", join, (a, b)),
-        ("widen", both(lambda m, lay, x, y: m.widen(lay, x, y), a, b), (a, b)),
         ("sync_atleast", both(lambda m, lay, x: m.sync_atleast(lay, reqs, x), a), ()),
         ("add_chi", both(lambda m, lay, x: m.add_chi(lay, x, plus), a), ()),
         ("sub_chi", both(lambda m, lay, x: m.sub_chi(lay, x, minus), a), ()),
@@ -123,7 +132,9 @@ def test_sparse_matches_dense(raw_a, raw_b, plus, minus, reqs, queries):
         ("transfer: add_chi", created, ()),
         ("transfer: update_trans", step, ()),
         ("join after transfer", both(lambda m, lay, x, y: m.join(lay, [x, y]), join, step), (join, step)),
-        ("widen after transfer", both(lambda m, lay, x, y: m.widen(lay, x, y), join, step), (join, step)),
     ]
     for what, result, covers in checks:
         assert_same(result, queries, what, covers)
+    for what, x, y in (("widen", a, b), ("widen after transfer", join, step)):
+        widened = both(lambda m, lay, u, v: m.widen(lay, u, v), x, y)
+        assert_same(widened, queries, what, (x, y), reduced=False)

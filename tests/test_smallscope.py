@@ -11,7 +11,7 @@ import smallscope
 
 
 def test_two_threads_depth_two_have_no_violation():
-    found = smallscope.search(2, 2, ("chan", "marker"), max_configs=200)
+    found = smallscope.search(2, 2)
     # 106 thread shapes: 5 single prefixes and 101 two-prefix chains
     assert found["systems"] == 106 * 107 // 2
     for p in ("chan", "marker"):
