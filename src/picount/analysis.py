@@ -249,7 +249,7 @@ def run(config: AnalysisConfig) -> RunResult:
         with open(config.path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise SourceError(f"cannot read {config.path}: {exc}") from exc
+        raise SourceError(f"cannot read {config.path}: {exc.strerror}") from exc
     index = load_system(text)
     gv = _resolve_partition(config.partition, index)
     queries = [parse_query(q, index) for q in config.queries]
@@ -384,8 +384,8 @@ def verify_configs(
 
     Contents checking is trace-sensitive (step counters accumulate along
     paths), so the walk is over (configuration, per-unit counters) states and
-    `max_configs` bounds those states.  The walk stops, truncated, once
-    `max_violations` violations are found.
+    `max_configs` bounds those states: the walk stops, truncated, at the
+    first state it refuses, or once `max_violations` violations are found.
 
     A state is checked as its difference from its source: the threads it
     added, and the units of the threads it added or removed and of the

@@ -81,7 +81,7 @@ def main(argv=None) -> int:
                 with open(args.dump_oracle, "w", encoding="utf-8") as out:
                     dump_configs(oracle.configs, out)
             except OSError as exc:
-                raise SourceError(f"cannot write {args.dump_oracle}: {exc}") from exc
+                raise SourceError(f"cannot write {args.dump_oracle}: {exc.strerror}") from exc
         sys.stdout.write(oracle.to_text())
         return 0 if not oracle.violations else 1
     except SourceError as exc:

@@ -22,9 +22,9 @@ increments once, and a target's counters replace only the step's own keys.
 `dump_configs` ranks and encodes each distinct thread once and sorts each
 configuration once, by rank.
 
-The walk yields every state before the edges leaving it (see `Walk`), so
-the oracle, which checks each state when it is yielded, checks a target only
-where it differs from its already checked source.
+The walk yields every state before the edges leaving it, and ends at its
+first refused target (see `Walk`).  The oracle checks each state when it is
+yielded, so only where it differs from its already checked source.
 """
 
 from __future__ import annotations
@@ -253,9 +253,9 @@ class Walk:
     ((unit, pair), n): how often each step pair has involved each concrete
     unit of `gv` (empty without `gv`).  Iterating yields every explored edge
     as (source, step, target, admitted); a new target is admitted while fewer
-    than `max_configs` states have been.  `truncated` records a refused
-    target, or a state left at `max_depth` with a step to a state not
-    visited.
+    than `max_configs` states have been.  The first one refused sets
+    `truncated` and is the last edge yielded; a state left at `max_depth`
+    with a step to a state not visited sets it too.
 
     Edges are yielded layer by layer, so every source is yielded (as an
     admitted target, or as `initial` before the walk starts) before any of
@@ -298,8 +298,10 @@ class Walk:
                         self.visited.add(target)
                         nxt.append(target)
                     yield source, step, target, admitted
+                    if self.truncated:  # nothing after can be admitted
+                        return
             frontier = nxt
-        if frontier and not self.truncated:
+        if frontier:
             self.truncated = any(
                 target not in self.visited
                 for source in frontier

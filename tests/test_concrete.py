@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+from picount import concrete
+from picount.cli import main
 from picount.concrete import (
     EPSILON,
     InternalError,
@@ -142,6 +144,60 @@ def test_depth_limit_truncates_only_with_a_step_left():
     two = walked(load_system(TWO_STEPS), 10000, max_depth=1)
     assert len(two.visited) == 2 and two.truncated is True
     assert walked(load_system(TWO_STEPS), 10000, max_depth=2).truncated is False
+
+
+# two senders race for a replicated receiver, whose every step launches a
+# private exchange: 9 reachable states, 12 edges, 4 of them to visited states
+FORKS = "new a in (a![] | a![] | *a?[].new b in (b![] | b?[].0))"
+
+
+def edge_key(edge):
+    source, step, target, admitted = edge
+    return source, step.receiver, step.sender, target, admitted
+
+
+@pytest.mark.parametrize("gv", [None, getvar_channel])
+def test_budget_of_all_reachable_states_is_exhaustive_and_one_less_truncates(gv):
+    index = load_system(FORKS)
+    gv = gv and gv(index)
+    full = Walk(index, max_configs=9, max_depth=1 << 30, gv=gv)
+    edges = list(full)
+    assert len(full.visited) == 9 and len(edges) == 12 and full.truncated is False
+    assert [admitted for *_, admitted in edges].count(True) == 8
+    short = Walk(index, max_configs=8, max_depth=1 << 30, gv=gv)
+    cut = list(short)
+    assert len(short.visited) == 8 and short.truncated is True
+    # the walk ends at the edge that admits the ninth state with room for it
+    last = len(cut) - 1
+    assert list(map(edge_key, cut[:last])) == list(map(edge_key, edges[:last]))
+    assert edge_key(cut[last])[:-1] == edge_key(edges[last])[:-1] and edges[last][3]
+    (*_, target, admitted) = cut[last]
+    assert not admitted and target not in short.visited
+
+
+def test_oracle_check_reports_the_budget_boundary(tmp_path, capsys):
+    path = tmp_path / "forks.pi"
+    path.write_text(FORKS)
+    for budget, verdict in ((9, "exhaustive"), (8, "truncated")):
+        assert main(["oracle-check", str(path), "--max-configs", str(budget)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"configurations {budget} ({verdict})\ninstrumented states {budget}\n")
+
+
+def test_enabled_steps_runs_only_for_sources_of_yielded_edges(monkeypatch, synccomm_index):
+    calls = []
+    original = concrete.enabled_steps
+
+    def counted(index, config, table=None):
+        calls.append(config)
+        return original(index, config, table)
+
+    monkeypatch.setattr(concrete, "enabled_steps", counted)
+    walk = Walk(synccomm_index, 1000, 1 << 30, getvar_channel(synccomm_index))
+    sources = list(dict.fromkeys(source for source, _, _, _ in walk))
+    assert calls == [config for config, _ in sources]
+    # states admitted after the last expanded source are never expanded
+    assert len(calls) < len(walk.visited) == 1000
 
 
 def test_explore_rejects_bad_limits(memory_index):

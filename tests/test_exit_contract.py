@@ -225,7 +225,16 @@ def test_cli_unwritable_dump_exits_two(tmp_path, capsys):
     dump = tmp_path / "missing" / "oracle.jsonl"
     argv = ["oracle-check", corpus_path("synccomm.pi"), "--max-configs", "20"]
     assert main(argv + ["--dump-oracle", str(dump)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: cannot write {dump}: ")
+    assert capsys.readouterr().err == f"error: cannot write {dump}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "oracle-check"])
+def test_cli_unreadable_system_names_its_path_once(command, tmp_path, capsys):
+    missing = tmp_path / "nosuch.pi"
+    assert main([command, str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read {missing}: No such file or directory\n"
 
 
 @pytest.mark.parametrize(

@@ -3,15 +3,18 @@
 A `Walk` builds each distinct (receiver, sender) step shape once and keeps one
 object per distinct thread.  Its edges must be exactly what a direct
 `enabled_steps` call, with a throwaway table, gives for each state it
-expands, and the configurations it reaches must dump as the record-by-record
-encoding does (checked on the systems whose dumps are small enough to encode
-twice).  `enabled_steps` matches senders by (channel, arity) bucket; its steps
-must be those of an all-pairs match, in the same order.
+expands, in order, up to the walk's first refused target, where it stops (an
+exhaustive walk expands every state).  The configurations it reaches must
+dump as the record-by-record encoding does (checked on the systems whose
+dumps are small enough to encode twice).  `enabled_steps` matches senders by
+(channel, arity) bucket; its steps must be those of an all-pairs match, in
+the same order.
 """
 
 import io
 import json
 import random
+from itertools import islice
 
 import pytest
 
@@ -36,6 +39,23 @@ from test_fuzz_soundness import random_system
 
 SYSTEMS = [*CORPUS, *(f"fuzz-{seed}" for seed in range(8))]
 DUMPED = ("synccomm.pi", "objects.pi")
+# a walk stops at its first refused target; at these bounds each system yields
+# at least as many edges as expanding every state of a 300-state walk does
+MAX_CONFIGS = {
+    "memory.pi": 850,
+    "semaphore2.pi": 800,
+    "synccomm.pi": 600,
+    "objects.pi": 750,
+    "dlist.pi": 1300,
+    "fuzz-0": 300,
+    "fuzz-1": 350,
+    "fuzz-2": 350,
+    "fuzz-3": 400,
+    "fuzz-4": 350,
+    "fuzz-5": 300,
+    "fuzz-6": 350,
+    "fuzz-7": 450,
+}
 
 
 def system_text(name: str) -> str:
@@ -64,20 +84,44 @@ def record_encoding(configs) -> list[str]:
     ]
 
 
+def walk_edges(name: str, partition: str):
+    """The system's index, a walk of it with its edges, and the states that
+    walk admitted, in the order it expands them.  Checks that the walk ends
+    at its first refused target, or is exhaustive."""
+    index = load_system(system_text(name))
+    gv = getvar_channel(index) if partition == "chan" else getvar_marker(index)
+    walk = Walk(index, max_configs=MAX_CONFIGS[name], max_depth=1 << 30, gv=gv)
+    edges = list(walk)
+    refused = [
+        i
+        for i, (_, _, target, admitted) in enumerate(edges)
+        if not admitted and target not in walk.visited
+    ]
+    assert refused == ([len(edges) - 1] if walk.truncated else [])
+    assert not walk.truncated or len(walk.visited) == MAX_CONFIGS[name]
+    # breadth first: states are expanded in the order they were admitted
+    expanded = [walk.initial] + [target for _, _, target, admitted in edges if admitted]
+    return index, walk, edges, expanded
+
+
+def cut(walk, edges, reference) -> list:
+    """`reference`, up to where `walk` stopped: as many edges as it yielded
+    if it was truncated, else all of them."""
+    return list(islice(reference, len(edges) if walk.truncated else None))
+
+
 @pytest.mark.parametrize("partition", ["chan", "marker"])
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_walk_edges_equal_table_free_steps(name, partition):
-    index = load_system(system_text(name))
-    gv = getvar_channel(index) if partition == "chan" else getvar_marker(index)
-    walk = Walk(index, max_configs=300, max_depth=1 << 30, gv=gv)
-    edges = list(walk)
-    # breadth first: states are expanded in the order they were admitted
-    expanded = [walk.initial] + [target for _, _, target, admitted in edges if admitted]
-    assert [(source, edge_record(step)) for source, step, _, _ in edges] == [
+    index, walk, edges, expanded = walk_edges(name, partition)
+    reference = (
         (source, edge_record(step))
         for source in expanded
         for step in enabled_steps(index, source[0])
-    ]
+    )
+    assert [(source, edge_record(step)) for source, step, _, _ in edges] == cut(
+        walk, edges, reference
+    )
     if name not in DUMPED:
         return
     configs = {config for config, _ in walk.visited}
@@ -110,15 +154,14 @@ def all_pairs_steps(index, config) -> list[tuple]:
 @pytest.mark.parametrize("partition", ["chan", "marker"])
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_bucketed_matching_equals_all_pairs(name, partition):
-    index = load_system(system_text(name))
-    gv = getvar_channel(index) if partition == "chan" else getvar_marker(index)
-    walk = Walk(index, max_configs=300, max_depth=1 << 30, gv=gv)
-    edges = list(walk)
-    expanded = [walk.initial] + [target for _, _, target, admitted in edges if admitted]
+    index, walk, edges, expanded = walk_edges(name, partition)
+    reference = (
+        (source, step) for source in expanded for step in all_pairs_steps(index, source[0])
+    )
     assert [
         (source, (step.pair, step.receiver, step.sender, step.target))
         for source, step, _, _ in edges
-    ] == [(source, step) for source in expanded for step in all_pairs_steps(index, source[0])]
+    ] == cut(walk, edges, reference)
 
 
 def test_walk_checks_every_target(monkeypatch, synccomm_index):
