@@ -3,6 +3,8 @@ reaches, and the partition case a concrete step realizes (which the
 partition-completeness tests and the oracle reference check compare with the
 abstract enumeration)."""
 
+import sys
+
 from picount.concrete import ConcreteStep, Walk
 from picount.partition import PartitionCase, member_key
 from picount.syntax import Label, SystemIndex
@@ -23,8 +25,21 @@ def reached(index: SystemIndex, max_configs: int, max_depth: int = 1 << 30) -> s
 
 
 def walk_steps(index: SystemIndex, max_configs: int) -> list[ConcreteStep]:
-    """The step of every edge an uninstrumented walk explores, in walk order."""
-    return [step for _, step, _, _ in Walk(index, max_configs, 1 << 30)]
+    """The step of every edge leaving the first `max_configs` states an
+    uninstrumented walk admits, in walk order.  A walk bounded by
+    `max_configs` would stop at its first refused target and leave most of
+    those states unexpanded, so the walk here is unbounded and cut at the
+    first edge leaving a later state (sources come in admission order)."""
+    walk = Walk(index, sys.maxsize, 1 << 30)
+    rank = {walk.initial: 0}
+    steps = []
+    for source, step, target, admitted in walk:
+        if rank[source] >= max_configs:
+            break
+        if admitted:
+            rank[target] = len(rank)
+        steps.append(step)
+    return steps
 
 
 def step_units(step: ConcreteStep, gv) -> dict[tuple[Label, str], tuple]:

@@ -293,7 +293,8 @@ def test_dump_configs_lines_equal_whole_record_encoding(name):
 
 
 def test_walk_counters_stay_empty_without_getvar(synccomm_index):
-    walk = Walk(synccomm_index, max_configs=200, max_depth=1 << 30)
+    # 400 states yield 1,053 edges, at least the 960 of expanding all of 200
+    walk = Walk(synccomm_index, max_configs=400, max_depth=1 << 30)
     edges = list(walk)
     assert all(not source[1] and not target[1] for source, _, target, _ in edges)
     admitted = [target for _, _, target, ok in edges if ok]
@@ -303,7 +304,8 @@ def test_walk_counters_stay_empty_without_getvar(synccomm_index):
 
 def test_walk_counts_steps_per_unit(synccomm_index):
     gv = getvar_channel(synccomm_index)
-    walk = Walk(synccomm_index, max_configs=300, max_depth=1 << 30, gv=gv)
+    # 600 states yield 1,754 edges, at least the 1,558 of expanding all of 300
+    walk = Walk(synccomm_index, max_configs=600, max_depth=1 << 30, gv=gv)
     for source, step, target, _ in walk:
         before, after = dict(source[1]), dict(target[1])
         bumped = {(u, step.pair) for u in step_units(step, gv).values()}
@@ -312,7 +314,7 @@ def test_walk_counts_steps_per_unit(synccomm_index):
             assert n == before.get(key, 0) + (key in bumped)
     # the instrumented walk reaches the same configurations as the plain one
     configs = {config for config, _ in walk.visited}
-    assert configs == reached(synccomm_index, max_configs=300)
+    assert configs == reached(synccomm_index, max_configs=600)
 
 
 def test_alpha_step_memory_walkthrough(memory_index):

@@ -56,6 +56,9 @@ MAX_CONFIGS = {
     "fuzz-6": 350,
     "fuzz-7": 450,
 }
+# at this bound a synccomm walk yields at least the 6,194 edges of expanding
+# every state of a 1,000-state walk
+SYNCCOMM_CONFIGS = 1850
 
 
 def system_text(name: str) -> str:
@@ -173,9 +176,9 @@ def test_walk_checks_every_target(monkeypatch, synccomm_index):
         return original(threads)
 
     monkeypatch.setattr(concrete, "make_config", counted)
-    walk = Walk(synccomm_index, 1000, 1 << 30, getvar_channel(synccomm_index))
+    walk = Walk(synccomm_index, SYNCCOMM_CONFIGS, 1 << 30, getvar_channel(synccomm_index))
     edges = list(walk)
-    assert len(walk.visited) == 1000
+    assert len(walk.visited) == SYNCCOMM_CONFIGS
     # the initial configuration, then one target per edge
     assert len(calls) == len(edges) + 1
 
@@ -189,16 +192,16 @@ def test_walk_launches_once_per_distinct_pair(monkeypatch, synccomm_index):
         return original(*args)
 
     monkeypatch.setattr(concrete, "launch", counted)
-    walk = Walk(synccomm_index, 1000, 1 << 30, getvar_channel(synccomm_index))
+    walk = Walk(synccomm_index, SYNCCOMM_CONFIGS, 1 << 30, getvar_channel(synccomm_index))
     steps = [step for _, step, _, _ in walk]
     pairs = {(step.receiver, step.sender) for step in steps}
-    assert len(walk.visited) == 1000 and len(steps) > 10 * len(pairs)
+    assert len(walk.visited) == SYNCCOMM_CONFIGS and len(steps) > 10 * len(pairs)
     # one launch for the initial configuration, two for each pair's shape
     assert len(calls) <= 2 * len(pairs) + 1
 
 
 def test_walk_keeps_one_object_per_distinct_thread(synccomm_index):
-    walk = Walk(synccomm_index, 1000, 1 << 30, getvar_channel(synccomm_index))
+    walk = Walk(synccomm_index, SYNCCOMM_CONFIGS, 1 << 30, getvar_channel(synccomm_index))
     steps = [step for _, step, _, _ in walk]
     threads = [t for config, _ in walk.visited for t in config]
     assert len({id(t) for t in threads}) == len(set(threads))
