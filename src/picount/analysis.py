@@ -5,7 +5,6 @@ cross-check against bounded concrete exploration, render reports.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from . import numdom
 from .concrete import Walk
@@ -24,15 +23,24 @@ from .partition import (
 from .syntax import Label, SourceError, SystemIndex, fmt_label, load_system
 
 
-@dataclass
 class Query:
     """Bounded linear form over one abstract unit's counters."""
 
-    unit_var: str
-    terms: tuple[tuple[int, str, object], ...]  # (coeff, kind 'x'|'y'|'z', ref)
-    bound: int
-    text: str
-    mutex: bool = False
+    __slots__ = ("unit_var", "terms", "bound", "text", "mutex")
+
+    def __init__(
+        self,
+        unit_var: str,
+        terms: tuple[tuple[int, str, object], ...],  # (coeff, kind 'x'|'y'|'z', ref)
+        bound: int,
+        text: str,
+        mutex: bool = False,
+    ):
+        self.unit_var = unit_var
+        self.terms = terms
+        self.bound = bound
+        self.text = text
+        self.mutex = mutex
 
 
 def parse_query(text: str, index: SystemIndex) -> Query:
@@ -125,22 +133,41 @@ def query_expr(layout, query: Query) -> dict[int, int]:
 # --- Configuration and reports ------------------------------------------------
 
 
-@dataclass
 class AnalysisConfig:
-    path: str
-    partition: str = "chan"  # 'chan' | 'marker' | path to a JSON spec
-    abstraction: str = "product"  # 'product' | 'env' | 'contents'
-    max_iter: int = 1000
-    queries: tuple[str, ...] = ()
-    max_configs: int = 5000
-    max_depth: int = 1 << 30
-    trace: bool = False
+    __slots__ = (
+        "path",
+        "partition",
+        "abstraction",
+        "max_iter",
+        "queries",
+        "max_configs",
+        "max_depth",
+        "trace",
+    )
 
-    def __post_init__(self):
-        if self.max_iter < 1:
+    def __init__(
+        self,
+        path: str,
+        partition: str = "chan",  # 'chan' | 'marker' | path to a JSON spec
+        abstraction: str = "product",  # 'product' | 'env' | 'contents'
+        max_iter: int = 1000,
+        queries: tuple[str, ...] = (),
+        max_configs: int = 5000,
+        max_depth: int = 1 << 30,
+        trace: bool = False,
+    ):
+        if max_iter < 1:
             raise SourceError("max iterations must be at least 1")
-        if self.max_configs < 1 or self.max_depth < 1:
+        if max_configs < 1 or max_depth < 1:
             raise SourceError("exploration limits must be at least 1")
+        self.path = path
+        self.partition = partition
+        self.abstraction = abstraction
+        self.max_iter = max_iter
+        self.queries = queries
+        self.max_configs = max_configs
+        self.max_depth = max_depth
+        self.trace = trace
 
 
 def _resolve_partition(spec: str, index: SystemIndex) -> GetVar:
@@ -151,18 +178,43 @@ def _resolve_partition(spec: str, index: SystemIndex) -> GetVar:
     return load_partition_spec(spec, index)
 
 
-@dataclass
 class Report:
-    path: str
-    partition: str
-    abstraction: str
-    iterations: int
-    stabilized: bool
-    warnings: list[str]
-    units: list[dict]
-    env: list[dict]
-    queries: list[dict]
-    trace: list[dict] = field(default_factory=list)
+    __slots__ = (
+        "path",
+        "partition",
+        "abstraction",
+        "iterations",
+        "stabilized",
+        "warnings",
+        "units",
+        "env",
+        "queries",
+        "trace",
+    )
+
+    def __init__(
+        self,
+        path: str,
+        partition: str,
+        abstraction: str,
+        iterations: int,
+        stabilized: bool,
+        warnings: list[str],
+        units: list[dict],
+        env: list[dict],
+        queries: list[dict],
+        trace: list[dict] | None = None,
+    ):
+        self.path = path
+        self.partition = partition
+        self.abstraction = abstraction
+        self.iterations = iterations
+        self.stabilized = stabilized
+        self.warnings = warnings
+        self.units = units
+        self.env = env
+        self.queries = queries
+        self.trace = [] if trace is None else trace
 
     @property
     def all_proved(self) -> bool:
@@ -214,14 +266,24 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
 class RunResult:
-    report: Report
-    analysis: Analysis
-    fix: FixpointResult
-    env_fix: EnvMap | None
-    con_fix: CUMap | None
-    exit_code: int
+    __slots__ = ("report", "analysis", "fix", "env_fix", "con_fix", "exit_code")
+
+    def __init__(
+        self,
+        report: Report,
+        analysis: Analysis,
+        fix: FixpointResult,
+        env_fix: EnvMap | None,
+        con_fix: CUMap | None,
+        exit_code: int,
+    ):
+        self.report = report
+        self.analysis = analysis
+        self.fix = fix
+        self.env_fix = env_fix
+        self.con_fix = con_fix
+        self.exit_code = exit_code
 
 
 def _env_entry(label, a) -> dict:
@@ -337,12 +399,14 @@ def run(config: AnalysisConfig) -> RunResult:
 # --- Soundness harness ---------------------------------------------------------
 
 
-@dataclass
 class OracleReport:
-    configs: set  # the configurations checked
-    states_visited: int
-    truncated: bool
-    violations: list[str]
+    __slots__ = ("configs", "states_visited", "truncated", "violations")
+
+    def __init__(self, configs: set, states_visited: int, truncated: bool, violations: list[str]):
+        self.configs = configs  # the configurations checked
+        self.states_visited = states_visited
+        self.truncated = truncated
+        self.violations = violations
 
     @property
     def configs_visited(self) -> int:

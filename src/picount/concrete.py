@@ -58,15 +58,16 @@ class InternalError(AssertionError):
 class Thread:
     """One running prefix: (label, marker, environment over its interface).
     `site` is (label, marker), which no two threads of one configuration
-    share."""
+    share; `site_hash` is its hash, taken once."""
 
-    __slots__ = ("label", "marker", "env", "site", "_key", "_hash")
+    __slots__ = ("label", "marker", "env", "site", "site_hash", "_key", "_hash")
 
     def __init__(self, label: Label, marker: Marker, env: dict[Var, Name]):
         self.label = label
         self.marker = marker
         self.env = env
         self.site = (label, marker)
+        self.site_hash = hash(self.site)
         self._key = (label, marker, tuple(sorted(env.items())))
         self._hash = hash(self._key)
 
@@ -92,13 +93,14 @@ def _marker_key(m: Marker):
 Configuration = frozenset  # of Thread
 
 
-_site = operator.attrgetter("site")
+_site_hash = operator.attrgetter("site_hash")
 
 
 def make_config(threads) -> Configuration:
     threads = frozenset(threads)
-    if len(set(map(_site, threads))) != len(threads):
-        # some site repeats: find the first one met, to name it
+    if len(set(map(_site_hash, threads))) != len(threads):
+        # two site hashes agree: a site repeats or two hashes collide, so
+        # compare the sites themselves and name the first repeat met
         seen = set()
         for t in threads:
             k = t.site

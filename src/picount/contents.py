@@ -21,25 +21,35 @@ deltas plus the per-transition step counter apply on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import numdom
 from .numdom import CountLayout, NumElem
 from .partition import GetVar, PartitionCase
 from .syntax import INPUT, Label, SystemIndex
 
 
-@dataclass(frozen=True)
 class CUMap:
     """Counting view of all abstract computation units.
 
     `entries` hold the accumulated contents of touched units (absent means
     nothing accumulated yet); `default` covers every unit in its untouched
-    life.  Membership is disjunctive: accumulation or default.
+    life.  Membership is disjunctive: accumulation or default.  Two maps are
+    equal when their `default` and `entries` are.
     """
 
-    default: NumElem
-    entries: tuple[tuple[tuple, NumElem], ...]  # sorted by repr(unit), no bottoms
+    __slots__ = ("default", "entries", "_map")
+
+    def __init__(self, default: NumElem, entries: tuple[tuple[tuple, NumElem], ...]):
+        self.default = default
+        self.entries = entries  # sorted by repr(unit), no bottoms
+        self._map = dict(entries)
+
+    def __eq__(self, other):
+        if type(other) is not CUMap:
+            return NotImplemented
+        return (self.default, self.entries) == (other.default, other.entries)
+
+    def __hash__(self):
+        return hash((self.default, self.entries))
 
     @staticmethod
     def of(default: NumElem, entries: dict) -> "CUMap":
@@ -49,9 +59,6 @@ class CUMap:
             if not e.is_bottom
         )
         return CUMap(default, kept)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_map", dict(self.entries))
 
     def accum(self, unit: tuple, layout: CountLayout) -> NumElem:
         return self._map.get(unit, numdom.bottom(layout))

@@ -20,7 +20,6 @@ if anything was posted, and the slot's deltas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .contents import ContentsDomain, CUMap
@@ -44,13 +43,22 @@ def abstract_step_labels(index: SystemIndex) -> list[tuple[Label, Label]]:
     return pairs
 
 
-@dataclass
 class FixpointResult:
-    env: EnvMap | None
-    con: CUMap | None
-    iterations: int
-    stabilized: bool
-    trace: list[dict] = field(default_factory=list)
+    __slots__ = ("env", "con", "iterations", "stabilized", "trace")
+
+    def __init__(
+        self,
+        env: EnvMap | None,
+        con: CUMap | None,
+        iterations: int,
+        stabilized: bool,
+        trace: list[dict] | None = None,
+    ):
+        self.env = env
+        self.con = con
+        self.iterations = iterations
+        self.stabilized = stabilized
+        self.trace = [] if trace is None else trace
 
     @property
     def element(self):
@@ -62,16 +70,25 @@ class FixpointResult:
         return (self.env, self.con)
 
 
-@dataclass
 class Analysis:
-    """All domain objects for one system under one partitioning."""
+    """All domain objects for one system under one partitioning.  No
+    `__slots__`: the `cached_property`s keep their values in `__dict__`."""
 
-    index: SystemIndex
-    gv: GetVar
-    layout: CountLayout
-    env_dom: EnvDomain
-    con_dom: ContentsDomain
-    pairs: list[tuple[Label, Label]]
+    def __init__(
+        self,
+        index: SystemIndex,
+        gv: GetVar,
+        layout: CountLayout,
+        env_dom: EnvDomain,
+        con_dom: ContentsDomain,
+        pairs: list[tuple[Label, Label]],
+    ):
+        self.index = index
+        self.gv = gv
+        self.layout = layout
+        self.env_dom = env_dom
+        self.con_dom = con_dom
+        self.pairs = pairs
 
     @staticmethod
     def build(index: SystemIndex, gv: GetVar) -> "Analysis":

@@ -21,7 +21,6 @@ to normal forms directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .partition import FULL_NAME, GetVar, PartitionCase
@@ -200,14 +199,23 @@ def _project(m: AtomEnv, role: str, keep) -> AtomEnv:
 # --- Per-program-point map ---------------------------------------------------
 
 
-@dataclass(frozen=True)
 class EnvMap:
-    """One AtomEnv over I(l) per program point l."""
+    """One AtomEnv over I(l) per program point l; two maps are equal when
+    their tables are."""
 
-    table: tuple[tuple[Label, AtomEnv], ...]
+    __slots__ = ("table", "_map")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_map", dict(self.table))
+    def __init__(self, table: tuple[tuple[Label, AtomEnv], ...]):
+        self.table = table
+        self._map = dict(table)
+
+    def __eq__(self, other):
+        if type(other) is not EnvMap:
+            return NotImplemented
+        return self.table == other.table
+
+    def __hash__(self):
+        return hash(self.table)
 
     @staticmethod
     def of(entries: dict[Label, AtomEnv]) -> "EnvMap":

@@ -24,12 +24,14 @@ operation shares that one canonical routine.
 Widening keeps the hull on the affine side and widens boxes through the
 threshold set {0, 1} before giving up to infinity, which is exactly enough to
 keep one-shot step counters bounded.
+
+`entails` is exact in integers as well: its candidate forms keep integer
+coefficients over one positive denominator, and it compares their rational
+values by cross-multiplying.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 INF = None  # upper bound marker
@@ -40,12 +42,23 @@ REDUCE_ROUNDS = 2
 # --- Variables of the counting domain --------------------------------------
 
 
-@dataclass(frozen=True)
 class CountVar:
-    """x@l occupancy counters, y@(l?,l!) step counters, z@(l?,l!) step flags."""
+    """x@l occupancy counters, y@(l?,l!) step counters, z@(l?,l!) step flags.
+    Two are equal when their kind and ref are."""
 
-    kind: str  # 'x' | 'y' | 'z'
-    ref: object  # label for x, (label, label) for y/z
+    __slots__ = ("kind", "ref")
+
+    def __init__(self, kind: str, ref: object):
+        self.kind = kind  # 'x' | 'y' | 'z'
+        self.ref = ref  # label for x, (label, label) for y/z
+
+    def __eq__(self, other):
+        if type(other) is not CountVar:
+            return NotImplemented
+        return (self.kind, self.ref) == (other.kind, other.ref)
+
+    def __hash__(self):
+        return hash((self.kind, self.ref))
 
     def pretty(self) -> str:
         if self.kind == "x":
@@ -550,6 +563,12 @@ def _coupled_intervals(a: NumElem):
     return ivs
 
 
+# `entails` works on candidate forms (expr, shift, den): integer coefficients
+# and shift over one positive integer denominator, standing for the rational
+# form (sum(expr) + shift) / den.  Values are compared by cross-multiplying,
+# so every comparison is exact.
+
+
 def _upper_value(expr, shift, ivs):
     """Largest value of shift + sum(expr) over the boxes, or None."""
     total = shift
@@ -564,22 +583,24 @@ def _upper_value(expr, shift, ivs):
     return total
 
 
-def _eliminate_var(expr, shift, var, terms, const):
-    """Cancel `var` from the expression using a row that mentions it."""
+def _eliminate_var(expr, shift, den, var, terms, const):
+    """Cancel `var` from the form using a row that mentions it: subtract
+    expr[var] / cv times the row, scaling the form by |cv|."""
     cv = next(c for i, c in terms if i == var)
-    coeff = expr[var]
-    out = dict(expr)
+    scale, coeff = abs(cv), expr[var] if cv > 0 else -expr[var]
+    out = {i: c * scale for i, c in expr.items()}
     for i, c in terms:
-        nc = out.get(i, Fraction(0)) - coeff * Fraction(c, cv)
+        nc = out.get(i, 0) - coeff * c
         if nc:
             out[i] = nc
         elif i in out:
             del out[i]
-    return out, shift + coeff * Fraction(const, cv)
+    return out, shift * scale + coeff * const, den * scale
 
 
-def _objective(expr, shift, ivs):
-    """(number of +inf contributions, bound value ignoring them) - lexicographic."""
+def _objective(expr, shift, den, ivs):
+    """(number of +inf contributions, bound value ignoring them, den); see
+    `_improves` for the order."""
     unbounded = 0
     total = shift
     for i, c in expr.items():
@@ -591,11 +612,19 @@ def _objective(expr, shift, ivs):
                 total += c * hi
         else:
             total += c * lo
-    return (unbounded, total)
+    return (unbounded, total, den)
+
+
+def _improves(a, b) -> bool:
+    """Objective `a` is lexicographically below `b`: fewer unbounded terms,
+    or as many and a smaller rational value."""
+    if a[0] != b[0]:
+        return a[0] < b[0]
+    return a[1] * b[2] < b[1] * a[2]
 
 
 def entails(a: NumElem, expr: dict[int, int], bound: int) -> bool:
-    """Sound check of sum(expr) <= bound.
+    """Sound check of sum(expr) <= bound, exact in integers.
 
     The expression is first rewritten canonically (every pivot substituted
     away, leaving free variables only), then improved by hill climbing: any
@@ -608,37 +637,39 @@ def entails(a: NumElem, expr: dict[int, int], bound: int) -> bool:
     ivs = _coupled_intervals(a)
     if ivs is None:
         return True
-    start = ({i: Fraction(c) for i, c in expr.items() if c}, Fraction(0))
+    start = ({i: c for i, c in expr.items() if c}, 0, 1)
     pivot_rows = {r[0][0][0]: r for r in a.rows}
 
-    reduced, rshift = start
+    reduced = start
     while True:
-        p = next((i for i in reduced if i in pivot_rows), None)
+        p = next((i for i in reduced[0] if i in pivot_rows), None)
         if p is None:
             break
-        reduced, rshift = _eliminate_var(reduced, rshift, p, *pivot_rows[p])
+        reduced = _eliminate_var(*reduced, p, *pivot_rows[p])
 
-    candidates = [start, (reduced, rshift)]
-    for best, bshift in list(candidates):
-        obj = _objective(best, bshift, ivs)
+    candidates = [start, reduced]
+    for best in list(candidates):
+        obj = _objective(*best, ivs)
         for _ in range(2 * len(a.rows) + 8):
             move = None
             for terms, const in a.rows:
                 for v, _c in terms:
-                    if not best.get(v):
+                    if not best[0].get(v):
                         continue
-                    cand, cshift = _eliminate_var(best, bshift, v, terms, const)
-                    cand_obj = _objective(cand, cshift, ivs)
-                    if cand_obj < obj and (move is None or cand_obj < move[0]):
-                        move = (cand_obj, cand, cshift)
+                    cand = _eliminate_var(*best, v, terms, const)
+                    cand_obj = _objective(*cand, ivs)
+                    if _improves(cand_obj, obj) and (move is None or _improves(cand_obj, move[0])):
+                        move = (cand_obj, cand)
             if move is None:
                 break
-            obj, best, bshift = move
-        candidates.append((best, bshift))
+            obj, best = move
+        candidates.append(best)
 
-    values = [_upper_value(e, s, ivs) for e, s in candidates]
-    finite = [v for v in values if v is not None]
-    return bool(finite) and min(finite) <= bound
+    for e, s, den in candidates:
+        value = _upper_value(e, s, ivs)
+        if value is not None and value <= bound * den:
+            return True
+    return False
 
 
 def contains_point(a: NumElem, point: dict[int, int]) -> bool:

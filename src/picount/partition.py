@@ -19,7 +19,6 @@ The enumeration is pruned in two semantics-preserving ways:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import product
 
 from .syntax import (
@@ -50,20 +49,26 @@ def fmt_member(m: Member) -> str:
     return f"({fmt_label(m[0])},{m[1]})"
 
 
-@dataclass(frozen=True)
 class GetVar:
     """Partitioning strategy: per-label key variables plus the stable key set."""
 
-    keys: tuple[str, ...]
-    table: dict[Label, dict[str, Var]]
-    stable: frozenset[str]
-    mode: str = FULL_NAME
+    __slots__ = ("keys", "table", "stable", "mode")
 
-    def __post_init__(self):
-        if self.mode not in (FULL_NAME, MARKER_ONLY):
-            raise ValueError(f"unknown partition mode {self.mode}")
-        if not self.stable <= set(self.keys):
+    def __init__(
+        self,
+        keys: tuple[str, ...],
+        table: dict[Label, dict[str, Var]],
+        stable: frozenset[str],
+        mode: str = FULL_NAME,
+    ):
+        if mode not in (FULL_NAME, MARKER_ONLY):
+            raise ValueError(f"unknown partition mode {mode}")
+        if not stable <= set(keys):
             raise ValueError("stable keys must be a subset of the key set")
+        self.keys = keys
+        self.table = table
+        self.stable = stable
+        self.mode = mode
 
     def keyvar(self, label: Label, key: str) -> Var:
         return self.table[label][key]
@@ -158,15 +163,27 @@ def step_roster(index: SystemIndex, lq: Label, le: Label) -> tuple[Member, ...]:
     return tuple(recv + send)
 
 
-@dataclass(frozen=True)
 class PartitionCase:
     """Equivalence classes over a step roster, each tagged with its abstract
     unit and with whether the step creates that unit (`new_unit`).  The flag
     follows from the classes and the step pair, so equality ignores it."""
 
-    classes: tuple[frozenset, ...]
-    assign: tuple[tuple, ...]
-    new_unit: tuple[bool, ...] = field(compare=False)
+    __slots__ = ("classes", "assign", "new_unit")
+
+    def __init__(
+        self, classes: tuple[frozenset, ...], assign: tuple[tuple, ...], new_unit: tuple[bool, ...]
+    ):
+        self.classes = classes
+        self.assign = assign
+        self.new_unit = new_unit
+
+    def __eq__(self, other):
+        if type(other) is not PartitionCase:
+            return NotImplemented
+        return (self.classes, self.assign) == (other.classes, other.assign)
+
+    def __hash__(self):
+        return hash((self.classes, self.assign))
 
     @staticmethod
     def make(classes, assign, new_unit=None) -> "PartitionCase":

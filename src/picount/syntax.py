@@ -27,7 +27,6 @@ named ``rec@l`` (the ``@`` keeps it out of the user namespace).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 Label = int | str
 Var = str
@@ -62,45 +61,68 @@ def fmt_label(l: Label) -> str:
 # --- AST ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Process:
-    pass
+    """A process term.  Nodes are values: two compare equal, and hash alike,
+    when they have the same type and equal fields (`__slots__`, in order)."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, self._fields()))})"
 
 
-@dataclass(frozen=True)
 class Nil(Process):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Par(Process):
-    left: Process
-    right: Process
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Process, right: Process):
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
 class New(Process):
-    var: Var
-    body: Process
+    __slots__ = ("var", "body")
+
+    def __init__(self, var: Var, body: Process):
+        self.var = var
+        self.body = body
 
 
-@dataclass(frozen=True)
 class Prefix(Process):
     """Input, output or replicated-input (fetch) guarded process."""
 
-    kind: str  # INPUT | OUTPUT | FETCH
-    chan: Var
-    label: Label
-    args: tuple[Var, ...]
-    cont: Process
+    __slots__ = ("kind", "chan", "label", "args", "cont")
+
+    def __init__(self, kind: str, chan: Var, label: Label, args: tuple[Var, ...], cont: Process):
+        self.kind = kind  # INPUT | OUTPUT | FETCH
+        self.chan = chan
+        self.label = label
+        self.args = args
+        self.cont = cont
 
 
-@dataclass(frozen=True)
 class Bang(Process):
     """Surface-only replication node, removed by desugaring."""
 
-    label: Label
-    body: Process
+    __slots__ = ("label", "body")
+
+    def __init__(self, label: Label, body: Process):
+        self.label = label
+        self.body = body
 
 
 NIL = Nil()
@@ -122,12 +144,14 @@ _TOKEN_RE = re.compile(
 _KEYWORDS = {"new", "in"}
 
 
-@dataclass
 class _Tok:
-    kind: str  # 'int' | 'ident' | 'kw' | punct char | 'eof'
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # 'int' | 'ident' | 'kw' | punct char | 'eof'
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def _tokenize(text: str) -> list[_Tok]:
@@ -394,21 +418,48 @@ def beta(p: Process) -> frozenset[Label]:
     raise AssertionError(f"beta on desugared trees only: {p}")
 
 
-@dataclass
 class SystemIndex:
     """Per-label static maps of a closed, uniquely-bound, bang-free system."""
 
-    root: Process
-    labels: tuple[Label, ...]  # all prefix labels, sorted
-    type: dict[Label, str]
-    chan: dict[Label, Var]
-    arg: dict[Label, tuple[Var, ...]]
-    cont: dict[Label, Process]
-    iface: dict[Label, frozenset[Var]]  # free variables of comp(l)
-    restriction_vars: tuple[Var, ...]  # in binding preorder; the name universe
-    root_labels: frozenset[Label]  # beta of the whole system
-    fresh: dict[Label, frozenset[Var]]  # restriction vars first bound when cont(l) launches
-    warnings: list[str] = field(default_factory=list)
+    __slots__ = (
+        "root",
+        "labels",
+        "type",
+        "chan",
+        "arg",
+        "cont",
+        "iface",
+        "restriction_vars",
+        "root_labels",
+        "fresh",
+        "warnings",
+    )
+
+    def __init__(
+        self,
+        root: Process,
+        labels: tuple[Label, ...],
+        type: dict[Label, str],
+        chan: dict[Label, Var],
+        arg: dict[Label, tuple[Var, ...]],
+        cont: dict[Label, Process],
+        iface: dict[Label, frozenset[Var]],
+        restriction_vars: tuple[Var, ...],
+        root_labels: frozenset[Label],
+        fresh: dict[Label, frozenset[Var]],
+        warnings: list[str] | None = None,
+    ):
+        self.root = root
+        self.labels = labels  # all prefix labels, sorted
+        self.type = type
+        self.chan = chan
+        self.arg = arg
+        self.cont = cont
+        self.iface = iface  # free variables of comp(l)
+        self.restriction_vars = restriction_vars  # in binding preorder; the name universe
+        self.root_labels = root_labels  # beta of the whole system
+        self.fresh = fresh  # restriction vars first bound when cont(l) launches
+        self.warnings = [] if warnings is None else warnings
 
     @property
     def name_universe(self) -> frozenset[Var]:

@@ -114,6 +114,15 @@ def test_marker_collision_is_internal_error():
         make_config({t1, t2})
 
 
+def test_site_hash_collision_is_no_error():
+    # CPython hashes -1 and -2 alike, so these distinct sites' hashes agree
+    t1, t2 = Thread(-1, (), {}), Thread(-2, (), {})
+    assert t1.site != t2.site and t1.site_hash == t2.site_hash
+    assert make_config([t1, t2]) == {t1, t2}
+    with pytest.raises(InternalError, match=r"\(-1, \(\)\)"):
+        make_config([t1, t2, Thread(-1, (), {"a": ("a", ())})])
+
+
 def test_name_provenance(semaphore_index):
     # every name's marker belongs to a thread that launch actually created
     walk = Walk(semaphore_index, max_configs=400, max_depth=1 << 30)
