@@ -587,7 +587,8 @@ def _eliminate_var(expr, shift, den, var, terms, const):
     """Cancel `var` from the form using a row that mentions it: subtract
     expr[var] / cv times the row, scaling the form by |cv|."""
     cv = next(c for i, c in terms if i == var)
-    scale, coeff = abs(cv), expr[var] if cv > 0 else -expr[var]
+    scale = abs(cv)
+    coeff = expr[var] if cv > 0 else -expr[var]  # expr[var] / cv, over den * scale
     out = {i: c * scale for i, c in expr.items()}
     for i, c in terms:
         nc = out.get(i, 0) - coeff * c
