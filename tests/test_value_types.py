@@ -173,18 +173,3 @@ def test_default_lists_are_not_shared():
     # the arity lint fills its own list
     assert load_system("new a, x in (a!1[x] | a?2[])").warnings
 
-
-def test_report_positional_and_keyword_fields():
-    report = Report(
-        path="p.pi",
-        partition="chan",
-        abstraction="env",
-        iterations=2,
-        stabilized=False,
-        warnings=["w"],
-        units=[],
-        env=[],
-        queries=[{"query": "q", "result": "proved"}],
-    )
-    assert report.all_proved and report.trace == []
-    assert "iterations  2 (NOT stabilized)" in report.to_text()
