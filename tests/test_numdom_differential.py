@@ -138,3 +138,91 @@ def test_sparse_matches_dense(raw_a, raw_b, plus, minus, reqs, queries):
     for what, x, y in (("widen", a, b), ("widen after transfer", join, step)):
         widened = both(lambda m, lay, u, v: m.widen(lay, u, v), x, y)
         assert_same(widened, queries, what, (x, y), reduced=False)
+
+
+# --- The elimination kernel and the pinned hull ------------------------------
+
+WIDE = 8  # counters of the kernel and hull tests
+
+
+@st.composite
+def raw_rows(draw):
+    """Up to eight rows over WIDE counters, each with distinct indices in any
+    order and coefficients that may be 0; most hold at one shared point."""
+    point = [draw(st.integers(0, 3)) for _ in range(WIDE)]
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        terms = draw(
+            st.lists(
+                st.tuples(st.integers(0, WIDE - 1), st.integers(-3, 3)),
+                max_size=5,
+                unique_by=lambda t: t[0],
+            )
+        )
+        if draw(st.integers(0, 4)):
+            const = sum(c * point[i] for i, c in terms)
+        else:
+            const = draw(st.integers(-3, 6))
+        rows.append((tuple(terms), const))
+    return rows
+
+
+def canonical_or_contradiction(module, rows):
+    try:
+        return module.affine_from_rows(rows)
+    except module.Contradiction:
+        return "contradiction"
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_rows(), raw_rows(), st.integers(0, WIDE - 1))
+def test_kernel_matches_reference(raw, probes, idx):
+    canon = canonical_or_contradiction(nd, raw)
+    assert canon == canonical_or_contradiction(ref, raw), raw
+    if canon == "contradiction":
+        return
+    for terms, const in probes:
+        assert nd.affine_entailed(canon, terms, const) == ref.affine_entailed(
+            canon, terms, const
+        ), (canon, terms, const)
+    assert nd.affine_project_out(canon, idx) == ref.affine_project_out(canon, idx)
+
+
+HULL = nd.CountLayout(tuple(range(1, WIDE + 1)), ())
+
+
+@st.composite
+def pinned_elements(draw):
+    """Reduced elements over HULL: boxes within 0..3, about half of them
+    pinned to a value drawn from the box, and rows through a point of it."""
+    ivs, point = [], []
+    for _ in range(WIDE):
+        lo = draw(st.integers(0, 2))
+        hi = draw(st.integers(lo, 3))
+        v = draw(st.integers(lo, hi))
+        ivs.append((v, v) if draw(st.booleans()) else (lo, hi))
+        point.append(v)
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        idx = sorted(draw(st.sets(st.integers(0, WIDE - 1), min_size=2, max_size=4)))
+        terms = tuple((i, draw(st.integers(-2, 2))) for i in idx)
+        rows.append((terms, sum(c * point[i] for i, c in terms)))
+    return nd.make(HULL, ivs, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(pinned_elements(), min_size=2, max_size=7))
+def test_pinned_hull_matches_reference(elems):
+    ivs = [
+        (min(lo for lo, _ in col), max(hi for _, hi in col))
+        for col in zip(*(e.ivs for e in elems))
+    ]
+    systems = []
+    for e in elems:
+        pins = [
+            (((i, 1),), lo)
+            for i, (lo, hi) in enumerate(e.ivs)
+            if lo == hi and ivs[i][0] != ivs[i][1]
+        ]
+        systems.append(ref.affine_from_rows(list(e.rows) + pins))
+    assert nd._hull_rows(elems, ivs) == ref.affine_hull(systems), elems
