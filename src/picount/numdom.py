@@ -15,12 +15,19 @@ Reduction substitutes pinned constants into the rows, turns single-variable
 rows into pins, and tightens boxes through the remaining rows in integer
 arithmetic; contradictions collapse to bottom.
 
-Join is the affine hull plus the interval hull; counters pinned to the same
-value in every input factor out, the other pins join the hull as rows.  The
-hull stays on the constraint side (Karr's join): the equalities valid on
-every input are the intersection of the inputs' homogenized row spaces,
-which one elimination by `affine_from_rows` yields, so every affine
-operation shares that one canonical routine.
+Every affine operation runs on one integer elimination kernel (`_echelon`).
+While it eliminates, a row is a {index: coeff} dict plus its constant; a new
+row is cleared of the pivots it mentions, made primitive once, and
+back-substituted into only the rows that hold its pivot.
+
+Join is the affine hull plus the interval hull.  Counters pinned in the
+hull's box hold that value in every input and factor out; only the others
+take part.  The hull is built from generators: each input gives one
+homogenized integer point, in which its pins are coordinates, and one
+direction per free counter.  The hull's equalities are the vectors
+orthogonal to all generators, read off one reduced echelon form of the
+generators and canonicalized by the kernel, so a pinned counter never
+enters an elimination as a row.
 Widening keeps the hull on the affine side and widens boxes through the
 threshold set {0, 1} before giving up to infinity, which is exactly enough to
 keep one-shot step counters bounded.
@@ -32,7 +39,7 @@ values by cross-multiplying.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 INF = None  # upper bound marker
 
@@ -112,94 +119,96 @@ class Contradiction(Exception):
     pass
 
 
-def _primitive(terms, const) -> Row | None:
-    terms = tuple((i, c) for i, c in terms if c != 0)
-    if not terms:
-        return None if const == 0 else ((), const)
-    g = 0
-    for _, c in terms:
-        g = gcd(g, abs(c))
-    g = gcd(g, abs(const))
-    if terms[0][1] < 0:
-        terms = tuple((i, -c) for i, c in terms)
-        const = -const
-    if g > 1:
-        terms = tuple((i, c // g) for i, c in terms)
-        const = const // g
-    return (terms, const)
+def _cancel(acc: dict, const: int, c: int, q, qc: int, qconst: int) -> int:
+    """Cancel the entry `c` of the dict row `acc`, in place, through the row
+    (`q` items, `qconst`) whose entry there is `qc`; returns the constant."""
+    g = gcd(c, qc)
+    a, b = qc // g, c // g
+    if a != 1:
+        for i in acc:
+            acc[i] *= a
+        const *= a
+    for i, qv in q:
+        v = acc.get(i, 0) - b * qv
+        if v:
+            acc[i] = v
+        else:
+            del acc[i]
+    return const - b * qconst
 
 
-def _combine(row_a: Row, ca: int, row_b: Row, cb: int) -> Row | None:
-    """ca * row_a + cb * row_b, primitive."""
-    acc: dict[int, int] = {}
-    for i, c in row_a[0]:
-        acc[i] = acc.get(i, 0) + ca * c
-    for i, c in row_b[0]:
-        acc[i] = acc.get(i, 0) + cb * c
-    return _primitive(sorted(acc.items()), ca * row_a[1] + cb * row_b[1])
+def _settle(acc: dict, const: int) -> tuple[int, int]:
+    """Make a non-empty dict row primitive with a positive pivot (its least
+    index), in place; returns the pivot and the constant."""
+    p = min(acc)
+    g = gcd(*acc.values(), const)
+    if acc[p] < 0:
+        g = -g
+    if g != 1:
+        for i in acc:
+            acc[i] //= g
+        const //= g
+    return p, const
 
 
-def _eliminate(row: Row | None, pivot_rows: dict[int, Row]) -> Row | None:
-    """Remove every pivot variable from the row (pivot rows hold only their own
-    pivot plus free variables, so one combination per pivot suffices)."""
-    while row is not None and row[0]:
-        hit = None
-        for i, c in row[0]:
-            if i in pivot_rows:
-                hit = (i, c)
-                break
-        if hit is None:
-            return row
-        i, c = hit
-        q = pivot_rows[i]
-        row = _combine(row, q[0][0][1], q, -c)
-    return row
+def _echelon(rows) -> dict[int, tuple[dict, int]]:
+    """The kernel: the reduced echelon form of (dict, const) rows, which it
+    consumes, as {pivot: (row, const)}; raises Contradiction on 0 = c.  A
+    stored row holds its pivot and non-pivots only, so one combination
+    clears each pivot that a new row mentions."""
+    pivots: dict[int, tuple[dict, int]] = {}
+    for acc, const in rows:
+        for p in [i for i in acc if i in pivots]:
+            q, qconst = pivots[p]
+            const = _cancel(acc, const, acc[p], q.items(), q[p], qconst)
+        if not acc:
+            if const:
+                raise Contradiction
+            continue
+        p, const = _settle(acc, const)
+        for qp, (q, qconst) in list(pivots.items()):
+            if p in q:  # back-substitution
+                qconst = _cancel(q, qconst, q[p], acc.items(), acc[p], const)
+                pivots[qp] = (q, _settle(q, qconst)[1])
+        pivots[p] = (acc, const)
+    return pivots
+
+
+def _system(pivots) -> tuple[Row, ...]:
+    return tuple((tuple(sorted(q.items())), c) for _, (q, c) in sorted(pivots.items()))
 
 
 def affine_from_rows(raw_rows) -> tuple[Row, ...]:
-    """Canonical reduced echelon form; raises Contradiction on 0 = c."""
-    pivot_rows: dict[int, Row] = {}
-    for terms, const in raw_rows:
-        row = _eliminate(_primitive(tuple(sorted(terms)), const), pivot_rows)
-        if row is None:
-            continue
-        if not row[0]:
-            raise Contradiction
-        p, pc = row[0][0]
-        for qp, q in list(pivot_rows.items()):
-            if not qp < p <= q[0][-1][0]:
-                continue  # p lies outside q's sorted index range
-            coeff = next((c for i, c in q[0] if i == p), 0)
-            if coeff:
-                pivot_rows[qp] = _combine(q, pc, row, -coeff)
-        pivot_rows[p] = row
-    return tuple(sorted(pivot_rows.values(), key=lambda r: r[0][0][0]))
+    """Canonical reduced echelon form; raises Contradiction on 0 = c.  The
+    indices within one raw row are distinct, in any order."""
+    return _system(_echelon(({i: c for i, c in terms if c}, const) for terms, const in raw_rows))
 
 
 def affine_entailed(rows: tuple[Row, ...], terms, const) -> bool:
     """Does the system imply sum(terms) == const?"""
-    pivot_rows = {r[0][0][0]: r for r in rows}
-    row = _eliminate(_primitive(tuple(sorted(terms)), const), pivot_rows)
-    return row is None
+    acc = {i: c for i, c in terms if c}
+    pivots = {t[0][0]: (t, c) for t, c in rows}
+    for p in [i for i in acc if i in pivots]:
+        q, qconst = pivots[p]
+        const = _cancel(acc, const, acc[p], q, q[0][1], qconst)
+    return not acc and const == 0
 
 
 def affine_project_out(rows: tuple[Row, ...], idx: int) -> tuple[Row, ...]:
-    """Eliminate one variable (existential projection)."""
+    """Eliminate one variable (existential projection): the first row that
+    mentions it is dropped after cancelling it from the others."""
     holder = None
     rest = []
-    for r in rows:
-        if any(i == idx for i, _ in r[0]):
-            if holder is None:
-                holder = r
-            else:
-                ch = next(c for i, c in holder[0] if i == idx)
-                cr = next(c for i, c in r[0] if i == idx)
-                combined = _combine(r, ch, holder, -cr)
-                if combined is not None:
-                    rest.append(combined)
+    for terms, const in rows:
+        acc = dict(terms)
+        c = acc.get(idx)
+        if c is None:
+            rest.append((acc, const))
+        elif holder is None:
+            holder = (terms, c, const)
         else:
-            rest.append(r)
-    return affine_from_rows(rest)
+            rest.append((acc, _cancel(acc, const, c, *holder)))
+    return _system(_echelon(rest))
 
 
 def affine_translate(rows: tuple[Row, ...], shifts: dict[int, int]) -> tuple[Row, ...]:
@@ -211,40 +220,62 @@ def affine_translate(rows: tuple[Row, ...], shifts: dict[int, int]) -> tuple[Row
     return tuple(out)
 
 
-def _intersect(a: tuple[Row, ...], b: tuple[Row, ...]) -> tuple[Row, ...]:
-    """Rows implied by both systems: the intersection of their homogenized
-    row spaces, by Zassenhaus's construction.
-
-    Each row of `b` enters as (r | 0) and each row of `a` as (r | r), where
-    the left half (negative indices, below every variable) holds the row's
-    coefficients and its constant.  After elimination, the rows whose left
-    half vanished carry a basis of the intersection in their right half,
-    already in canonical form.
-    """
-
-    def left(terms, const):
-        return tuple((-2 - i, c) for i, c in terms) + ((-1, const),)
-
-    # the result does not depend on the order; this one eliminates fastest
-    raw = [(left(terms, const), 0) for terms, const in b]
-    raw += [(left(terms, const) + terms, const) for terms, const in a]
-    return tuple(r for r in affine_from_rows(raw) if r[0][0][0] >= 0)
+def _generator_hull(inputs, active) -> tuple[Row, ...]:
+    """Affine hull over the counters `active` of inputs (rows, pins): a
+    consistent canonical system over `active` and the {counter: value} pins
+    of `active`.  Each input gives one homogenized point, scaled by the lcm
+    of its pivot coefficients, and one direction per free counter; each
+    non-pivot column f of the generators' echelon form gives the equality
+    with f's entry set against the pivot entry of each row holding f."""
+    if not active:
+        return ()
+    h = active[-1] + 1  # the homogenizing coordinate, after every counter
+    gens = []
+    for rows, pins in inputs:
+        scale = lcm(*(t[0][1] for t, _ in rows))
+        point = {v: scale * c for v, c in pins.items() if c}
+        point[h] = scale
+        fixed = set(pins)  # counters with no direction: pins and pivots
+        dirs = {}
+        for terms, const in rows:
+            (p, pc), *tail = terms
+            fixed.add(p)
+            if const:
+                point[p] = const * (scale // pc)
+            for v, c in tail:
+                dirs.setdefault(v, {v: scale})[p] = -c * (scale // pc)
+        gens.append((point, 0))
+        for v in active:
+            if v in dirs:
+                gens.append((dirs[v], 0))
+            elif v not in fixed:
+                gens.append(({v: 1}, 0))
+    basis = _echelon(gens)
+    cols: dict[int, list] = {}
+    for p, (g, _) in basis.items():
+        for f, c in g.items():
+            if f != p:
+                cols.setdefault(f, []).append((p, c, g[p]))
+    eqs = []
+    for f in active + [h]:
+        if f in basis:
+            continue
+        entries = cols.get(f, ())
+        m = lcm(*(gp for _, _, gp in entries))
+        eq = {f: m}
+        for p, c, gp in entries:
+            eq[p] = -c * (m // gp)
+        eqs.append((eq, -eq.pop(h, 0)))
+    return _system(_echelon(eqs))
 
 
 def affine_hull(systems: list[tuple[Row, ...]]) -> tuple[Row, ...]:
-    """Smallest affine system containing every input's solution set.
-
-    The inputs are consistent, so the equalities valid on a solution set are
-    exactly its system's homogenized row space, and the hull's are the
-    intersection of those spaces.
-    """
+    """Smallest affine system containing every input's solution set; the
+    inputs are consistent canonical systems."""
     if not systems:
         raise ValueError("hull of nothing")
-    hull = systems[0]
-    for s in systems[1:]:
-        if s != hull:
-            hull = _intersect(hull, s)
-    return hull
+    active = sorted({i for s in systems for terms, _ in s for i, _ in terms})
+    return _generator_hull([(s, {}) for s in systems], active)
 
 
 # --- Elements ----------------------------------------------------------------
@@ -404,18 +435,14 @@ def _hull_rows(elems, ivs) -> tuple[Row, ...]:
     """Affine hull of the inputs, given the hull of their boxes.
 
     A variable pinned in `ivs` is pinned to that value in every input, so it
-    factors out of the hull exactly; every other pin joins its input's
-    system as an explicit row.
-    """
-    systems = []
-    for e in elems:
-        pins = tuple(
-            (((i, 1),), lo)
-            for i, (lo, hi) in enumerate(e.ivs)
-            if lo == hi and ivs[i][0] != ivs[i][1]
-        )
-        systems.append(tuple(sorted(e.rows + pins)) if pins else e.rows)
-    return affine_hull(list(dict.fromkeys(systems)))
+    factors out of the hull exactly; every other pin is a coordinate of its
+    input's point."""
+    active = [i for i, (lo, hi) in enumerate(ivs) if lo != hi]
+    inputs = [
+        (e.rows, {i: e.ivs[i][0] for i in active if e.ivs[i][0] == e.ivs[i][1]})
+        for e in elems
+    ]
+    return _generator_hull(inputs, active)
 
 
 def join(layout, elems) -> NumElem:
@@ -426,13 +453,12 @@ def join(layout, elems) -> NumElem:
     if len(elems) == 1:
         return elems[0]
     ivs = []
-    for i in range(layout.size):
-        lo = min(e.ivs[i][0] for e in elems)
-        hi = (
-            INF
-            if any(e.ivs[i][1] is INF for e in elems)
-            else max(e.ivs[i][1] for e in elems)
-        )
+    for col in zip(*(e.ivs for e in elems)):  # one counter's boxes
+        if col.count(col[0]) == len(col):
+            ivs.append(col[0])
+            continue
+        lo = min(lo for lo, _ in col)
+        hi = INF if any(hi is INF for _, hi in col) else max(hi for _, hi in col)
         ivs.append((lo, hi))
     return _reduce(layout, tuple(ivs), _hull_rows(elems, ivs))
 
@@ -443,10 +469,14 @@ _THRESHOLDS = (0, 1)
 def widen(layout, a: NumElem, b: NumElem) -> NumElem:
     if a.is_bottom:
         return b
-    if b.is_bottom:
+    if b.is_bottom or a == b:
         return a
     ivs = []
-    for (alo, ahi), (blo, bhi) in zip(a.ivs, b.ivs):
+    for ia, ib in zip(a.ivs, b.ivs):
+        if ia == ib:
+            ivs.append(ia)
+            continue
+        (alo, ahi), (blo, bhi) = ia, ib
         lo = alo
         if blo < alo:
             lo = max((t for t in _THRESHOLDS if t <= blo), default=0)
