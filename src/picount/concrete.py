@@ -162,14 +162,16 @@ class StepShape:
 
 
 class StepTable:
-    """One object per distinct thread, and one `StepShape` per distinct
-    (receiver, sender) pair, built on first use.  A table serves one walk, so
-    the threads and pairs that walk meets bound its size."""
+    """One object per distinct thread, one `StepShape` per distinct
+    (receiver, sender) pair and one order key per marker, built on first use.
+    A table serves one walk, so the threads and pairs that walk meets bound
+    its size."""
 
     def __init__(self, index: SystemIndex):
         self.index = index
         self._threads: dict[Thread, Thread] = {}
         self._shapes: dict[tuple[Thread, Thread], StepShape] = {}
+        self._marker_keys: dict[Marker, tuple] = {EPSILON: ()}
 
     def intern(self, t: Thread) -> Thread:
         """The table's one object equal to `t`."""
@@ -187,16 +189,26 @@ class StepTable:
         passed = {y: send.env[x] for y, x in zip(index.arg[lq], index.arg[le])}
         recv_env = dict(recv.env)
         recv_env.update(passed)
+        send_key = self._marker_key(send.marker)
         if index.type[lq] == FETCH:
             new_marker: Marker = (le,) + send.marker
+            self._marker_keys[new_marker] = (label_key(le),) + send_key
             consumed = frozenset({send})
         else:
             new_marker = recv.marker
             consumed = frozenset({recv, send})
         ct_recv = self._launched(launch(index, index.cont[lq], new_marker, recv_env))
         ct_send = self._launched(launch(index, index.cont[le], send.marker, dict(send.env)))
-        key = (label_key(lq), label_key(le), _marker_key(recv.marker), _marker_key(send.marker))
+        key = (label_key(lq), label_key(le), self._marker_key(recv.marker), send_key)
         return StepShape((lq, le), consumed, ct_recv, ct_send, key)
+
+    def _marker_key(self, m: Marker) -> tuple:
+        """`_marker_key(m)`.  A marker that a FETCH step launched got its key
+        when the step was built, from the sender's marker key."""
+        key = self._marker_keys.get(m)
+        if key is None:
+            key = self._marker_keys[m] = _marker_key(m)
+        return key
 
     def _launched(self, threads: set[Thread]) -> tuple[Thread, ...]:
         return tuple(sorted(map(self.intern, threads), key=_launch_order))
