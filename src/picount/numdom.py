@@ -230,7 +230,8 @@ def _generator_hull(inputs, active) -> tuple[Row, ...]:
     if not active:
         return ()
     h = active[-1] + 1  # the homogenizing coordinate, after every counter
-    gens = []
+    units = {}  # counters free and in no row in some input; their directions go first
+    gens = {}  # inputs repeat generators, and a repeat adds nothing to a span
     for rows, pins in inputs:
         scale = lcm(*(t[0][1] for t, _ in rows))
         point = {v: scale * c for v, c in pins.items() if c}
@@ -244,13 +245,13 @@ def _generator_hull(inputs, active) -> tuple[Row, ...]:
                 point[p] = const * (scale // pc)
             for v, c in tail:
                 dirs.setdefault(v, {v: scale})[p] = -c * (scale // pc)
-        gens.append((point, 0))
+        gens.setdefault(frozenset(point.items()), point)
         for v in active:
             if v in dirs:
-                gens.append((dirs[v], 0))
+                gens.setdefault(frozenset(dirs[v].items()), dirs[v])
             elif v not in fixed:
-                gens.append(({v: 1}, 0))
-    basis = _echelon(gens)
+                units[v] = None
+    basis = _echelon([({v: 1}, 0) for v in units] + [(g, 0) for g in gens.values()])
     cols: dict[int, list] = {}
     for p, (g, _) in basis.items():
         for f, c in g.items():
