@@ -40,7 +40,9 @@ def memory_system(n: int) -> str:
         f"\n    | *w{i}?[valp{i}, ack{i}]. cell?[v{i}]. (cell!cw{i}[valp{i}] | ack{i}![])"
         for i in caps
     )
-    clients = "\n    | ".join(f"!new data{i}, ackb{i} in k{i}![data{i}, ackb{i}]. ackb{i}?[]" for i in caps)
+    clients = "\n    | ".join(
+        f"!new data{i}, ackb{i} in k{i}![data{i}, ackb{i}]. ackb{i}?[]" for i in caps
+    )
     return (
         "new alloc, null in\n"
         f"( *alloc?[address]. new cell, {ws} in\n"

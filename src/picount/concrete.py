@@ -189,7 +189,7 @@ class StepTable:
         passed = {y: send.env[x] for y, x in zip(index.arg[lq], index.arg[le])}
         recv_env = dict(recv.env)
         recv_env.update(passed)
-        send_key = self._marker_key(send.marker)
+        send_key = self._marker_key_of(send.marker)
         if index.type[lq] == FETCH:
             new_marker: Marker = (le,) + send.marker
             self._marker_keys[new_marker] = (label_key(le),) + send_key
@@ -199,12 +199,12 @@ class StepTable:
             consumed = frozenset({recv, send})
         ct_recv = self._launched(launch(index, index.cont[lq], new_marker, recv_env))
         ct_send = self._launched(launch(index, index.cont[le], send.marker, dict(send.env)))
-        key = (label_key(lq), label_key(le), self._marker_key(recv.marker), send_key)
+        key = (label_key(lq), label_key(le), self._marker_key_of(recv.marker), send_key)
         return StepShape((lq, le), consumed, ct_recv, ct_send, key)
 
-    def _marker_key(self, m: Marker) -> tuple:
-        """`_marker_key(m)`.  A marker that a FETCH step launched got its key
-        when the step was built, from the sender's marker key."""
+    def _marker_key_of(self, m: Marker) -> tuple:
+        """`_marker_key(m)`, kept per table.  A marker that a FETCH step
+        launched got its key when the step was built, from the sender's."""
         key = self._marker_keys.get(m)
         if key is None:
             key = self._marker_keys[m] = _marker_key(m)
