@@ -16,6 +16,16 @@ product): env judges first, and contents only sees what env admits.  The
 round collects the surviving sub-cases' per-label and per-unit deltas and
 joins each slot once: init (computed once per `Analysis`), the current value
 if anything was posted, and the slot's deltas.
+
+Rounds are change-driven.  Posting a pair reads only a few slots: the env
+at `lq` and `le` (the hint reads nothing else, and `TopHint` is constant),
+and the contents default plus the accumulation of each unit that a sub-case
+reaching the contents transfer assigns.  `iterate` records per pair what it
+read and what it produced; a round re-posts only the pairs whose reads
+changed and replays the others' deltas in posting order, so every round,
+widening point and fixpoint is the one posting every pair gives.  Trace
+tallies count a round's sub-cases, posted or reused.  Each pair's roster and
+forced groups come from its `PairPlan`, built once per `Analysis`.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from functools import cached_property
 from .contents import ContentsDomain, CUMap
 from .envdom import EnvDomain, EnvMap
 from .numdom import CountLayout
-from .partition import GetVar, TopHint, enumerate_contexts
+from .partition import GetVar, PairPlan, TopHint, enumerate_contexts, pair_plan
 from .syntax import FETCH, INPUT, OUTPUT, Label, SystemIndex, fmt_label, label_key
 
 
@@ -111,6 +121,12 @@ class Analysis:
     def con_init(self) -> CUMap:
         return self.con_dom.init()
 
+    @cached_property
+    def plans(self) -> list[PairPlan]:
+        """One plan per step pair, in `pairs` order.  Built by the first
+        round, not by `build`: a caller that never iterates pays nothing."""
+        return [pair_plan(self.index, self.gv, lq, le) for lq, le in self.pairs]
+
     def start(self, kind: str = "product") -> tuple[EnvMap | None, CUMap | None]:
         """The bottom pair of a `product`, `env` or `contents` run."""
         if kind not in ("product", "env", "contents"):
@@ -124,38 +140,97 @@ class Analysis:
         return iterate(self, self.start(kind), max_iter, keep_trace)
 
 
-def step(analysis: Analysis, elem: tuple, tallies: dict | None = None) -> tuple:
-    """One widened round from `elem`; `tallies`, when given, receives the
-    cases and refuted cases of every pair that had any."""
+class _PairRecord:
+    """What posting one pair read, in the order `_reads` lists it, and what
+    it produced: its tallies, and its env and contents deltas per slot in
+    posting order."""
+
+    __slots__ = ("reads", "units", "cases", "refuted", "env_out", "con_out")
+
+    def __init__(self, reads, units, cases, refuted, env_out, con_out):
+        self.reads = reads
+        self.units = units
+        self.cases = cases
+        self.refuted = refuted
+        self.env_out = env_out
+        self.con_out = con_out
+
+
+def _reads(analysis: Analysis, elem: tuple, plan: PairPlan, units: tuple) -> tuple:
+    """The slots of `elem` that posting the plan's pair reads, given the
+    units its sub-cases handed to the contents transfer."""
     env, con = elem
-    index, gv = analysis.index, analysis.gv
+    layout = analysis.layout
+    return (
+        () if env is None else (env.get(plan.lq), env.get(plan.le)),
+        () if con is None else (con.default, *(con.accum(u, layout) for u in units)),
+    )
+
+
+def _post(analysis: Analysis, elem: tuple, plan: PairPlan, hint) -> _PairRecord:
+    """Post every sub-case of one pair through the transfers of `elem`'s
+    components; a sub-case refuted by either is dropped for both."""
+    env, con = elem
+    lq, le = plan.lq, plan.le
     env_dom, con_dom = analysis.env_dom, analysis.con_dom
-    hint = TopHint(index.name_universe) if env is None else env
+    cases = refuted = 0
+    units: dict = {}
+    env_out: dict = {}
+    con_out: dict = {}
+    for case in enumerate_contexts(plan, hint):
+        cases += 1
+        if env is not None:
+            env_delta = env_dom.post_delta(env.get(lq), env.get(le), lq, le, case)
+            if env_delta is None:
+                refuted += 1
+                continue
+        if con is not None:
+            units.update(dict.fromkeys(case.assign))
+            con_delta = con_dom.post_delta(con, lq, le, case)
+            if con_delta is None:
+                refuted += 1
+                continue
+            for u, elems in con_delta.items():
+                con_out.setdefault(u, []).extend(elems)
+        if env is not None:
+            for l, a in env_delta.items():
+                env_out.setdefault(l, []).append(a)
+    units = tuple(units)
+    return _PairRecord(_reads(analysis, elem, plan, units), units, cases, refuted, env_out, con_out)
+
+
+def step(
+    analysis: Analysis, elem: tuple, tallies: dict | None = None, record: dict | None = None
+) -> tuple:
+    """One widened round from `elem`; `tallies`, when given, receives the
+    cases and refuted cases of every pair that had any.  `record` maps each
+    plan to what posting its pair last read and produced: a pair whose reads
+    are unchanged reuses that, any other is posted and its entry replaced.
+    Without a record every pair is posted."""
+    env, con = elem
+    env_dom, con_dom = analysis.env_dom, analysis.con_dom
+    hint = TopHint(analysis.index.name_universe) if env is None else env
+    record = {} if record is None else record
     env_deltas: dict = {}
     con_deltas: dict = {}
     posted = False
-    for lq, le in analysis.pairs:
-        cases = refuted = 0
-        for case in enumerate_contexts(index, gv, lq, le, hint):
-            cases += 1
-            if env is not None:
-                env_delta = env_dom.post_delta(env.get(lq), env.get(le), lq, le, case)
-                if env_delta is None:
-                    refuted += 1
-                    continue
-            if con is not None:
-                con_delta = con_dom.post_delta(con, lq, le, case)
-                if con_delta is None:
-                    refuted += 1
-                    continue
-                for u, elems in con_delta.items():
-                    con_deltas.setdefault(u, []).extend(elems)
-            if env is not None:
-                for l, a in env_delta.items():
-                    env_deltas.setdefault(l, []).append(a)
-            posted = True
-        if tallies is not None and cases:
-            tallies[f"{fmt_label(lq)},{fmt_label(le)}"] = {"cases": cases, "bottom": refuted}
+    for plan in analysis.plans:
+        last = record.pop(plan, None)
+        if last is not None and last.reads != _reads(analysis, elem, plan, last.units):
+            last = None  # free its deltas before posting makes new ones
+        if last is None:
+            last = _post(analysis, elem, plan, hint)
+        record[plan] = last
+        for l, atoms in last.env_out.items():
+            env_deltas.setdefault(l, []).extend(atoms)
+        for u, elems in last.con_out.items():
+            con_deltas.setdefault(u, []).extend(elems)
+        posted = posted or last.cases > last.refuted
+        if tallies is not None and last.cases:
+            tallies[f"{fmt_label(plan.lq)},{fmt_label(plan.le)}"] = {
+                "cases": last.cases,
+                "bottom": last.refuted,
+            }
     if env is not None:
         bases = [analysis.env_init, env] if posted else [analysis.env_init]
         env = env_dom.widen(env, env_dom.join(bases, env_deltas))
@@ -172,9 +247,10 @@ def iterate(
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     trace: list[dict] = []
+    record: dict = {}
     for n in range(1, max_iter + 1):
         tallies: dict | None = {} if keep_trace else None
-        nxt = step(analysis, elem, tallies)
+        nxt = step(analysis, elem, tallies, record)
         if keep_trace:
             trace.append(
                 {

@@ -169,6 +169,10 @@ class AtomEnv:
         return AtomEnv(first.vars, False, labels, eqs, neqs)
 
     def join(self, other: "AtomEnv") -> "AtomEnv":
+        # the join of equal normal forms is that normal form; keeping the
+        # object lets an unchanged slot pass the next round's identity check
+        if other is self or other == self:
+            return self
         if self.is_bottom:
             return other
         if other.is_bottom:
@@ -324,9 +328,9 @@ class EnvDomain:
                     for k, name in zip(gv.keys, unit):
                         f = formal(m, k)
                         labels[f] = labels[f] & {name}
-            if len(gv.stable) == 1:
-                # distinct units differ on their one stable key
-                (k,) = gv.stable
+            if len(gv.keys) == 1:
+                # a unit is then its key's name, so distinct units differ on it
+                (k,) = gv.keys
                 for c1, c2 in combinations(case.classes, 2):
                     neqs += [(formal(m1, k), formal(m2, k)) for m1 in c1 for m2 in c2]
 

@@ -14,6 +14,10 @@ The enumeration is pruned in two semantics-preserving ways:
   applied always share a unit, so they are never separated;
 * a class whose members admit no common name label under the supplied
   control-flow hint can only produce a bottom transfer, so it is dropped.
+
+The first pruning, with the roster, depends only on the pair: `pair_plan`
+computes it once into a `PairPlan`.  Only the second reads the hint, and
+only at the pair's two labels.
 """
 
 from __future__ import annotations
@@ -50,24 +54,17 @@ def fmt_member(m: Member) -> str:
 
 
 class GetVar:
-    """Partitioning strategy: per-label key variables plus the stable key set."""
+    """Partitioning strategy: per-label key variables and a mode."""
 
-    __slots__ = ("keys", "table", "stable", "mode")
+    __slots__ = ("keys", "table", "mode")
 
     def __init__(
-        self,
-        keys: tuple[str, ...],
-        table: dict[Label, dict[str, Var]],
-        stable: frozenset[str],
-        mode: str = FULL_NAME,
+        self, keys: tuple[str, ...], table: dict[Label, dict[str, Var]], mode: str = FULL_NAME
     ):
         if mode not in (FULL_NAME, MARKER_ONLY):
             raise ValueError(f"unknown partition mode {mode}")
-        if not stable <= set(keys):
-            raise ValueError("stable keys must be a subset of the key set")
         self.keys = keys
         self.table = table
-        self.stable = stable
         self.mode = mode
 
     def keyvar(self, label: Label, key: str) -> Var:
@@ -107,13 +104,13 @@ def _validated(index: SystemIndex, gv: GetVar) -> GetVar:
 def getvar_channel(index: SystemIndex) -> GetVar:
     """Single-key strategy grouping threads by the channel they operate on."""
     table = {l: {"b": index.chan[l]} for l in index.labels}
-    return _validated(index, GetVar(("b",), table, frozenset({"b"}), FULL_NAME))
+    return _validated(index, GetVar(("b",), table, FULL_NAME))
 
 
 def getvar_marker(index: SystemIndex) -> GetVar:
     """Group threads by the marker of the declaring instance of their channel."""
     table = {l: {"b": index.chan[l]} for l in index.labels}
-    return _validated(index, GetVar(("b",), table, frozenset({"b"}), MARKER_ONLY))
+    return _validated(index, GetVar(("b",), table, MARKER_ONLY))
 
 
 def _names(value) -> bool:
@@ -121,6 +118,9 @@ def _names(value) -> bool:
 
 
 def load_partition_spec(path: str, index: SystemIndex) -> GetVar:
+    """The strategy a JSON spec describes.  Any other top-level key is
+    ignored, with a warning in `index.warnings`, so that a spec written for
+    an older picount still runs."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -131,12 +131,11 @@ def load_partition_spec(path: str, index: SystemIndex) -> GetVar:
         raise SourceError(f"partition spec {path} is not JSON", *where) from exc
     if not isinstance(raw, dict):
         raise SourceError(f"partition spec {path} must be a JSON object")
-    if not _names(raw.get("keys")) or not _names(raw.get("stable", [])):
-        raise SourceError(f"partition spec {path} needs 'keys' (and 'stable') as lists of names")
+    if not _names(raw.get("keys")):
+        raise SourceError(f"partition spec {path} needs 'keys' as a list of names")
     if not isinstance(raw.get("map"), dict):
         raise SourceError(f"partition spec {path} needs a 'map' object")
     keys = tuple(raw["keys"])
-    stable = frozenset(raw.get("stable", keys))
     mode = raw.get("mode", FULL_NAME)
     table: dict[Label, dict[str, Var]] = {}
     by_text = {fmt_label(l): l for l in index.labels}
@@ -147,10 +146,13 @@ def load_partition_spec(path: str, index: SystemIndex) -> GetVar:
             raise SourceError(f"partition spec {path} must map label {text} to key names")
         table[by_text[text]] = dict(assignment)
     try:
-        gv = GetVar(keys, table, stable, mode)
+        gv = GetVar(keys, table, mode)
     except ValueError as exc:
         raise SourceError(f"partition spec {path}: {exc}") from exc
-    return _validated(index, gv)
+    gv = _validated(index, gv)
+    for key in sorted(set(raw) - {"keys", "mode", "map"}):
+        index.warnings.append(f"partition spec {path}: unknown key {key!r} is ignored")
+    return gv
 
 
 # --- Step rosters and partition cases -------------------------------------
@@ -365,15 +367,42 @@ def _partitions(i, blocks, n, forced_apart, cand):
     blocks.pop()
 
 
-def enumerate_contexts(index: SystemIndex, gv: GetVar, lq: Label, le: Label, hint):
-    """Yield the partition cases of the (lq, le) transition that the hint does
-    not trivially contradict, deterministically."""
+class PairPlan:
+    """What the enumeration of one receiver/sender pair's sub-cases needs
+    that no hint changes: the step roster split into its forced groups
+    (`groups`, each a tuple of members), the pairs of group indices
+    `forced_apart`, and per group whether it is keyed by a name of a unit
+    the step creates (`group_new`).  Built once per pair and analysis by
+    `pair_plan`."""
+
+    __slots__ = ("index", "gv", "lq", "le", "groups", "forced_apart", "group_new")
+
+    def __init__(self, index, gv, lq, le, groups, forced_apart, group_new):
+        self.index = index
+        self.gv = gv
+        self.lq = lq
+        self.le = le
+        self.groups = groups
+        self.forced_apart = forced_apart
+        self.group_new = group_new
+
+
+def pair_plan(index: SystemIndex, gv: GetVar, lq: Label, le: Label) -> PairPlan:
+    """The plan of the (lq, le) transition."""
     if index.type[lq] not in (INPUT, FETCH) or index.type[le] != OUTPUT:
         raise ValueError(f"({fmt_label(lq)},{fmt_label(le)}) is not a receiver/sender pair")
     if len(index.arg[lq]) != len(index.arg[le]):
         raise ValueError("arity mismatch")
-    roster = step_roster(index, lq, le)
-    groups, forced_apart, group_new = _forced_groups(index, gv, lq, le, roster)
+    groups, forced_apart, group_new = _forced_groups(index, gv, lq, le, step_roster(index, lq, le))
+    return PairPlan(index, gv, lq, le, groups, forced_apart, group_new)
+
+
+def enumerate_contexts(plan: PairPlan, hint):
+    """Yield the partition cases of the plan's transition that the hint does
+    not trivially contradict, deterministically.  The hint is read only at
+    the pair's two labels."""
+    index, gv, lq, le = plan.index, plan.gv, plan.lq, plan.le
+    groups, forced_apart, group_new = plan.groups, plan.forced_apart, plan.group_new
 
     cand = None  # marker-only units carry no labels
     if gv.mode == FULL_NAME:

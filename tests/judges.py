@@ -1,11 +1,13 @@
 """Test judges over the concrete semantics: what an uninstrumented `Walk`
 reaches, and the partition case a concrete step realizes (which the
 partition-completeness tests and the oracle reference check compare with the
-abstract enumeration)."""
+abstract enumeration).  Also the iteration that posts every pair in every
+round, which the change-driven rounds of `engine.iterate` must match."""
 
 import sys
 
 from picount.concrete import ConcreteStep, Walk
+from picount.engine import Analysis, FixpointResult, step
 from picount.partition import PartitionCase, member_key
 from picount.syntax import Label, SystemIndex
 
@@ -68,3 +70,26 @@ def alpha_step(step: ConcreteStep, gv) -> PartitionCase:
         classes.append(frozenset(members))
         assign.append(gv.alpha_unit(unit))
     return PartitionCase.make(tuple(classes), tuple(assign))
+
+
+def posted_every_round(analysis: Analysis, kind: str, max_iter: int = 1000) -> FixpointResult:
+    """`analysis.run(kind, max_iter, keep_trace=True)` with every pair posted
+    in every round: each round is a `step` without a record, and the loop
+    stops as `iterate` does."""
+    elem = analysis.start(kind)
+    trace = []
+    for n in range(1, max_iter + 1):
+        tallies: dict = {}
+        nxt = step(analysis, elem, tallies)
+        trace.append(
+            {
+                "iteration": n,
+                "posts": sum(t["cases"] for t in tallies.values()),
+                "bottom_posts": sum(t["bottom"] for t in tallies.values()),
+                "pairs": tallies,
+            }
+        )
+        if nxt == elem:
+            return FixpointResult(*elem, n, True, trace)
+        elem = nxt
+    return FixpointResult(*elem, max_iter, False, trace)

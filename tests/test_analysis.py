@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import sys
 
 import pytest
@@ -24,6 +25,7 @@ from picount.syntax import SourceError
 
 from conftest import corpus_path
 from judges import reached
+from test_fuzz_soundness import random_system
 
 
 def test_parse_mutex_query(memory_index):
@@ -328,7 +330,6 @@ def test_corrupted_contents_fixpoint_is_flagged():
 def test_partition_spec_cli(tmp_path, semaphore_index):
     spec = {
         "keys": ["b"],
-        "stable": ["b"],
         "mode": "full-name",
         "map": {str(l): {"b": semaphore_index.chan[l]} for l in semaphore_index.labels},
     }
@@ -342,6 +343,29 @@ def test_partition_spec_cli(tmp_path, semaphore_index):
         )
     )
     assert result.exit_code == 0
+
+
+def test_a_spec_naming_one_of_two_keys_stable_stays_sound(tmp_path, capsys):
+    # fuzz seed 0 keyed by channel and last interface variable: when
+    # `stable: ["b1"]` made every two units of a sub-case differ on b1, the
+    # oracle found 100 violations at 300 configurations
+    text = random_system(random.Random(20260))
+    index = syntax.load_system(text)
+    system = tmp_path / "seed0.pi"
+    system.write_text(text)
+    spec = tmp_path / "spec.json"
+    table = {
+        syntax.fmt_label(l): {"b1": index.chan[l], "b2": sorted(index.iface[l])[-1]}
+        for l in index.labels
+    }
+    spec.write_text(json.dumps({"keys": ["b1", "b2"], "stable": ["b1"], "map": table}))
+    argv = ["oracle-check", str(system), "--partition", str(spec), "--max-configs", "300"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "configurations 300 (truncated)" in out and "violations 0" in out
+    # the old key still loads, with a warning in the report
+    warnings = run(AnalysisConfig(path=str(system), partition=str(spec))).report.warnings
+    assert f"partition spec {spec}: unknown key 'stable' is ignored" in warnings
 
 
 def test_empty_system_report(tmp_path):
@@ -363,7 +387,7 @@ def test_env_report_structure():
     assert dead == []  # every point of the semaphore is reachable
 
 
-def test_part_disequalities_only_for_singleton_stable_keys(semaphore_index):
+def test_part_disequalities_only_for_single_key_specs(semaphore_index):
     from picount.envdom import AtomEnv, EnvDomain
     from picount.partition import GetVar, PartitionCase
 
@@ -375,13 +399,12 @@ def test_part_disequalities_only_for_singleton_stable_keys(semaphore_index):
     )
     table = {l: {"b1": semaphore_index.chan[l], "b2": semaphore_index.chan[l]}
              for l in semaphore_index.labels}
-    gv2 = GetVar(("b1", "b2"), table, frozenset({"b1", "b2"}))
-    # two stable keys: distinct units need only differ on one of them
+    gv2 = GetVar(("b1", "b2"), table)
+    # two keys: distinct units need only differ on one of them
     assert EnvDomain(semaphore_index, gv2).post_delta(a, a, 4, 2, apart) is not None
-    gv1 = GetVar(("b1",), {l: {"b1": semaphore_index.chan[l]} for l in semaphore_index.labels},
-                 frozenset({"b1"}))
+    gv1 = GetVar(("b1",), {l: {"b1": semaphore_index.chan[l]} for l in semaphore_index.labels})
     one_key = PartitionCase.make(apart.classes, (("a",), ("a",)))
-    # one stable key: distinct units differ on it, which refutes the case
+    # one key: distinct units differ on it, which refutes the case
     assert EnvDomain(semaphore_index, gv1).post_delta(a, a, 4, 2, one_key) is None
 
 

@@ -5,7 +5,13 @@ from picount.concrete import initial_config
 from picount.contents import ContentsDomain, CUMap, unit_vector
 from picount.engine import Analysis, abstract_step_labels
 from picount.numdom import INF
-from picount.partition import PartitionCase, enumerate_contexts, getvar_channel, getvar_marker
+from picount.partition import (
+    PartitionCase,
+    enumerate_contexts,
+    getvar_channel,
+    getvar_marker,
+    pair_plan,
+)
 from picount.syntax import load_system
 
 from conftest import corpus_text
@@ -116,7 +122,7 @@ def test_post_freshness_restarts_unit(memory_product):
     # the enumeration decides which units the step creates
     (case,) = [
         c
-        for c in enumerate_contexts(analysis.index, analysis.gv, 1, 13, fix.element[0])
+        for c in enumerate_contexts(pair_plan(analysis.index, analysis.gv, 1, 13), fix.element[0])
         if c == wanted
     ]
     assert case.new_unit == (False, True, False, True, True)

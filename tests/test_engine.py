@@ -8,6 +8,7 @@ from picount.partition import getvar_channel, getvar_marker
 from picount.syntax import load_system
 
 from conftest import corpus_text
+from judges import posted_every_round
 
 
 def test_abstract_step_labels_memory(memory_index):
@@ -75,15 +76,17 @@ def test_iterate_identity_post(semaphore_index, monkeypatch):
 
 
 def test_iterate_respects_max_iter(semaphore_index, monkeypatch):
+    # every round's join adds a unit of its own, so no round repeats the last
     analysis = _semaphore(semaphore_index)
     counter = [0]
     zero = nd.chi(analysis.layout, ())
+    real_join = analysis.con_dom.join
 
-    def growing(cu, lq, le, case):
+    def growing(maps, deltas=None):
         counter[0] += 1
-        return {(f"u{counter[0]}",): [zero]}
+        return real_join(maps, {**(deltas or {}), (f"u{counter[0]}",): [zero]})
 
-    monkeypatch.setattr(analysis.con_dom, "post_delta", growing)
+    monkeypatch.setattr(analysis.con_dom, "join", growing)
     fix = analysis.run("contents", max_iter=3)
     assert not fix.stabilized and fix.iterations == 3
     with pytest.raises(ValueError):
@@ -144,7 +147,8 @@ def test_env_refuted_cases_never_reach_contents(synccomm_index, monkeypatch):
 
         monkeypatch.setattr(analysis.env_dom, "post_delta", env_post)
         monkeypatch.setattr(analysis.con_dom, "post_delta", con_post)
-        fix = analysis.run("product", keep_trace=True)
+        # every round posts every pair, so each tallied sub-case is a transfer
+        fix = posted_every_round(analysis, "product")
         assert fix.stabilized
         assert sum(t["bottom_posts"] for t in fix.trace) == refuted["env"] + refuted["contents"]
         assert refuted["env" if gv.mode == "marker-only" else "contents"] > 0
@@ -159,7 +163,8 @@ def test_env_run_posts_no_refuted_case(memory_write_index, monkeypatch):
     monkeypatch.setattr(
         analysis.env_dom, "post_delta", lambda *case: calls.append(real_env(*case)) or calls[-1]
     )
-    fix = analysis.run("env", keep_trace=True)
+    # every round posts every pair, so each tallied sub-case is a transfer
+    fix = posted_every_round(analysis, "env")
     assert fix.stabilized and fix.iterations == 8
     assert calls and None not in calls
     assert sum(t["posts"] for t in fix.trace) == len(calls) == 38

@@ -11,6 +11,7 @@ from picount.partition import (
     enumerate_contexts,
     getvar_channel,
     getvar_marker,
+    pair_plan,
 )
 from picount.syntax import load_system
 
@@ -129,7 +130,7 @@ def toy_domain(getvar=getvar_channel) -> EnvDomain:
 
 
 def toy_cases(dom: EnvDomain):
-    return list(enumerate_contexts(dom.index, dom.gv, 1, 4, TopHint(TOY_UNIVERSE)))
+    return list(enumerate_contexts(pair_plan(dom.index, dom.gv, 1, 4), TopHint(TOY_UNIVERSE)))
 
 
 def toy_case(*classes) -> PartitionCase:

@@ -202,7 +202,7 @@ def test_cli_partition_spec_not_json_exits_two(tmp_path, capsys):
 
 def test_cli_partition_spec_without_map_exits_two(tmp_path, capsys):
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"keys": ["b"], "stable": ["b"]}))
+    spec.write_text(json.dumps({"keys": ["b"]}))
     assert main(["analyze", corpus_path("semaphore2.pi"), "--partition", str(spec)]) == 2
     assert f"partition spec {spec} needs a 'map' object" in capsys.readouterr().err
 

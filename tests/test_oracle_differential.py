@@ -137,7 +137,7 @@ def test_delta_check_equals_full_regroup_when_a_step_changes_only_counters():
     # were and changes only that unit's step counters
     index = load_system("new a, b in (*a?[x] | a![b] | a![b])")
     table = {l: {"k": max(index.iface[l])} for l in index.labels}
-    analysis = Analysis.build(index, GetVar(("k",), table, frozenset({"k"})))
+    analysis = Analysis.build(index, GetVar(("k",), table))
     fix = analysis.run("product", max_iter=1)
     report = verify_configs(analysis, fix.element[0], fix.element[1], 300, 30)
     expected = reference_violations(analysis, fix.element[0], fix.element[1], 300, 30)

@@ -14,6 +14,7 @@ from picount.partition import (
     getvar_channel,
     getvar_marker,
     load_partition_spec,
+    pair_plan,
     step_roster,
 )
 from picount.syntax import SourceError, load_system
@@ -73,7 +74,6 @@ def test_step_roster(memory_index):
 def test_partition_spec_roundtrip(tmp_path, semaphore_index):
     spec = {
         "keys": ["b"],
-        "stable": ["b"],
         "mode": "full-name",
         "map": {str(l): {"b": semaphore_index.chan[l]} for l in semaphore_index.labels},
     }
@@ -100,7 +100,7 @@ def test_enumerate_contexts_memory_pinpointed(memory_index):
     analysis = Analysis.build(memory_index, getvar_channel(memory_index))
     fix = analysis.run("product")
     env = fix.element[0]
-    cases = list(enumerate_contexts(memory_index, analysis.gv, 5, 10, env))
+    cases = list(enumerate_contexts(pair_plan(memory_index, analysis.gv, 5, 10), env))
     assert len(cases) == 1
     case = cases[0]
     assert case.class_of((5, "?")) == case.class_of((6, "?")) == case.class_of((10, "!"))
@@ -117,7 +117,7 @@ def test_disjoint_hints_force_separation():
         def labels_of(self, label, var):
             return frozenset({var})  # names can only carry their own label
 
-    cases = list(enumerate_contexts(index, gv, 1, 3, Hint()))
+    cases = list(enumerate_contexts(pair_plan(index, gv, 1, 3), Hint()))
     for case in cases:
         assert case.class_of((2, "?")) != case.class_of((4, "!"))  # {p} vs {q}
 
@@ -133,7 +133,7 @@ def test_enumeration_matches_brute_force_bell4():
         3: {"b1": "c", "b2": "g2"},
         4: {"b1": "g2", "b2": "g2"},
     }
-    gv = GetVar(("b1", "b2"), table, frozenset({"b1"}))
+    gv = GetVar(("b1", "b2"), table)
 
     class Hint:
         def labels_of(self, label, var):
@@ -143,7 +143,7 @@ def test_enumeration_matches_brute_force_bell4():
     assert len(roster) == 4
     got = {
         (case.classes, case.assign)
-        for case in enumerate_contexts(index, gv, 1, 3, Hint())
+        for case in enumerate_contexts(pair_plan(index, gv, 1, 3), Hint())
     }
 
     expected = set()
@@ -163,7 +163,7 @@ def test_enumeration_matches_brute_force_bell4():
 def test_forced_merge_prunes_com_linked_members(semaphore_index):
     gv = getvar_channel(semaphore_index)
     hint = TopHint(semaphore_index.name_universe)
-    for case in enumerate_contexts(semaphore_index, gv, 4, 2, hint):
+    for case in enumerate_contexts(pair_plan(semaphore_index, gv, 4, 2), hint):
         # receiver, sender and every thread keyed by the same channel variable
         assert case.class_of((4, "?")) == case.class_of((2, "!"))
         assert case.class_of((4, "?")) == case.class_of((5, "?"))
@@ -180,7 +180,7 @@ def test_alpha_step_is_enumerated(name, mode, request):
     for step in walk_steps(index, 120):
         case = alpha_step(step, gv)
         lq, le = step.pair
-        assert case in set(enumerate_contexts(index, gv, lq, le, hint))
+        assert case in set(enumerate_contexts(pair_plan(index, gv, lq, le), hint))
         seen += 1
     assert seen > 10
 
@@ -217,7 +217,7 @@ def test_new_units_hold_no_thread_before_the_step(name, mode, creates):
     new_classes = 0
     for step in walk_steps(index, 150):
         if step.pair not in enumerated:
-            cases = enumerate_contexts(index, gv, *step.pair, hint)
+            cases = enumerate_contexts(pair_plan(index, gv, *step.pair), hint)
             enumerated[step.pair] = {c: c for c in cases}
         case = enumerated[step.pair][alpha_step(step, gv)]
         units = step_units(step, gv)
@@ -241,7 +241,7 @@ def test_alpha_step_survives_fixpoint_hint(memory_product):
         case = alpha_step(step, gv)
         lq, le = step.pair
         if (lq, le) not in cache:
-            cache[(lq, le)] = set(enumerate_contexts(index, gv, lq, le, env))
+            cache[(lq, le)] = set(enumerate_contexts(pair_plan(index, gv, lq, le), env))
         assert case in cache[(lq, le)], (step.pair, case)
         checked += 1
     assert checked > 100
@@ -255,8 +255,9 @@ def test_pruning_only_removes_empty_candidate_classes(synccomm_index):
     analysis = Analysis.build(synccomm_index, gv)
     env = analysis.run("product").element[0]
     for lq, le in abstract_step_labels(synccomm_index):
-        top_cases = set(enumerate_contexts(synccomm_index, gv, lq, le, top))
-        hint_cases = set(enumerate_contexts(synccomm_index, gv, lq, le, env))
+        plan = pair_plan(synccomm_index, gv, lq, le)
+        top_cases = set(enumerate_contexts(plan, top))
+        hint_cases = set(enumerate_contexts(plan, env))
         assert hint_cases <= top_cases
 
 
@@ -271,7 +272,9 @@ def test_enumeration_leaves_no_reference_cycles(make_gv, memory_index):
     gc.disable()
     try:
         cases = sum(
-            1 for lq, le in pairs for _ in enumerate_contexts(memory_index, gv, lq, le, hint)
+            1
+            for lq, le in pairs
+            for _ in enumerate_contexts(pair_plan(memory_index, gv, lq, le), hint)
         )
         assert gc.collect() == 0
     finally:

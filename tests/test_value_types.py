@@ -125,14 +125,12 @@ def test_count_vars_compare_by_kind_and_ref():
     assert layout.index[nd.CountVar("z", (1, "a"))] == layout.z((1, "a"))
 
 
-def test_getvar_checks_mode_and_stable_keys():
+def test_getvar_checks_mode():
     table = {1: {"b": "a"}}
-    assert GetVar(("b",), table, frozenset({"b"})).mode == FULL_NAME
-    assert GetVar(("b",), table, frozenset(), MARKER_ONLY).mode == MARKER_ONLY
+    assert GetVar(("b",), table).mode == FULL_NAME
+    assert GetVar(("b",), table, MARKER_ONLY).mode == MARKER_ONLY
     with pytest.raises(ValueError, match="unknown partition mode"):
-        GetVar(("b",), table, frozenset({"b"}), "by-colour")
-    with pytest.raises(ValueError, match="subset"):
-        GetVar(("b",), table, frozenset({"b", "c"}))
+        GetVar(("b",), table, "by-colour")
 
 
 def test_analysis_config_defaults_and_checks():
