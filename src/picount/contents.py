@@ -9,14 +9,16 @@ the default; keeping the two apart instead of joining them is what preserves
 creation facts such as "every touched unit was created by exactly one step",
 which per-variable boxes plus an affine hull would otherwise dissolve.
 
-The transfer function of a transition sub-case first checks, unit by unit,
-that the interacting threads can be present at all; a failed check makes the
-whole sub-case infeasible, which is the contents half of the mutual
-refinement in the coalesced product.  For each roster class it then rebuilds
-the unit's contents: a unit the step creates (the case's `new_unit` flag,
-which `partition` decides) restarts from the exact all-zero vector, an
-existing unit from the synchronized previous value, and the consumed/created
-deltas plus the per-transition step counter apply on top.
+The transfer function of a transition sub-case visits each roster class
+once.  It syncs the unit's accumulation and the default with the class's
+presence requirements (at least one thread at each interacting label of the
+class); when both are bottom, the interacting threads cannot be present and
+the whole sub-case is infeasible, which is the contents half of the mutual
+refinement in the coalesced product.  The class's contents then take one
+`numdom.transfer`: a unit the step creates (the case's `new_unit` flag,
+which `partition` decides) starts from the exact all-zero vector, an
+existing unit from the two synced values.  The presence requirements cover
+every counter the class consumes, which is `transfer`'s precondition.
 """
 
 from __future__ import annotations
@@ -137,31 +139,20 @@ class ContentsDomain:
         index, layout = self.index, self.layout
         interacting = {(lq, "?"), (le, "!")}
 
-        def presence(cls) -> dict[int, int]:
-            need: dict[int, int] = {}
+        delta: dict[tuple, list[NumElem]] = {}
+        for (cls, unit), new_unit in zip(case.items(), case.new_unit):
+            need: dict[int, int] = {}  # the class's interacting threads must be present
             for (l, _role) in cls & interacting:
                 xi = layout.x(l)
                 need[xi] = need.get(xi, 0) + 1
-            return need
-
-        def probes(cls, unit):
-            reqs = presence(cls)
-            return [
-                numdom.sync_atleast(layout, reqs, cu.accum(unit, layout)),
-                numdom.sync_atleast(layout, reqs, cu.default),
+            olds = [
+                numdom.sync_atleast(layout, need, cu.accum(unit, layout)),
+                numdom.sync_atleast(layout, need, cu.default),
             ]
-
-        for member in interacting:
-            cls = case.class_of(member)
-            if all(p.is_bottom for p in probes(cls, case.unit_of(member))):
+            if need and all(old.is_bottom for old in olds):
                 return None
-
-        delta: dict[tuple, list[NumElem]] = {}
-        for (cls, unit), new_unit in zip(case.items(), case.new_unit):
             if new_unit:
                 olds = [numdom.chi(layout, ())]
-            else:
-                olds = probes(cls, unit)
             consumed = set()
             if index.type[lq] == INPUT and (lq, "?") in cls:
                 consumed.add(layout.x(lq))
@@ -171,9 +162,7 @@ class ContentsDomain:
                 layout.x(l) for (l, role) in cls if l != (lq if role == "?" else le)
             }
             for old in olds:
-                content = numdom.sub_chi(layout, old, consumed)
-                content = numdom.add_chi(layout, content, created)
-                content = numdom.update_trans(layout, (lq, le), content)
+                content = numdom.transfer(layout, old, consumed, created, (lq, le))
                 if not content.is_bottom:
                     delta.setdefault(unit, []).append(content)
         return delta

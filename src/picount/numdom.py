@@ -32,6 +32,10 @@ Widening keeps the hull on the affine side and widens boxes through the
 threshold set {0, 1} before giving up to infinity, which is exactly enough to
 keep one-shot step counters bounded.
 
+`transfer` is one counted step of a partition class (consume, create,
+y += 1, z := 1): an affine image, the projection of z and one reduction, on
+an input that already holds every consumed thread.
+
 `entails` is exact in integers as well: its candidate forms keep integer
 coefficients over one positive denominator, and it compares their rational
 values by cross-multiplying.
@@ -194,32 +198,6 @@ def affine_entailed(rows: tuple[Row, ...], terms, const) -> bool:
     return not acc and const == 0
 
 
-def affine_project_out(rows: tuple[Row, ...], idx: int) -> tuple[Row, ...]:
-    """Eliminate one variable (existential projection): the first row that
-    mentions it is dropped after cancelling it from the others."""
-    holder = None
-    rest = []
-    for terms, const in rows:
-        acc = dict(terms)
-        c = acc.get(idx)
-        if c is None:
-            rest.append((acc, const))
-        elif holder is None:
-            holder = (terms, c, const)
-        else:
-            rest.append((acc, _cancel(acc, const, c, *holder)))
-    return _system(_echelon(rest))
-
-
-def affine_translate(rows: tuple[Row, ...], shifts: dict[int, int]) -> tuple[Row, ...]:
-    """Image under v := v + shifts[v]: constants absorb the shift."""
-    out = []
-    for terms, const in rows:
-        delta = sum(c * shifts.get(i, 0) for i, c in terms)
-        out.append((terms, const + delta))
-    return tuple(out)
-
-
 def _generator_hull(inputs, active) -> tuple[Row, ...]:
     """Affine hull over the counters `active` of inputs (rows, pins): a
     consistent canonical system over `active` and the {counter: value} pins
@@ -268,15 +246,6 @@ def _generator_hull(inputs, active) -> tuple[Row, ...]:
             eq[p] = -c * (m // gp)
         eqs.append((eq, -eq.pop(h, 0)))
     return _system(_echelon(eqs))
-
-
-def affine_hull(systems: list[tuple[Row, ...]]) -> tuple[Row, ...]:
-    """Smallest affine system containing every input's solution set; the
-    inputs are consistent canonical systems."""
-    if not systems:
-        raise ValueError("hull of nothing")
-    active = sorted({i for s in systems for terms, _ in s for i, _ in terms})
-    return _generator_hull([(s, {}) for s in systems], active)
 
 
 # --- Elements ----------------------------------------------------------------
@@ -534,41 +503,48 @@ def sync_atleast(layout, requirements: dict[int, int], a: NumElem) -> NumElem:
     return _reduce(layout, tuple(ivs), a.rows)
 
 
-def add_chi(layout, a: NumElem, members) -> NumElem:
-    """Pointwise sum with a characteristic vector."""
-    if a.is_bottom or not members:
-        return a
-    ivs = list(a.ivs)
-    for i in members:
-        lo, hi = ivs[i]
-        ivs[i] = (lo + 1, INF if hi is INF else hi + 1)
-    return _reduce(layout, tuple(ivs), affine_translate(a.rows, {i: 1 for i in members}))
+def transfer(layout, a: NumElem, consumed, created, pair) -> NumElem:
+    """One counted step of `pair` on a class's contents: each counter in
+    `consumed` loses a thread, each in `created` gains one, y(pair) += 1
+    and z(pair) := 1; bottom when a consumed counter's box allows no thread.
 
-
-def sub_chi(layout, a: NumElem, members) -> NumElem:
-    """Pointwise difference with a characteristic vector; bottom if negative."""
-    if a.is_bottom or not members:
-        return a
-    ivs = list(a.ivs)
-    for i in members:
-        lo, hi = ivs[i]
-        if hi is not INF and hi - 1 < 0:
-            return bottom(layout)
-        ivs[i] = (max(0, lo - 1), INF if hi is INF else hi - 1)
-    return _reduce(layout, tuple(ivs), affine_translate(a.rows, {i: -1 for i in members}))
-
-
-def update_trans(layout, pair, a: NumElem) -> NumElem:
-    """Record one more step of this kind: y += 1, z forced to 1."""
+    The box and the rows move by the net shift, z is projected out of the
+    rows and pinned to 1, and one reduction follows.  Precondition: each
+    consumed counter has lo >= 1 in `a`, as syncing with the class's
+    presence requirements leaves it.  Otherwise the result is sound but can
+    be coarser than subtracting and reducing first, which would tighten
+    through a row tying a consumed counter to z before z leaves it."""
     if a.is_bottom:
         return a
     yi, zi = layout.y(pair), layout.z(pair)
-    rows = affine_translate(a.rows, {yi: 1})
-    rows = affine_project_out(rows, zi)
     ivs = list(a.ivs)
-    lo, hi = ivs[yi]
-    ivs[yi] = (lo + 1, INF if hi is INF else hi + 1)
+    shifts: dict[int, int] = {}
+    for i in consumed:
+        lo, hi = ivs[i]
+        if hi is not INF and hi < 1:
+            return bottom(layout)
+        ivs[i] = (max(0, lo - 1), INF if hi is INF else hi - 1)
+        shifts[i] = shifts.get(i, 0) - 1
+    for i in (*created, yi):
+        lo, hi = ivs[i]
+        ivs[i] = (lo + 1, INF if hi is INF else hi + 1)
+        shifts[i] = shifts.get(i, 0) + 1
     ivs[zi] = (1, 1)
+    holder = None  # the first row holding z, which z's projection drops
+    rest = []
+    for terms, const in a.rows:
+        const += sum(c * shifts.get(i, 0) for i, c in terms)
+        acc = dict(terms)
+        c = acc.get(zi)
+        if c is None:
+            rest.append((acc, const))
+        elif holder is None:
+            holder = (terms, c, const)
+        else:
+            rest.append((acc, _cancel(acc, const, c, *holder)))
+    rows = _system(_echelon(rest)) if holder else tuple(
+        (tuple(acc.items()), const) for acc, const in rest
+    )
     return _reduce(layout, tuple(ivs), rows)
 
 

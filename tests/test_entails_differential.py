@@ -57,7 +57,7 @@ def test_integer_entails_matches_fraction_entails(raw_a, raw_b, plus, reqs, quer
     a = nd.make(NEW, *raw_a)
     b = nd.make(NEW, *raw_b)
     join = nd.join(NEW, [a, b])
-    step = nd.update_trans(NEW, PAIR, nd.add_chi(NEW, nd.sync_atleast(NEW, reqs, join), plus))
+    step = nd.transfer(NEW, nd.sync_atleast(NEW, reqs, join), (), plus, PAIR)
     for elem in (a, b, join, step):
         same_verdicts(elem, queries)
 

@@ -171,29 +171,21 @@ def test_sync_multiplicities():
     assert nd.sync_atleast(lay, {lay.x(1): 2}, one).is_bottom
 
 
-def test_add_sub_walkthrough():
+def test_transfer_walkthrough():
     lay, a = walkthrough_element()
     t = nd.sync_atleast(lay, {lay.x(5): 1, lay.x(10): 1}, a)
-    c0 = nd.add_chi(lay, nd.sub_chi(lay, t, [lay.x(5), lay.x(10)]), [lay.x(6)])
-    assert c0.ivs[lay.x(5)] == (0, INF)
-    assert c0.ivs[lay.x(10)] == (0, 0)
-    assert c0.ivs[lay.x(6)] == (1, 1)
-    assert c0.ivs[lay.x(2)] == (0, 0)
-    assert c0.ivs[lay.y((1, 13))] == (1, 1)
-    assert nd.add_chi(lay, a, ()) == a
-    assert nd.sub_chi(lay, nd.chi(lay, ()), [lay.x(1)]).is_bottom
-
-
-def test_update_trans_walkthrough():
-    lay, a = walkthrough_element()
-    t = nd.sync_atleast(lay, {lay.x(5): 1, lay.x(10): 1}, a)
-    c0 = nd.add_chi(lay, nd.sub_chi(lay, t, [lay.x(5), lay.x(10)]), [lay.x(6)])
-    c1 = nd.update_trans(lay, (5, 10), c0)
+    c1 = nd.transfer(lay, t, [lay.x(5), lay.x(10)], [lay.x(6)], (5, 10))
+    assert c1.ivs[lay.x(5)] == (0, INF)
+    assert c1.ivs[lay.x(10)] == (0, 0)
+    assert c1.ivs[lay.x(6)] == (1, 1)
+    assert c1.ivs[lay.x(2)] == (0, 0)
+    assert c1.ivs[lay.y((1, 13))] == (1, 1)
     assert c1.ivs[lay.y((5, 10))][0] >= 1
     assert c1.ivs[lay.z((5, 10))] == (1, 1)
-    twice = nd.update_trans(lay, (5, 10), c1)
+    twice = nd.transfer(lay, c1, (), (), (5, 10))
     assert twice.ivs[lay.y((5, 10))][0] >= 2
-    assert nd.update_trans(lay, (5, 10), nd.bottom(lay)).is_bottom
+    assert nd.transfer(lay, nd.bottom(lay), (), (), (5, 10)).is_bottom
+    assert nd.transfer(lay, nd.chi(lay, ()), [lay.x(1)], (), (5, 10)).is_bottom
 
 
 # -- entailment ---------------------------------------------------------------
@@ -267,7 +259,7 @@ def test_affine_hull_matches_brute_force_span():
         systems = [
             nd.affine_from_rows([(((i, 1),), p[i]) for i in range(4)]) for p in pts
         ]
-        hull = nd.affine_hull(systems)
+        hull = nd._generator_hull([(s, {}) for s in systems], [0, 1, 2, 3])
         for q in rng.sample(box, 40):
             expected = in_affine_span(pts, q)
             got = satisfies_rows(hull, q)
@@ -290,7 +282,8 @@ def test_affine_hull_matches_reference_with_free_variables():
                 )
                 raw.append((terms, sum(c * point[i] for i, c in terms)))
             systems.append(nd.affine_from_rows(raw))
-        assert nd.affine_hull(systems) == ref.affine_hull(systems), (trial, systems)
+        hull = nd._generator_hull([(s, {}) for s in systems], list(range(n)))
+        assert hull == ref.affine_hull(systems), (trial, systems)
 
 
 def test_reduction_preserves_gamma_on_boxes():
@@ -322,21 +315,27 @@ def test_reduction_preserves_gamma_on_boxes():
 
 
 def test_add_sub_sound_on_boxes():
+    # the image of every point that holds the consumed threads lies in the
+    # transfer: consumed counters down by one, created up by one, y up by
+    # one and z at 1
     rng = random.Random(9)
-    lay = layout_of(3)
+    lay = layout_of(3, pairs=[(1, 2)])
     n = lay.size
+    yi, zi = lay.y((1, 2)), lay.z((1, 2))
+    xs = [lay.x(l) for l in lay.labels]
     for _ in range(80):
         ivs = [(rng.randrange(2), rng.randrange(2, 4)) for _ in range(n)]
         elem = nd.make(lay, ivs, [])
-        members = {i for i in range(n) if rng.random() < 0.5}
-        added = nd.add_chi(lay, elem, members)
-        subbed = nd.sub_chi(lay, elem, members)
+        consumed = {i for i in xs if rng.random() < 0.5}
+        created = {i for i in xs if rng.random() < 0.5}
+        step = nd.transfer(lay, elem, consumed, created, (1, 2))
         for p in product(*[range(lo, hi + 1) for lo, hi in ivs]):
-            up = {i: v + (1 if i in members else 0) for i, v in enumerate(p)}
-            assert nd.contains_point(added, up)
-            down = {i: v - (1 if i in members else 0) for i, v in enumerate(p)}
-            if all(v >= 0 for v in down.values()):
-                assert subbed.is_bottom or nd.contains_point(subbed, down)
+            if any(p[i] < 1 for i in consumed):
+                continue
+            image = {i: v - (i in consumed) + (i in created) for i, v in enumerate(p)}
+            image[yi] += 1
+            image[zi] = 1
+            assert nd.contains_point(step, image), (p, consumed, created)
 
 
 _LAY3 = CountLayout((1, 2, 3), ())
@@ -396,6 +395,6 @@ def test_primitives_scale_reasonably():
         a = nd.chi(lay, (lay.x(1),))
         b = nd.chi(lay, (lay.x(2), lay.x(3)))
         j = nd.join(lay, [a, b])
-        nd.update_trans(lay, (1, 2), j)
+        nd.transfer(lay, j, (), (lay.x(4),), (1, 2))
         nd.entails(j, {lay.x(1): 1, lay.x(2): 1}, 2)
         assert time.time() - t0 < 2.0

@@ -108,29 +108,31 @@ def assert_same(result, queries, what, covers=(), reduced=True):
             assert old_says or not (exact and new_says), (what, expr, bound)
 
 
+def transfer(module, layout, x, minus, plus):
+    """`numdom.transfer`, or the reference's chain of its three primitives."""
+    if module is nd:
+        return nd.transfer(layout, x, minus, plus, PAIR)
+    return ref.update_trans(layout, PAIR, ref.add_chi(layout, ref.sub_chi(layout, x, minus), plus))
+
+
 @settings(max_examples=150, deadline=None)
 @given(raw_elements(), raw_elements(), members, members, requirements, expressions)
 def test_sparse_matches_dense(raw_a, raw_b, plus, minus, reqs, queries):
     a = both(lambda m, lay: m.make(lay, *raw_a))
     b = both(lambda m, lay: m.make(lay, *raw_b))
     join = both(lambda m, lay, x, y: m.join(lay, [x, y]), a, b)
-    # one contents transfer: sync, consume, create, count the step
-    synced = both(lambda m, lay, x: m.sync_atleast(lay, reqs, x), join)
-    consumed = both(lambda m, lay, x: m.sub_chi(lay, x, minus), synced)
-    created = both(lambda m, lay, x: m.add_chi(lay, x, plus), consumed)
-    step = both(lambda m, lay, x: m.update_trans(lay, PAIR, x), created)
+    # one contents transfer: sync with the class's presence, which covers
+    # every consumed counter, then consume, create and count the step
+    need = {**reqs, **{i: max(reqs.get(i, 0), 1) for i in minus}}
+    synced = both(lambda m, lay, x: m.sync_atleast(lay, need, x), join)
+    step = both(lambda m, lay, x: transfer(m, lay, x, minus, plus), synced)
     checks = [
         ("make a", a, ()),
         ("make b", b, ()),
         ("join", join, (a, b)),
         ("sync_atleast", both(lambda m, lay, x: m.sync_atleast(lay, reqs, x), a), ()),
-        ("add_chi", both(lambda m, lay, x: m.add_chi(lay, x, plus), a), ()),
-        ("sub_chi", both(lambda m, lay, x: m.sub_chi(lay, x, minus), a), ()),
-        ("update_trans", both(lambda m, lay, x: m.update_trans(lay, PAIR, x), a), ()),
         ("transfer: sync_atleast", synced, ()),
-        ("transfer: sub_chi", consumed, ()),
-        ("transfer: add_chi", created, ()),
-        ("transfer: update_trans", step, ()),
+        ("transfer", step, ()),
         ("join after transfer", both(lambda m, lay, x, y: m.join(lay, [x, y]), join, step), (join, step)),
     ]
     for what, result, covers in checks:
@@ -138,6 +140,28 @@ def test_sparse_matches_dense(raw_a, raw_b, plus, minus, reqs, queries):
     for what, x, y in (("widen", a, b), ("widen after transfer", join, step)):
         widened = both(lambda m, lay, u, v: m.widen(lay, u, v), x, y)
         assert_same(widened, queries, what, (x, y), reduced=False)
+
+
+# x1 in 0..1, y and z in 0..1, x1 + y + z = 1: hypothesis's counterexample
+# for `transfer` on an input that is not synced with its consumed counter y
+UNSYNCED = ([(0, 1), (0, 0), (0, 0), (0, 1), (0, 1)], [(((0, 1), (3, 1), (4, 1)), 1)])
+
+
+def test_transfer_needs_its_consumed_counters_synced():
+    """Consuming y from UNSYNCED, the reference chain pins x1 to 0 through
+    the row before z leaves it; the one pass projects z out first and keeps
+    x1 in 0..1, so it is sound but coarser.  Synced with y >= 1, the two
+    contain the same points."""
+    y = NEW.y(PAIR)
+    for need in ({}, {y: 1}):
+        old = ref.sync_atleast(OLD, need, ref.make(OLD, *UNSYNCED))
+        new = nd.sync_atleast(NEW, need, nd.make(NEW, *UNSYNCED))
+        chain = transfer(ref, OLD, old, {y}, ())
+        one = transfer(nd, NEW, new, {y}, ())
+        want = [p for p in POINTS if ref.contains_point(chain, p)]
+        got = [p for p in POINTS if nd.contains_point(one, p)]
+        assert want and all(p in got for p in want), need
+        assert (got == want) == bool(need), (need, got)
 
 
 # --- The elimination kernel and the pinned hull ------------------------------
@@ -175,8 +199,8 @@ def canonical_or_contradiction(module, rows):
 
 
 @settings(max_examples=400, deadline=None)
-@given(raw_rows(), raw_rows(), st.integers(0, WIDE - 1))
-def test_kernel_matches_reference(raw, probes, idx):
+@given(raw_rows(), raw_rows())
+def test_kernel_matches_reference(raw, probes):
     canon = canonical_or_contradiction(nd, raw)
     assert canon == canonical_or_contradiction(ref, raw), raw
     if canon == "contradiction":
@@ -185,7 +209,6 @@ def test_kernel_matches_reference(raw, probes, idx):
         assert nd.affine_entailed(canon, terms, const) == ref.affine_entailed(
             canon, terms, const
         ), (canon, terms, const)
-    assert nd.affine_project_out(canon, idx) == ref.affine_project_out(canon, idx)
 
 
 HULL = nd.CountLayout(tuple(range(1, WIDE + 1)), ())
