@@ -171,21 +171,29 @@ def test_sync_multiplicities():
     assert nd.sync_atleast(lay, {lay.x(1): 2}, one).is_bottom
 
 
-def test_transfer_walkthrough():
+def test_add_sub_walkthrough():
+    # the counters of the consumed threads go down by one, the created up by one
+    lay, a = walkthrough_element()
+    t = nd.sync_atleast(lay, {lay.x(5): 1, lay.x(10): 1}, a)
+    c0 = nd.transfer(lay, t, [lay.x(5), lay.x(10)], [lay.x(6)], (5, 10))
+    assert c0.ivs[lay.x(5)] == (0, INF)
+    assert c0.ivs[lay.x(10)] == (0, 0)
+    assert c0.ivs[lay.x(6)] == (1, 1)
+    assert c0.ivs[lay.x(2)] == (0, 0)
+    assert c0.ivs[lay.y((1, 13))] == (1, 1)
+    assert nd.transfer(lay, nd.chi(lay, ()), [lay.x(1)], (), (5, 10)).is_bottom
+
+
+def test_update_trans_walkthrough():
+    # the pair's y counts one more transition and its z flag is set
     lay, a = walkthrough_element()
     t = nd.sync_atleast(lay, {lay.x(5): 1, lay.x(10): 1}, a)
     c1 = nd.transfer(lay, t, [lay.x(5), lay.x(10)], [lay.x(6)], (5, 10))
-    assert c1.ivs[lay.x(5)] == (0, INF)
-    assert c1.ivs[lay.x(10)] == (0, 0)
-    assert c1.ivs[lay.x(6)] == (1, 1)
-    assert c1.ivs[lay.x(2)] == (0, 0)
-    assert c1.ivs[lay.y((1, 13))] == (1, 1)
     assert c1.ivs[lay.y((5, 10))][0] >= 1
     assert c1.ivs[lay.z((5, 10))] == (1, 1)
     twice = nd.transfer(lay, c1, (), (), (5, 10))
     assert twice.ivs[lay.y((5, 10))][0] >= 2
     assert nd.transfer(lay, nd.bottom(lay), (), (), (5, 10)).is_bottom
-    assert nd.transfer(lay, nd.chi(lay, ()), [lay.x(1)], (), (5, 10)).is_bottom
 
 
 # -- entailment ---------------------------------------------------------------
