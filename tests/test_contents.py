@@ -89,6 +89,16 @@ def test_post_walkthrough_cell_read_write(memory_index):
     assert ("ret",) in delta
 
 
+def test_launched_only_class_in_an_untouched_unit_starts_from_zero(memory_index):
+    # ("ret",) holds nothing and the step does not create it; its class has
+    # no interacting member, so its contents start from the all-zero vector
+    dom, lay, cu = walkthrough_cu(memory_index)
+    assert ("ret",) not in cu.units()
+    delta = dom.post_delta(cu, 5, 10, case_5_10())
+    (ret,) = delta[("ret",)]
+    assert ret == nd.chi(lay, (lay.x(7), lay.y((5, 10)), lay.z((5, 10))))
+
+
 def test_post_infeasible_when_occupancy_refutes(memory_index):
     dom, lay, cu = walkthrough_cu(memory_index)
     # require a reader and a writer contents thread at once: x5 is pinned 0
@@ -187,6 +197,21 @@ def test_query_examples(memory_product):
     # an all-zero unit proves any nonnegative bound
     assert analysis.con_dom.query(cu, ("nosuchvar",), q, 0)
     assert not analysis.con_dom.query(cu, ("cell",), {lay.x(5): 1}, 0)
+
+
+def test_negative_bound_is_unknown_for_touched_and_absent_units(memory_product):
+    analysis, fix = memory_product
+    cu = fix.element[1]
+    q = {analysis.layout.x(2): 1}
+    assert not analysis.con_dom.query(cu, ("cell",), q, -1)
+    assert not analysis.con_dom.query(cu, ("nosuchvar",), q, -1)
+
+
+def test_absent_unit_admits_only_the_zero_vector(memory_product):
+    analysis, fix = memory_product
+    cu = fix.element[1]
+    assert analysis.con_dom.admits_vector(cu, ("nosuchvar",), {})
+    assert not analysis.con_dom.admits_vector(cu, ("nosuchvar",), {analysis.layout.x(2): 1})
 
 
 def test_oracle_vectors_admitted(semaphore_index):
