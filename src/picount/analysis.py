@@ -11,15 +11,7 @@ from .concrete import Walk
 from .contents import CUMap, describe_unit, unit_vector
 from .engine import Analysis, FixpointResult
 from .envdom import EnvMap, atom_admits
-from .partition import (
-    FULL_NAME,
-    MARKER_ONLY,
-    TRIVIAL_UNIT,
-    GetVar,
-    getvar_channel,
-    getvar_marker,
-    load_partition_spec,
-)
+from .partition import FULL_NAME, GetVar, getvar_channel, getvar_marker, load_partition_spec
 from .syntax import Label, SourceError, SystemIndex, fmt_label, load_system
 
 
@@ -112,20 +104,13 @@ def parse_query(text: str, index: SystemIndex) -> Query:
 
 def query_unit(gv: GetVar, query: Query) -> tuple:
     """Abstract unit a query addresses: every key bound to the named variable."""
-    if gv.mode == MARKER_ONLY:
-        return TRIVIAL_UNIT
-    return tuple(query.unit_var for _ in gv.keys)
+    return gv.abstract_unit_of_vars(dict.fromkeys(gv.keys, query.unit_var))
 
 
 def query_expr(layout, query: Query) -> dict[int, int]:
     expr: dict[int, int] = {}
     for coeff, kind, ref in query.terms:
-        if kind == "x":
-            i = layout.x(ref)
-        elif kind == "y":
-            i = layout.y(ref)
-        else:
-            i = layout.z(ref)
+        i = layout.index[kind, ref]
         expr[i] = expr.get(i, 0) + coeff
     return expr
 
@@ -322,7 +307,7 @@ def run(config: AnalysisConfig) -> RunResult:
     analysis = Analysis.build(index, gv)
     for q in queries:
         for _, kind, ref in q.terms:
-            if kind != "x" and numdom.CountVar(kind, ref) not in analysis.layout.index:
+            if kind != "x" and (kind, ref) not in analysis.layout.index:
                 pair = f"({fmt_label(ref[0])},{fmt_label(ref[1])})"
                 raise SourceError(
                     f"query term {kind}@{pair} in {q.text!r}: "
@@ -344,13 +329,7 @@ def run(config: AnalysisConfig) -> RunResult:
                     or ["all counters = 0"],
                 }
             )
-        units_report.append(
-            {
-                "unit": "(untouched)",
-                "constraints": numdom.pretty_constraints(con_fix.default)
-                or ["all counters = 0"],
-            }
-        )
+        units_report.append({"unit": "(untouched)", "constraints": ["all counters = 0"]})
     env_report = []
     if env_fix is not None:
         for l in index.labels:

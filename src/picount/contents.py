@@ -1,23 +1,24 @@
 """Occurrence counting per computation unit.
 
-A CUMap covers every abstract computation unit with two pieces: an immutable
-`default` element, which accounts for units the analysis never saw get
-touched (in particular the all-zero contents of units whose key names were
-never even allocated), and one accumulated element per touched unit.  A
-concrete unit's instrumented count vector must lie in the accumulation OR in
-the default; keeping the two apart instead of joining them is what preserves
-creation facts such as "every touched unit was created by exactly one step",
-which per-variable boxes plus an affine hull would otherwise dissolve.
+A CUMap holds one accumulated element per touched unit.  A unit no step has
+touched holds no thread and has taken no step, so its contents are the
+all-zero vector, which the map does not store: a concrete unit's
+instrumented count vector must lie in its unit's accumulation OR be the
+zero vector.  Keeping the two apart instead of joining them is what
+preserves creation facts such as "every touched unit was created by exactly
+one step", which per-variable boxes plus an affine hull would otherwise
+dissolve.
 
 The transfer function of a transition sub-case visits each roster class
-once.  It syncs the unit's accumulation and the default with the class's
-presence requirements (at least one thread at each interacting label of the
-class); when both are bottom, the interacting threads cannot be present and
-the whole sub-case is infeasible, which is the contents half of the mutual
-refinement in the coalesced product.  The class's contents then take one
-`numdom.transfer`: a unit the step creates (the case's `new_unit` flag,
-which `partition` decides) starts from the exact all-zero vector, an
-existing unit from the two synced values.  The presence requirements cover
+once.  A class with an interacting member syncs its unit's accumulation
+with its presence requirements (at least one thread at each interacting
+label of the class); when that is bottom, the interacting threads cannot be
+present and the whole sub-case is infeasible, which is the contents half of
+the mutual refinement in the coalesced product.  The class's contents then
+take one `numdom.transfer`: a unit the step creates (the case's `new_unit`
+flag, which `partition` decides) starts from the zero vector, an existing
+unit from its synced accumulation and, for a class with no interacting
+member, from the zero vector as well.  The presence requirements cover
 every counter the class consumes, which is `transfer`'s precondition.
 """
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from . import numdom
 from .numdom import CountLayout, NumElem
-from .partition import GetVar, PartitionCase
+from .partition import TRIVIAL_UNIT, GetVar, PartitionCase
 from .syntax import INPUT, Label, SystemIndex
 
 
@@ -33,43 +34,38 @@ class CUMap:
     """Counting view of all abstract computation units.
 
     `entries` hold the accumulated contents of touched units (absent means
-    nothing accumulated yet); `default` covers every unit in its untouched
-    life.  Membership is disjunctive: accumulation or default.  Two maps are
-    equal when their `default` and `entries` are.
+    nothing accumulated yet).  Membership is disjunctive: accumulation or
+    the zero vector.  Two maps are equal when their `entries` are.
     """
 
-    __slots__ = ("default", "entries", "_map")
+    __slots__ = ("entries", "_map")
 
-    def __init__(self, default: NumElem, entries: tuple[tuple[tuple, NumElem], ...]):
-        self.default = default
+    def __init__(self, entries: tuple[tuple[tuple, NumElem], ...]):
         self.entries = entries  # sorted by repr(unit), no bottoms
         self._map = dict(entries)
 
     def __eq__(self, other):
         if type(other) is not CUMap:
             return NotImplemented
-        return (self.default, self.entries) == (other.default, other.entries)
+        return self.entries == other.entries
 
     def __hash__(self):
-        return hash((self.default, self.entries))
+        return hash(self.entries)
 
     @staticmethod
-    def of(default: NumElem, entries: dict) -> "CUMap":
+    def of(entries: dict) -> "CUMap":
         kept = tuple(
             (u, e)
             for u, e in sorted(entries.items(), key=lambda kv: repr(kv[0]))
             if not e.is_bottom
         )
-        return CUMap(default, kept)
+        return CUMap(kept)
 
     def accum(self, unit: tuple, layout: CountLayout) -> NumElem:
         return self._map.get(unit, numdom.bottom(layout))
 
     def units(self) -> tuple:
         return tuple(u for u, _ in self.entries)
-
-    def is_bottom(self) -> bool:
-        return self.default.is_bottom and not self.entries
 
 
 class ContentsDomain:
@@ -79,24 +75,24 @@ class ContentsDomain:
         self.index = index
         self.gv = gv
         self.layout = layout
+        self.zero = numdom.chi(layout, ())  # every untouched unit's contents
 
     def bottom(self) -> CUMap:
-        return CUMap(numdom.bottom(self.layout), ())
+        return CUMap(())
 
     def init(self) -> CUMap:
         """Initial threads populate the unit their channel keys name; every
-        other unit starts in its untouched (all-zero) life."""
+        other unit starts untouched, at the zero vector."""
         index, gv, layout = self.index, self.gv, self.layout
-        zero = numdom.chi(layout, ())
         by_unit: dict[tuple, list[int]] = {}
         for l in sorted(index.root_labels, key=repr):
             unit = gv.abstract_unit_of_vars({k: gv.keyvar(l, k) for k in gv.keys})
             by_unit.setdefault(unit, []).append(layout.x(l))
         entries = {
-            u: numdom.join(layout, [numdom.chi(layout, xs), zero])
+            u: numdom.join(layout, [numdom.chi(layout, xs), self.zero])
             for u, xs in by_unit.items()
         }
-        return CUMap.of(zero, entries)
+        return CUMap.of(entries)
 
     def join(self, maps, deltas=None) -> CUMap:
         """Join of `maps`, each unit also joined with its list of `deltas`."""
@@ -105,26 +101,22 @@ class ContentsDomain:
             return self.bottom()
         deltas = deltas or {}
         layout = self.layout
-        default = numdom.join(layout, [m.default for m in maps])
         keys = {u for m in maps for u in m.units()} | set(deltas)
         entries = {
             u: numdom.join(layout, [m.accum(u, layout) for m in maps] + deltas.get(u, []))
             for u in keys
         }
-        return CUMap.of(default, entries)
+        return CUMap.of(entries)
 
     def widen(self, a: CUMap, b: CUMap) -> CUMap:
-        default = numdom.widen(self.layout, a.default, b.default)
         keys = sorted(set(a.units()) | set(b.units()), key=repr)
         entries = {
             u: numdom.widen(self.layout, a.accum(u, self.layout), b.accum(u, self.layout))
             for u in keys
         }
-        return CUMap.of(default, entries)
+        return CUMap.of(entries)
 
     def leq(self, a: CUMap, b: CUMap) -> bool:
-        if not numdom.leq(a.default, b.default):
-            return False
         keys = set(a.units()) | set(b.units())
         return all(
             numdom.leq(a.accum(u, self.layout), b.accum(u, self.layout)) for u in keys
@@ -145,14 +137,10 @@ class ContentsDomain:
             for (l, _role) in cls & interacting:
                 xi = layout.x(l)
                 need[xi] = need.get(xi, 0) + 1
-            olds = [
-                numdom.sync_atleast(layout, need, cu.accum(unit, layout)),
-                numdom.sync_atleast(layout, need, cu.default),
-            ]
-            if need and all(old.is_bottom for old in olds):
-                return None
-            if new_unit:
-                olds = [numdom.chi(layout, ())]
+            old = numdom.sync_atleast(layout, need, cu.accum(unit, layout))
+            if need and old.is_bottom:
+                return None  # the zero vector holds no interacting thread either
+            olds = [self.zero] if new_unit else [old] if need else [old, self.zero]
             consumed = set()
             if index.type[lq] == INPUT and (lq, "?") in cls:
                 consumed.add(layout.x(lq))
@@ -170,15 +158,12 @@ class ContentsDomain:
     # -- queries --------------------------------------------------------------
 
     def query(self, cu: CUMap, unit: tuple, expr: dict[int, int], bound: int) -> bool:
-        """Entailment over the disjunctive membership: both parts must comply."""
-        return numdom.entails(cu.accum(unit, self.layout), expr, bound) and numdom.entails(
-            cu.default, expr, bound
-        )
+        """Entailment over the disjunctive membership: the zero vector
+        complies iff `bound` >= 0, and the accumulation must comply too."""
+        return bound >= 0 and numdom.entails(cu.accum(unit, self.layout), expr, bound)
 
     def admits_vector(self, cu: CUMap, unit: tuple, vec: dict[int, int]) -> bool:
-        return numdom.contains_point(cu.accum(unit, self.layout), vec) or numdom.contains_point(
-            cu.default, vec
-        )
+        return not any(vec.values()) or numdom.contains_point(cu.accum(unit, self.layout), vec)
 
 
 def unit_vector(layout: CountLayout, counts: dict[Label, int], steps: dict) -> dict[int, int]:
@@ -192,6 +177,6 @@ def unit_vector(layout: CountLayout, counts: dict[Label, int], steps: dict) -> d
 
 
 def describe_unit(gv: GetVar, unit: tuple) -> str:
-    if unit == ("*",):
+    if unit == TRIVIAL_UNIT:
         return "[*]"
     return "[" + ", ".join(f"{k}={v}" for k, v in zip(gv.keys, unit)) + "]"

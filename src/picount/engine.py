@@ -19,13 +19,14 @@ if anything was posted, and the slot's deltas.
 
 Rounds are change-driven.  Posting a pair reads only a few slots: the env
 at `lq` and `le` (the hint reads nothing else, and `TopHint` is constant),
-and the contents default plus the accumulation of each unit that a sub-case
-reaching the contents transfer assigns.  `iterate` records per pair what it
-read and what it produced; a round re-posts only the pairs whose reads
-changed and replays the others' deltas in posting order, so every round,
-widening point and fixpoint is the one posting every pair gives.  Trace
-tallies count a round's sub-cases, posted or reused.  Each pair's roster and
-forced groups come from its `PairPlan`, built once per `Analysis`.
+and the accumulation of each unit that a sub-case reaching the contents
+transfer assigns (an untouched unit is the zero vector, which never
+changes).  `iterate` records per pair what it read and what it produced; a
+round re-posts only the pairs whose reads changed and replays the others'
+deltas in posting order, so every round, widening point and fixpoint is the
+one posting every pair gives.  Trace tallies count a round's sub-cases,
+posted or reused.  Each pair's roster and forced groups come from its
+`PairPlan`, built once per `Analysis`.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def _reads(analysis: Analysis, elem: tuple, plan: PairPlan, units: tuple) -> tup
     layout = analysis.layout
     return (
         () if env is None else (env.get(plan.lq), env.get(plan.le)),
-        () if con is None else (con.default, *(con.accum(u, layout) for u in units)),
+        () if con is None else tuple(con.accum(u, layout) for u in units),
     )
 
 

@@ -15,10 +15,12 @@ Reduction substitutes pinned constants into the rows, turns single-variable
 rows into pins, and tightens boxes through the remaining rows in integer
 arithmetic; contradictions collapse to bottom.
 
-Every affine operation runs on one integer elimination kernel (`_echelon`).
-While it eliminates, a row is a {index: coeff} dict plus its constant; a new
-row is cleared of the pivots it mentions, made primitive once, and
-back-substituted into only the rows that hold its pivot.
+Every elimination runs on one integer kernel (`_echelon`, whose step is
+`_cancel`).  While it eliminates, a row is a {index: coeff} dict plus its
+constant; a new row is cleared of the pivots it mentions, made primitive
+once, and back-substituted into only the rows that hold its pivot.  The
+reduction substitutes pins by handing the kernel one `v = value` row per
+pin, and `entails` cancels a variable from a form with `_cancel`.
 
 Join is the affine hull plus the interval hull.  Counters pinned in the
 hull's box hold that value in every input and factor out; only the others
@@ -53,60 +55,34 @@ REDUCE_ROUNDS = 2
 # --- Variables of the counting domain --------------------------------------
 
 
-class CountVar:
-    """x@l occupancy counters, y@(l?,l!) step counters, z@(l?,l!) step flags.
-    Two are equal when their kind and ref are."""
-
-    __slots__ = ("kind", "ref")
-
-    def __init__(self, kind: str, ref: object):
-        self.kind = kind  # 'x' | 'y' | 'z'
-        self.ref = ref  # label for x, (label, label) for y/z
-
-    def __eq__(self, other):
-        if type(other) is not CountVar:
-            return NotImplemented
-        return (self.kind, self.ref) == (other.kind, other.ref)
-
-    def __hash__(self):
-        return hash((self.kind, self.ref))
-
-    def pretty(self) -> str:
-        if self.kind == "x":
-            return f"x{self.ref}"
-        return f"{self.kind}({self.ref[0]},{self.ref[1]})"
-
-
 class CountLayout:
-    """Index assignment for K = x-vars of all labels + y/z per feasible pair."""
+    """Index assignment for K = x-vars of all labels + y/z per feasible pair.
+    A counter is its key: ("x", label) for an occupancy counter, ("y", pair)
+    for a step counter and ("z", pair) for a step flag."""
 
     def __init__(self, labels, pairs):
         self.labels = tuple(labels)
         self.pairs = tuple(pairs)
-        self.vars: list[CountVar] = []
-        self.index: dict[CountVar, int] = {}
-        for l in self.labels:
-            self._add(CountVar("x", l))
+        self.vars: list[tuple] = [("x", l) for l in self.labels]
         for p in self.pairs:
-            self._add(CountVar("y", p))
-            self._add(CountVar("z", p))
+            self.vars += [("y", p), ("z", p)]
+        self.index: dict[tuple, int] = {v: i for i, v in enumerate(self.vars)}
         self.size = len(self.vars)
 
-    def _add(self, v: CountVar):
-        self.index[v] = len(self.vars)
-        self.vars.append(v)
-
     def x(self, label) -> int:
-        return self.index[CountVar("x", label)]
+        return self.index["x", label]
 
     def y(self, pair) -> int:
-        return self.index[CountVar("y", pair)]
+        return self.index["y", pair]
 
     def z(self, pair) -> int:
-        return self.index[CountVar("z", pair)]
+        return self.index["z", pair]
 
     def pretty(self, i: int) -> str:
-        return self.vars[i].pretty()
+        kind, ref = self.vars[i]
+        if kind == "x":
+            return f"x{ref}"
+        return f"{kind}({ref[0]},{ref[1]})"
 
 
 # --- Affine systems ----------------------------------------------------------
@@ -331,29 +307,25 @@ def _tighten(ivs: list, rows) -> bool:
 
 
 def _fold(ivs: list, rows) -> tuple[tuple[Row, ...], bool]:
-    """Substitute pinned variables into the rows and re-canonicalize, then
-    turn every single-variable row into a pin of `ivs` (in place).
+    """Substitute pinned variables into the rows on the kernel, then turn
+    every single-variable row into a pin of `ivs` (in place).
 
+    The kernel takes the rows plus one `v = value` row per pinned variable
+    that a multi-variable row holds; a reduced echelon form is unique, so
+    each such variable leaves the other rows and comes back as its pin.
     Returns the rows, which mention no pinned variable, and whether a pinned
     variable had to be substituted.  A single-variable row's variable is its
     pivot, so it occurs in no other row and one pass suffices.
     """
-    substituted = any(
-        len(terms) > 1 and any(ivs[i][0] == ivs[i][1] for i, _ in terms)
-        for terms, _ in rows
-    )
-    if substituted:
-        raw = []
-        for terms, const in rows:
-            kept = []
-            for i, c in terms:
+    pins = {}
+    for terms, _ in rows:
+        if len(terms) > 1:
+            for i, _ in terms:
                 lo, hi = ivs[i]
                 if lo == hi:
-                    const -= c * lo
-                else:
-                    kept.append((i, c))
-            raw.append((kept, const))
-        rows = affine_from_rows(raw)
+                    pins[i] = lo
+    if pins:
+        rows = affine_from_rows(list(rows) + [(((i, 1),), v) for i, v in pins.items()])
     multi = []
     for terms, const in rows:
         if len(terms) > 1:
@@ -365,7 +337,7 @@ def _fold(ivs: list, rows) -> tuple[tuple[Row, ...], bool]:
         if r or v < lo or (hi is not INF and v > hi):
             raise Contradiction
         ivs[i] = (v, v)
-    return tuple(multi), substituted
+    return tuple(multi), bool(pins)
 
 
 def _reduce(layout, ivs, rows) -> NumElem:
@@ -576,34 +548,17 @@ def _coupled_intervals(a: NumElem):
 # so every comparison is exact.
 
 
-def _upper_value(expr, shift, ivs):
-    """Largest value of shift + sum(expr) over the boxes, or None."""
-    total = shift
-    for i, c in expr.items():
-        lo, hi = ivs[i]
-        if c > 0:
-            if hi is INF:
-                return None
-            total += c * hi
-        else:
-            total += c * lo
-    return total
-
-
 def _eliminate_var(expr, shift, den, var, terms, const):
-    """Cancel `var` from the form using a row that mentions it: subtract
-    expr[var] / cv times the row, scaling the form by |cv|."""
+    """Cancel `var` from the form through a row that mentions it, on the
+    kernel's `_cancel`; the row's scale goes into the denominator, which
+    stays positive."""
     cv = next(c for i, c in terms if i == var)
-    scale = abs(cv)
-    coeff = expr[var] if cv > 0 else -expr[var]  # expr[var] / cv, over den * scale
-    out = {i: c * scale for i, c in expr.items()}
-    for i, c in terms:
-        nc = out.get(i, 0) - coeff * c
-        if nc:
-            out[i] = nc
-        elif i in out:
-            del out[i]
-    return out, shift * scale + coeff * const, den * scale
+    out = dict(expr)
+    shift = -_cancel(out, -shift, expr[var], terms, cv, const)
+    if cv < 0:
+        out = {i: -c for i, c in out.items()}
+        shift = -shift
+    return out, shift, den * (abs(cv) // gcd(expr[var], cv))
 
 
 def _objective(expr, shift, den, ivs):
@@ -673,9 +628,9 @@ def entails(a: NumElem, expr: dict[int, int], bound: int) -> bool:
             obj, best = move
         candidates.append(best)
 
-    for e, s, den in candidates:
-        value = _upper_value(e, s, ivs)
-        if value is not None and value <= bound * den:
+    for cand in candidates:
+        unbounded, value, den = _objective(*cand, ivs)
+        if not unbounded and value <= bound * den:
             return True
     return False
 

@@ -320,7 +320,7 @@ def test_corrupted_contents_fixpoint_is_flagged():
         [(0, 1) if i == lay.x(2) else (0, 0) for i in range(lay.size)],
         [],
     )
-    corrupted = CUMap.of(nd.bottom(lay), {("a",): capped})
+    corrupted = CUMap.of({("a",): capped})
     report = verify_configs(
         result.analysis, result.env_fix, corrupted, max_configs=300, max_depth=20
     )

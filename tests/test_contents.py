@@ -35,9 +35,9 @@ def test_init_memory(memory_index):
     rec = init.accum(("rec@12",), lay)
     assert rec.ivs[lay.x(12)] == (0, 1)
     assert nd.affine_entailed(rec.rows, ((lay.x(12), 1), (lay.x("12'"), -1)), 0)
-    # untouched units sit at the exact zero vector
-    assert all(init.default.ivs[i] == (0, 0) for i in range(lay.size))
+    # an untouched unit holds no accumulation: it is the zero vector
     assert init.accum(("cell",), lay).is_bottom
+    assert dom.admits_vector(init, ("cell",), {})
 
 
 def test_init_trivial_system():
@@ -62,7 +62,7 @@ def walkthrough_cu(memory_index):
     ivs[lay.y((1, 13))] = (0, 1)
     rows = [(((lay.x(2), 1), (lay.x(6), 1), (lay.x(10), 1), (lay.y((1, 13)), -1)), 0)]
     cell = nd.make(lay, ivs, rows)
-    cu = CUMap.of(nd.chi(lay, ()), {("cell",): cell})
+    cu = CUMap.of({("cell",): cell})
     return dom, lay, cu
 
 
@@ -103,7 +103,6 @@ def test_post_infeasible_when_occupancy_refutes(memory_index):
     dom, lay, cu = walkthrough_cu(memory_index)
     # require a reader and a writer contents thread at once: x5 is pinned 0
     zero_x5 = CUMap.of(
-        cu.default,
         {("cell",): nd.make(
             lay,
             [(0, 0) if i == lay.x(5) else iv for i, iv in enumerate(cu.accum(("cell",), lay).ivs)],
@@ -149,7 +148,7 @@ def test_post_freshness_restarts_unit(memory_product):
 def test_post_bottom_propagates(memory_index):
     dom, lay = domain_for(memory_index)
     assert dom.post_delta(dom.bottom(), 5, 10, case_5_10()) is None
-    assert dom.join([dom.bottom()], dom.post_delta(dom.bottom(), 5, 10, case_5_10())).is_bottom()
+    assert dom.join([dom.bottom()], dom.post_delta(dom.bottom(), 5, 10, case_5_10())) == dom.bottom()
 
 
 def test_post_monotone_per_unit(memory_index):

@@ -24,6 +24,7 @@ from conftest import MEMORY_WRITE, corpus_text
 
 import pytest
 
+from picount import numdom as nd
 from picount.engine import Analysis
 from picount.partition import getvar_channel, getvar_marker
 from picount.syntax import fmt_label, load_system
@@ -72,13 +73,14 @@ def encode_num(e):
     return None if e.is_bottom else {"ivs": e.ivs, "rows": e.rows}
 
 
-def encode_element(env, con) -> dict:
+def encode_element(env, con, layout) -> dict:
     return {
         "env": None if env is None else [[fmt_label(l), encode_atom(a)] for l, a in env.table],
         "con": None
         if con is None
         else {
-            "default": encode_num(con.default),
+            # the zero vector of an untouched unit, which a CUMap does not store
+            "default": encode_num(nd.chi(layout, ())),
             "units": [[unit, encode_num(e)] for unit, e in con.entries],
         },
     }
@@ -89,13 +91,14 @@ def golden_line(run: str) -> dict:
     system, partition, kind = run.split("/")
     index = load_system(system_text(system))
     gv = getvar_channel(index) if partition == "chan" else getvar_marker(index)
-    fix = Analysis.build(index, gv).run(kind, max_iter=MAX_ITER, keep_trace=kind == "product")
+    analysis = Analysis.build(index, gv)
+    fix = analysis.run(kind, max_iter=MAX_ITER, keep_trace=kind == "product")
     line = {
         "run": run,
         "stabilized": fix.stabilized,
         "iterations": fix.iterations,
         "trace": fix.trace,
-        "element": encode_element(fix.env, fix.con),
+        "element": encode_element(fix.env, fix.con, analysis.layout),
     }
     return json.loads(json.dumps(line))  # tuples become lists, as in the file
 

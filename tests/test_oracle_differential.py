@@ -109,7 +109,7 @@ def _corrupted_contents():
     lay = result.analysis.layout
     # pretend the semaphore unit never holds more than one pending output
     capped = nd.make(lay, [(0, 1) if i == lay.x(2) else (0, 0) for i in range(lay.size)], [])
-    return result.analysis, result.env_fix, CUMap.of(nd.bottom(lay), {("a",): capped})
+    return result.analysis, result.env_fix, CUMap.of({("a",): capped})
 
 
 @pytest.mark.parametrize("seed", range(20))
