@@ -402,10 +402,10 @@ class OracleReport:
         return "\n".join(lines) + "\n"
 
 
-def _plus(base: dict, changes: dict) -> dict:
-    """`base` with `changes` added, keeping no 0."""
+def _plus(base: dict, changes) -> dict:
+    """`base` with `changes`, ((key, change), ...), added, keeping no 0."""
     out = dict(base)
-    for k, d in changes.items():
+    for k, d in changes:
         n = out.get(k, 0) + d
         if n:
             out[k] = n
@@ -430,14 +430,16 @@ def verify_configs(
     `max_configs` bounds those states: the walk stops, truncated, at the
     first state it refuses, or once `max_violations` violations are found.
 
-    A state is checked as its difference from its source: the threads it
-    added, and the units of the threads it added or removed and of the
-    step's counter increments (the initial state is the difference from the
-    empty state).  That skips nothing because a source is always checked
-    before its edges are yielded: the initial state first, and every
-    admitted target when it is yielded, one layer before it is expanded.
-    So every other thread of the state, and every other unit's
-    (abstract unit, label counts, step counts) key, was already checked.
+    A state is checked as what its step's shape says it changed in its
+    source: the launched threads (all the target adds, as no launched thread
+    shares a site with a present one), and the units of the shape's
+    `changes`, each as the source's counts plus those changes (the initial
+    state is the difference from the empty state).  That skips nothing
+    because a source is always checked before its edges are yielded: the
+    initial state first, and every admitted target when it is yielded, one
+    layer before it is expanded.  So every other thread of the state, and
+    every other unit's (abstract unit, label counts, step counts) key, was
+    already checked.
     """
     index, gv, layout = analysis.index, analysis.gv, analysis.layout
     walk = Walk(index, max_configs, max_depth, gv)
@@ -480,25 +482,18 @@ def verify_configs(
                     f"{fmt_label(t.label)}; trace {trace_of(state)}"
                 )
 
-    def check_units(state, source, added, removed, increments):
+    def check_units(state, source, keys, changes):
         nonlocal grouped
         if con_fix is None:
             return
         if grouped[0] is not source:
             grouped = (source, by_unit(source))
         source_counts, source_steps = grouped[1]
-        # unit -> (change of each label count, change of each step count)
-        delta: dict[tuple, tuple[dict, dict]] = {}
-        for threads, d in ((removed, -1), (added, 1)):
-            for t in threads:
-                c = delta.setdefault(walk.unit_of(t), ({}, {}))[0]
-                c[t.label] = c.get(t.label, 0) + d
-        for u, pair in increments:
-            c = delta.setdefault(u, ({}, {}))[1]
-            c[pair] = c.get(pair, 0) + 1
-        for u, (count_changes, step_changes) in delta.items():
+        for (u, pair), count_changes in zip(keys, changes):
             counts = _plus(source_counts.get(u, {}), count_changes)
-            steps = _plus(source_steps.get(u, {}), step_changes)
+            steps = dict(source_steps.get(u, {}))
+            if pair is not None:
+                steps[pair] = steps.get(pair, 0) + 1
             abs_unit = gv.alpha_unit(u)
             # neither counts nor step tallies hold a 0, so this names the vector
             key = (abs_unit, frozenset(counts.items()), frozenset(steps.items()))
@@ -513,24 +508,29 @@ def verify_configs(
                     f"trace {trace_of(state)}"
                 )
 
-    def check(state, source, increments) -> bool:
+    def check(state, source, added, keys, changes) -> bool:
         """Check what `state` changed from `source`, which is checked; False
         once enough violations are found."""
         new = len(violations)
-        added = state[0] - source[0]
         check_env(state, added)
-        check_units(state, source, added, source[0] - state[0], increments)
+        check_units(state, source, keys, changes)
         if len(violations) - new > 1:
             # sets iterate in string-hash order; fix the order here
             violations[new:] = sorted(violations[new:])
         return len(violations) < max_violations
 
-    stopped = not check(walk.initial, empty, ())
+    # no step reached the initial state: its units' keys carry no pair
+    counts = by_unit(walk.initial)[0]
+    stopped = not check(
+        walk.initial, empty, walk.initial[0], dict.fromkeys(counts).items(),
+        map(dict.items, counts.values()),
+    )
     if not stopped:
         for source, step, target, admitted in walk:
             if admitted:
-                parents[target] = (source, step.pair)
-                if not check(target, source, walk.increments(step)):
+                shape = step.shape
+                parents[target] = (source, shape.pair)
+                if not check(target, source, shape.launched, *shape.changes):
                     stopped = True
                     break
     return OracleReport(

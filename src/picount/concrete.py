@@ -13,18 +13,18 @@ configurations, optionally carrying per-unit step counters; the soundness
 oracle (`analysis.verify_configs`) is its only consumer in the package.
 Each walk keeps one `StepTable`: equal threads are one object, and what a
 step does apart from the rest of its configuration (consumed and launched
-threads, canonical order key) is built once per distinct (receiver, sender)
-pair.
+threads and their site hashes, canonical order key, what it changes in each
+concrete unit) is built once per distinct (receiver, sender) pair.
 `enabled_steps` buckets a configuration's senders by (channel, arity), so
-each receiver meets only the senders it can synchronize with.  The walk
-computes each distinct thread's concrete unit once and each pair's counter
-increments once, and a target's counters replace only the step's own keys.
-`dump_configs` ranks and encodes each distinct thread once and sorts each
-configuration once, by rank.
+each receiver meets only the senders it can synchronize with, and takes the
+configuration's site hashes once for every target's site check.  The walk
+computes each distinct thread's concrete unit once, and a target's counters
+replace only the step's own keys.  `dump_configs` ranks and encodes each
+distinct thread once and sorts each configuration once, by rank.
 
 The walk yields every state before the edges leaving it, and ends at its
 first refused target (see `Walk`).  The oracle checks each state when it is
-yielded, so only where it differs from its already checked source.
+yielded, so only where its step changed its already checked source.
 """
 
 from __future__ import annotations
@@ -94,19 +94,19 @@ Configuration = frozenset  # of Thread
 
 
 _site_hash = operator.attrgetter("site_hash")
+_change = operator.itemgetter(1)  # a (key, change) item's change, for filtering out 0s
 
 
 def make_config(threads) -> Configuration:
+    # names the first repeated site met; a step's target is checked by site
+    # hash first (step_target)
     threads = frozenset(threads)
-    if len(set(map(_site_hash, threads))) != len(threads):
-        # two site hashes agree: a site repeats or two hashes collide, so
-        # compare the sites themselves and name the first repeat met
-        seen = set()
-        for t in threads:
-            k = t.site
-            if k in seen:
-                raise InternalError(f"two threads share (label, marker) {k}")
-            seen.add(k)
+    seen = set()
+    for t in threads:
+        k = t.site
+        if k in seen:
+            raise InternalError(f"two threads share (label, marker) {k}")
+        seen.add(k)
     return threads
 
 
@@ -129,19 +129,22 @@ def initial_config(index: SystemIndex) -> Configuration:
 
 class ConcreteStep:
     """One synchronization of `receiver` with `sender`, from `source` to
-    `target`; `pair` is their two labels, and `launched_recv` and
-    `launched_send` the threads each side's continuation launches."""
+    `target`; `shape` is what it does apart from the rest of `source`, shared
+    by every step of the same (receiver, sender) pair, and `pair`,
+    `launched_recv` and `launched_send` are read from it."""
 
-    __slots__ = ("source", "receiver", "sender", "target", "pair", "launched_recv", "launched_send")
+    __slots__ = ("source", "receiver", "sender", "target", "shape")
 
-    def __init__(self, *, source, receiver, sender, target, pair, launched_recv, launched_send):
+    def __init__(self, *, source, receiver, sender, target, shape):
         self.source = source
         self.receiver = receiver
         self.sender = sender
         self.target = target
-        self.pair = pair
-        self.launched_recv = launched_recv
-        self.launched_send = launched_send
+        self.shape = shape
+
+    pair = property(operator.attrgetter("shape.pair"))
+    launched_recv = property(operator.attrgetter("shape.launched_recv"))
+    launched_send = property(operator.attrgetter("shape.launched_send"))
 
 
 class StepShape:
@@ -150,28 +153,42 @@ class StepShape:
     threads each side launches and their union, and its canonical order key
     (both labels, then both markers)."""
 
-    __slots__ = ("pair", "consumed", "launched_recv", "launched_send", "launched", "key")
+    __slots__ = (
+        "pair", "consumed", "launched_recv", "launched_send", "launched", "key",
+        "launched_sites", "changes",
+    )
 
-    def __init__(self, pair, consumed, launched_recv, launched_send, key):
+    def __init__(self, pair, consumed, launched_recv, launched_send, key, changes=None):
         self.pair = pair
         self.consumed = consumed
         self.launched_recv = launched_recv
         self.launched_send = launched_send
         self.launched = frozenset(launched_recv + launched_send)
         self.key = key
+        # the launched threads' site hashes, None when two of them agree
+        sites = frozenset(map(_site_hash, self.launched))
+        self.launched_sites = sites if len(sites) == len(self.launched) else None
+        # under a unit map, (keys, counts): the counters ((unit, pair), ...)
+        # the step adds one to, one per unit of a thread it takes part with
+        # or launches, and for each in turn that unit's label count changes,
+        # ((label, change), ...) with no 0: -1 per consumed and +1 per
+        # launched thread
+        self.changes = changes
 
 
 class StepTable:
     """One object per distinct thread, one `StepShape` per distinct
     (receiver, sender) pair and one order key per marker, built on first use.
-    A table serves one walk, so the threads and pairs that walk meets bound
-    its size."""
+    With a unit map `gv`, shapes carry their `changes`.  A table serves one
+    walk, so the threads and pairs that walk meets bound its size."""
 
-    def __init__(self, index: SystemIndex):
-        self.index = index
+    def __init__(self, index: SystemIndex, gv=None):
+        self.index, self.gv = index, gv
         self._threads: dict[Thread, Thread] = {}
         self._shapes: dict[tuple[Thread, Thread], StepShape] = {}
         self._marker_keys: dict[Marker, tuple] = {EPSILON: ()}
+        self._units: dict[Thread, tuple] = {}
+        self._counts: dict[tuple, tuple] = {}  # one object per distinct count changes
 
     def intern(self, t: Thread) -> Thread:
         """The table's one object equal to `t`."""
@@ -200,7 +217,33 @@ class StepTable:
         ct_recv = self._launched(launch(index, index.cont[lq], new_marker, recv_env))
         ct_send = self._launched(launch(index, index.cont[le], send.marker, dict(send.env)))
         key = (label_key(lq), label_key(le), self._marker_key_of(recv.marker), send_key)
-        return StepShape((lq, le), consumed, ct_recv, ct_send, key)
+        changes = None
+        if self.gv is not None:
+            changes = self._changes((lq, le), (recv, send), consumed, ct_recv + ct_send)
+        return StepShape((lq, le), consumed, ct_recv, ct_send, key, changes)
+
+    def _changes(self, pair, takers, consumed, launched) -> tuple:
+        # `StepShape.changes` of a step of `pair` by `takers`
+        counts: dict[tuple, dict] = {}
+        for t in takers + launched:
+            counts.setdefault(self.unit_of(t), {})
+        for threads, d in ((consumed, -1), (launched, 1)):
+            for t in threads:
+                c = counts[self.unit_of(t)]
+                c[t.label] = c.get(t.label, 0) + d
+        keys, changes = [], []
+        for u, c in counts.items():
+            keys.append((u, pair))
+            c = tuple(filter(_change, c.items()))
+            changes.append(self._counts.setdefault(c, c))
+        return tuple(keys), tuple(changes)
+
+    def unit_of(self, t: Thread) -> tuple:
+        """Concrete unit of `t` under `gv`, computed once per distinct thread."""
+        u = self._units.get(t)
+        if u is None:
+            u = self._units[t] = self.gv.concrete_unit(t.label, t.env)
+        return u
 
     def _marker_key_of(self, m: Marker) -> tuple:
         """`_marker_key(m)`, kept per table.  A marker that a FETCH step
@@ -247,18 +290,28 @@ def enabled_steps(
         for s in senders.get((r.env[chan[l]], len(arg[l])), ()):
             matches.append((table.shape(r, s), r, s))
     matches.sort(key=lambda m: m[0].key)
+    sites = set(map(_site_hash, config))
     return [
         ConcreteStep(
             source=config,
             receiver=r,
             sender=s,
-            target=make_config((config - shape.consumed) | shape.launched),
-            pair=shape.pair,
-            launched_recv=shape.launched_recv,
-            launched_send=shape.launched_send,
+            target=step_target(config, sites, shape),
+            shape=shape,
         )
         for shape, r, s in matches
     ]
+
+
+def step_target(config: Configuration, sites: set, shape: StepShape) -> Configuration:
+    """`config` after a step of `shape`; `sites` are its site hashes.
+    Launched hashes apart from them and from each other name new sites; any
+    overlap gets `make_config`'s exact check."""
+    target = (config - shape.consumed) | shape.launched
+    launched = shape.launched_sites
+    if launched is None or not sites.isdisjoint(launched):
+        return make_config(target)
+    return target
 
 
 class Walk:
@@ -278,24 +331,21 @@ class Walk:
 
     The walk keeps one `StepTable`: every step of one (receiver, sender) pair
     shares its shape, and equal threads are one object, so set and dict
-    lookups of threads compare identities.  `unit_of` computes each distinct
-    thread's concrete unit once per walk, and `increments` builds each pair's
-    counter keys, ((unit, pair), ...) for the distinct units taking part, once
-    per walk.  A target's counters are its source's with just those keys
-    replaced, read from one dict of the source's counters per expanded
-    source."""
+    lookups of threads compare identities.  With `gv`, `unit_of` computes
+    each distinct thread's concrete unit once per walk.  A target's counters
+    are its source's with just its shape's counter keys replaced, read from
+    one dict of the source's counters per expanded source."""
 
     def __init__(self, index: SystemIndex, max_configs: int, max_depth: int, gv=None):
         if max_configs <= 0 or max_depth <= 0:
             raise ValueError("exploration limits must be positive")
         self.index, self.gv = index, gv
         self.max_configs, self.max_depth = max_configs, max_depth
-        self.table = StepTable(index)
+        self.table = StepTable(index, gv)
+        self.unit_of = self.table.unit_of
         self.initial = (frozenset(map(self.table.intern, initial_config(index))), frozenset())
         self.visited = {self.initial}
         self.truncated = False
-        self._units: dict[Thread, tuple] = {}
-        self._increments: dict[tuple[Thread, Thread], tuple] = {}
 
     def __iter__(self):
         frontier = [self.initial]
@@ -334,27 +384,9 @@ class Walk:
         step's own keys are read and replaced."""
         if self.gv is None:
             return counters
-        keys = self.increments(step)
+        keys = step.shape.changes[0]
         old = [(k, tally[k]) for k in keys if k in tally]
         return counters.difference(old).union([(k, tally.get(k, 0) + 1) for k in keys])
-
-    def increments(self, step: ConcreteStep) -> tuple:
-        """The counter keys ((unit, pair), ...) that `step` adds one to: one
-        per distinct unit of the threads it takes part with or launches.
-        Built once per (receiver, sender) pair; needs `gv`."""
-        increments = self._increments.get((step.receiver, step.sender))
-        if increments is None:
-            takers = (step.receiver, step.sender, *step.launched_recv, *step.launched_send)
-            increments = tuple((u, step.pair) for u in set(map(self.unit_of, takers)))
-            self._increments[step.receiver, step.sender] = increments
-        return increments
-
-    def unit_of(self, t: Thread) -> tuple:
-        """Concrete unit of `t` under `gv`, computed once per distinct thread."""
-        u = self._units.get(t)
-        if u is None:
-            u = self._units[t] = self.gv.concrete_unit(t.label, t.env)
-        return u
 
 
 # --- Oracle dump (JSON lines, one record per configuration) ---------------

@@ -9,13 +9,14 @@ preserves creation facts such as "every touched unit was created by exactly
 one step", which per-variable boxes plus an affine hull would otherwise
 dissolve.
 
-The transfer function of a transition sub-case visits each roster class
-once.  A class with an interacting member syncs its unit's accumulation
-with its presence requirements (at least one thread at each interacting
-label of the class); when that is bottom, the interacting threads cannot be
-present and the whole sub-case is infeasible, which is the contents half of
-the mutual refinement in the coalesced product.  The class's contents then
-take one `numdom.transfer`: a unit the step creates (the case's `new_unit`
+The transfer function of a transition sub-case first visits each roster
+class once.  A class with an interacting member syncs its unit's
+accumulation with its presence requirements (at least one thread at each
+interacting label of the class); when that is bottom, the interacting
+threads cannot be present and the whole sub-case is infeasible, which is
+the contents half of the mutual refinement in the coalesced product.  Only
+once no class refutes the sub-case does each class's contents take one
+`numdom.transfer`: a unit the step creates (the case's `new_unit`
 flag, which `partition` decides) starts from the zero vector, an existing
 unit from its synced accumulation and, for a class with no interacting
 member, from the zero vector as well.  The presence requirements cover
@@ -131,7 +132,7 @@ class ContentsDomain:
         index, layout = self.index, self.layout
         interacting = {(lq, "?"), (le, "!")}
 
-        delta: dict[tuple, list[NumElem]] = {}
+        synced = []  # (class, unit, the elements its contents start from)
         for (cls, unit), new_unit in zip(case.items(), case.new_unit):
             need: dict[int, int] = {}  # the class's interacting threads must be present
             for (l, _role) in cls & interacting:
@@ -140,7 +141,11 @@ class ContentsDomain:
             old = numdom.sync_atleast(layout, need, cu.accum(unit, layout))
             if need and old.is_bottom:
                 return None  # the zero vector holds no interacting thread either
-            olds = [self.zero] if new_unit else [old] if need else [old, self.zero]
+            synced.append(
+                (cls, unit, [self.zero] if new_unit else [old] if need else [old, self.zero])
+            )
+        delta: dict[tuple, list[NumElem]] = {}
+        for cls, unit, olds in synced:
             consumed = set()
             if index.type[lq] == INPUT and (lq, "?") in cls:
                 consumed.add(layout.x(lq))

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 
 import pytest
 
@@ -121,6 +122,30 @@ def test_site_hash_collision_is_no_error():
     assert make_config([t1, t2]) == {t1, t2}
     with pytest.raises(InternalError, match=r"\(-1, \(\)\)"):
         make_config([t1, t2, Thread(-1, (), {"a": ("a", ())})])
+
+
+def test_walk_admits_a_launched_site_hash_collision(monkeypatch):
+    # ints hash modulo the hash modulus, so the launched b!m[] thread's site
+    # hash equals the present b!1[] thread's, though their sites differ
+    m = sys.hash_info.modulus + 1
+    index = load_system(f"new a, b in (b!1[] | a!3[] | a?4[].b!{m}[])")
+    calls = []
+    original = concrete.make_config
+
+    def counted(threads):
+        calls.append(threads)
+        return original(threads)
+
+    monkeypatch.setattr(concrete, "make_config", counted)
+    walk = Walk(index, max_configs=10, max_depth=1 << 30)
+    ((source, _, target, admitted),) = list(walk)
+    (present,) = [t for t in source[0] if t.label == 1]
+    (launched,) = target[0] - source[0]
+    assert launched.label == m and launched.site != present.site
+    assert launched.site_hash == present.site_hash
+    assert admitted and present in target[0]
+    # the initial configuration, then the exact check of the colliding target
+    assert len(calls) == 2
 
 
 def test_name_provenance(semaphore_index):

@@ -112,6 +112,32 @@ def test_post_infeasible_when_occupancy_refutes(memory_index):
     assert dom.post_delta(zero_x5, 5, 10, case_5_10()) is None
 
 
+def test_sub_case_refuted_by_a_later_class_makes_no_transfer(memory_index, monkeypatch):
+    # the cell class is feasible, but the later class needs a cell!10 output
+    # in the untouched ret unit, which holds none: no class is transferred
+    dom, lay, cu = walkthrough_cu(memory_index)
+    case = PartitionCase.make(
+        (frozenset({(5, "?"), (6, "?")}), frozenset({(7, "?"), (10, "!")})),
+        (("cell",), ("ret",)),
+    )
+    assert case.assign == (("cell",), ("ret",))
+    assert not nd.sync_atleast(lay, {lay.x(5): 1}, cu.accum(("cell",), lay)).is_bottom
+    calls = []
+    original = nd.transfer
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(nd, "transfer", counted)
+    assert dom.post_delta(cu, 5, 10, case) is None
+    assert calls == []
+    # with both interacting threads in the cell unit, the step transfers the
+    # cell class once and the ret class from its accumulation and from zero
+    assert dom.post_delta(cu, 5, 10, case_5_10()) is not None
+    assert len(calls) == 3
+
+
 def test_post_freshness_restarts_unit(memory_product):
     # the launched cell output is keyed by a just-restricted name, so its unit
     # restarts from the exact empty contents no matter what accumulated before

@@ -8,7 +8,9 @@ exhaustive walk expands every state).  The configurations it reaches must
 dump as the record-by-record encoding does (checked on the systems whose
 dumps are small enough to encode twice).  `enabled_steps` matches senders by
 (channel, arity) bucket; its steps must be those of an all-pairs match, in
-the same order.
+the same order.  What a shape says its step changes (the launched and
+consumed threads, and the per-unit label and step counts) must equal what
+the configurations' differences give, edge by edge.
 """
 
 import io
@@ -168,19 +170,26 @@ def test_bucketed_matching_equals_all_pairs(name, partition):
 
 
 def test_walk_checks_every_target(monkeypatch, synccomm_index):
-    calls = []
-    original = concrete.make_config
+    built, checked = [], []
+    make, target = concrete.make_config, concrete.step_target
 
-    def counted(threads):
-        calls.append(threads)
-        return original(threads)
+    def counted_make(threads):
+        built.append(threads)
+        return make(threads)
 
-    monkeypatch.setattr(concrete, "make_config", counted)
+    def counted_target(*args):
+        checked.append(args)
+        return target(*args)
+
+    monkeypatch.setattr(concrete, "make_config", counted_make)
+    monkeypatch.setattr(concrete, "step_target", counted_target)
     walk = Walk(synccomm_index, SYNCCOMM_CONFIGS, 1 << 30, getvar_channel(synccomm_index))
     edges = list(walk)
     assert len(walk.visited) == SYNCCOMM_CONFIGS
-    # the initial configuration, then one target per edge
-    assert len(calls) == len(edges) + 1
+    # one site check per edge; no launched site hash meets a present one, so
+    # only the initial configuration goes through make_config
+    assert len(checked) == len(edges)
+    assert len(built) == 1
 
 
 def test_walk_launches_once_per_distinct_pair(monkeypatch, synccomm_index):
@@ -198,6 +207,49 @@ def test_walk_launches_once_per_distinct_pair(monkeypatch, synccomm_index):
     assert len(walk.visited) == SYNCCOMM_CONFIGS and len(steps) > 10 * len(pairs)
     # one launch for the initial configuration, two for each pair's shape
     assert len(calls) <= 2 * len(pairs) + 1
+
+
+def test_launching_two_threads_of_one_site_is_internal_error(monkeypatch, synccomm_index):
+    # a continuation that launched a thread twice, with two environments,
+    # must be refused although no present thread has the site
+    calls = []
+    original = concrete.launch
+
+    def doubled(*args):
+        calls.append(args)
+        out = original(*args)
+        if len(calls) > 1 and out:
+            t = min(out, key=Thread.sort_key)
+            out = out | {Thread(t.label, t.marker, {**t.env, "twin": ("twin", ())})}
+        return out
+
+    monkeypatch.setattr(concrete, "launch", doubled)
+    targets = []
+    with pytest.raises(InternalError, match="two threads share"):
+        for _, _, target, _ in Walk(synccomm_index, 1000, 1 << 30):
+            targets.append(target[0])
+    assert len(calls) > 1
+    # refused at the first step that launches them, so no target holds both
+    assert all(len({t.site for t in config}) == len(config) for config in targets)
+
+
+def test_walk_builds_one_record_per_distinct_pair(monkeypatch, synccomm_index):
+    calls = []
+    original = StepTable._changes
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(StepTable, "_changes", counted)
+    walk = Walk(synccomm_index, SYNCCOMM_CONFIGS, 1 << 30, getvar_channel(synccomm_index))
+    steps = [step for _, step, _, _ in walk]
+    records = {}
+    for step in steps:
+        record = step.shape.changes
+        assert records.setdefault((step.receiver, step.sender), record) is record
+    assert len(walk.visited) == SYNCCOMM_CONFIGS and len(steps) > 10 * len(records)
+    assert len(calls) == len(records)
 
 
 def test_walk_keeps_one_object_per_distinct_thread(synccomm_index):
@@ -229,3 +281,51 @@ def test_relaunching_a_present_thread_site_is_internal_error(monkeypatch, syncco
     with pytest.raises(InternalError):
         list(Walk(synccomm_index, 1000, 1 << 30))
     assert len(calls) >= 5
+
+
+def old_way_delta(step, gv, added, removed) -> dict:
+    """Per-unit (label count changes, step count changes) of one edge, built
+    from the configurations' differences, with no 0 kept."""
+    delta: dict[tuple, tuple[dict, dict]] = {}
+    for threads, d in ((removed, -1), (added, 1)):
+        for t in threads:
+            c = delta.setdefault(gv.concrete_unit(t.label, t.env), ({}, {}))[0]
+            c[t.label] = c.get(t.label, 0) + d
+    takers = (step.receiver, step.sender, *step.launched_recv, *step.launched_send)
+    for u in {gv.concrete_unit(t.label, t.env) for t in takers}:
+        c = delta.setdefault(u, ({}, {}))[1]
+        c[step.pair] = c.get(step.pair, 0) + 1
+    return {
+        u: ({l: d for l, d in counts.items() if d}, steps)
+        for u, (counts, steps) in delta.items()
+    }
+
+
+CHANGED = [
+    ("synccomm.pi", "chan"),
+    ("objects.pi", "marker"),
+    *((f"fuzz-{seed}", p) for seed in range(8) for p in ("chan", "marker")),
+]
+
+
+@pytest.mark.parametrize("name, partition", CHANGED)
+def test_step_changes_equal_configuration_differences(name, partition):
+    index = load_system(system_text(name))
+    gv = getvar_channel(index) if partition == "chan" else getvar_marker(index)
+    walk = Walk(index, max_configs=300, max_depth=1 << 30, gv=gv)
+    admitted = 0
+    for source, step, target, ok in walk:
+        if not ok:
+            continue
+        admitted += 1
+        shape = step.shape
+        added, removed = target[0] - source[0], source[0] - target[0]
+        assert added == shape.launched
+        assert removed == shape.consumed
+        keys, counts = shape.changes
+        assert all(pair == step.pair for _, pair in keys)
+        assert len({u for u, _ in keys}) == len(keys)
+        assert {u: (dict(c), {pair: 1}) for (u, pair), c in zip(keys, counts)} == old_way_delta(
+            step, gv, added, removed
+        )
+    assert admitted == 299
