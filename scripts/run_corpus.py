@@ -45,8 +45,8 @@ def main():
             f"{name:<15} {partition:<9} {result.fix.iterations:>5} {took:>7}  {outcomes}"
         )
         if name == "synccomm.pi":
-            u = result.env_fix.get(4).labels["u"]
-            v = result.env_fix.get(7).labels["v"]
+            u = result.fix.env.get(4).labels["u"]
+            v = result.fix.env.get(7).labels["v"]
             print(f"{'':<15} {'':<9} {'':>5} {'':>7}  u -> {set(u)}, v -> {set(v)}")
     return 0
 

@@ -252,22 +252,12 @@ class Report:
 
 
 class RunResult:
-    __slots__ = ("report", "analysis", "fix", "env_fix", "con_fix", "exit_code")
+    __slots__ = ("report", "analysis", "fix", "exit_code")
 
-    def __init__(
-        self,
-        report: Report,
-        analysis: Analysis,
-        fix: FixpointResult,
-        env_fix: EnvMap | None,
-        con_fix: CUMap | None,
-        exit_code: int,
-    ):
+    def __init__(self, report: Report, analysis: Analysis, fix: FixpointResult, exit_code: int):
         self.report = report
         self.analysis = analysis
         self.fix = fix
-        self.env_fix = env_fix
-        self.con_fix = con_fix
         self.exit_code = exit_code
 
 
@@ -372,7 +362,7 @@ def run(config: AnalysisConfig) -> RunResult:
     )
     # constraints of a run that has not stabilized are not invariants
     exit_code = 0 if report.stabilized and report.all_proved else 1
-    return RunResult(report, analysis, fix, env_fix, con_fix, exit_code)
+    return RunResult(report, analysis, fix, exit_code)
 
 
 # --- Soundness harness ---------------------------------------------------------
@@ -430,30 +420,31 @@ def verify_configs(
     `max_configs` bounds those states: the walk stops, truncated, at the
     first state it refuses, or once `max_violations` violations are found.
 
-    A state is checked as what its step's shape says it changed in its
-    source: the launched threads (all the target adds, as no launched thread
-    shares a site with a present one), and the units of the shape's
-    `changes`, each as the source's counts plus those changes (the initial
-    state is the difference from the empty state).  That skips nothing
-    because a source is always checked before its edges are yielded: the
-    initial state first, and every admitted target when it is yielded, one
-    layer before it is expanded.  So every other thread of the state, and
-    every other unit's (abstract unit, label counts, step counts) key, was
-    already checked.
+    The walk yields each edge's step as its shape, and a state is checked as
+    what that shape says it changed in its source: the launched threads (all
+    the target adds, as no launched thread shares a site with a present one),
+    and the units of the shape's `changes`, each as the source's counts plus
+    those changes (the initial state is the difference from the empty
+    state).  That skips nothing because a source is always checked before
+    its edges are yielded: the initial state first, and every admitted
+    target when it is yielded, one layer before it is expanded.  So every
+    other thread of the state, and every other unit's (abstract unit, label
+    counts, step counts) key, was already checked.  A violation's trace is
+    the path of step pairs from the initial state, read back through the
+    walk's search tree, `walk.visited`.
     """
     index, gv, layout = analysis.index, analysis.gv, analysis.layout
     walk = Walk(index, max_configs, max_depth, gv)
     violations: list[str] = []
     checked_env: set = set()
     checked_vec: set = set()
-    parents: dict = {}  # state -> (parent state, step pair), for counterexamples
     empty = (frozenset(), frozenset())
     grouped = (empty, ({}, {}))  # the source being expanded, with by_unit of it
 
     def trace_of(state) -> str:
         pairs = []
-        while state in parents:
-            state, pair = parents[state]
+        while (edge := walk.visited[state]) is not None:
+            state, pair = edge
             pairs.append(f"({fmt_label(pair[0])},{fmt_label(pair[1])})")
         return " -> ".join(reversed(pairs)) if pairs else "(initial configuration)"
 
@@ -462,7 +453,7 @@ def verify_configs(
         config, tally = state
         counts: dict[tuple, dict] = {}
         for t in config:
-            c = counts.setdefault(walk.unit_of(t), {})
+            c = counts.setdefault(walk.table.unit_of(t), {})
             c[t.label] = c.get(t.label, 0) + 1
         steps: dict[tuple, dict] = {}
         for (u, pair), n in tally:
@@ -526,13 +517,10 @@ def verify_configs(
         map(dict.items, counts.values()),
     )
     if not stopped:
-        for source, step, target, admitted in walk:
-            if admitted:
-                shape = step.shape
-                parents[target] = (source, shape.pair)
-                if not check(target, source, shape.launched, *shape.changes):
-                    stopped = True
-                    break
+        for source, shape, target, admitted in walk:
+            if admitted and not check(target, source, shape.launched, *shape.changes):
+                stopped = True
+                break
     return OracleReport(
         configs={config for config, _ in walk.visited},
         states_visited=len(walk.visited),
@@ -545,8 +533,8 @@ def check_soundness(config: AnalysisConfig) -> tuple[OracleReport, RunResult]:
     result = run(config)
     report = verify_configs(
         result.analysis,
-        result.env_fix,
-        result.con_fix,
+        result.fix.env,
+        result.fix.con,
         max_configs=config.max_configs,
         max_depth=config.max_depth,
     )

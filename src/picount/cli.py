@@ -75,13 +75,15 @@ def main(argv=None) -> int:
             max_configs=args.max_configs,
             max_depth=args.max_depth,
         )
-        oracle, _result = check_soundness(config)
+        oracle, result = check_soundness(config)
         if args.dump_oracle:
             try:
                 with open(args.dump_oracle, "w", encoding="utf-8") as out:
                     dump_configs(oracle.configs, out)
             except OSError as exc:
                 raise SourceError(f"cannot write {args.dump_oracle}: {exc.strerror}") from exc
+        for w in result.report.warnings:
+            sys.stdout.write(f"warning: {w}\n")
         sys.stdout.write(oracle.to_text())
         return 0 if not oracle.violations else 1
     except SourceError as exc:

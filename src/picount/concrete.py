@@ -11,20 +11,23 @@ the sender's marker.
 `Walk` is the one deterministic bounded breadth-first walk over reachable
 configurations, optionally carrying per-unit step counters; the soundness
 oracle (`analysis.verify_configs`) is its only consumer in the package.
-Each walk keeps one `StepTable`: equal threads are one object, and what a
-step does apart from the rest of its configuration (consumed and launched
+Each walk keeps one `StepTable`: equal threads are one object, and a step is
+its `StepShape`, built once per distinct (receiver, sender) pair: everything
+it does apart from the rest of its configuration (consumed and launched
 threads and their site hashes, canonical order key, what it changes in each
-concrete unit) is built once per distinct (receiver, sender) pair.
-`enabled_steps` buckets a configuration's senders by (channel, arity), so
-each receiver meets only the senders it can synchronize with, and takes the
-configuration's site hashes once for every target's site check.  The walk
-computes each distinct thread's concrete unit once, and a target's counters
-replace only the step's own keys.  `dump_configs` ranks and encodes each
-distinct thread once and sorts each configuration once, by rank.
+concrete unit).  `enabled_steps` buckets a configuration's senders by
+(channel, arity), so each receiver meets only the senders it can synchronize
+with, and returns the enabled shapes.  The walk takes a source's site hashes
+once for every target's site check, computes each distinct thread's
+concrete unit once, and replaces only the step's own keys in a target's
+counters.  `dump_configs` ranks and encodes each distinct thread once and
+sorts each configuration once, by rank.
 
-The walk yields every state before the edges leaving it, and ends at its
-first refused target (see `Walk`).  The oracle checks each state when it is
-yielded, so only where its step changed its already checked source.
+The walk yields every state before the edges leaving it, ends at its first
+refused target, and keeps each admitted state's edge in `visited` (see
+`Walk`).  The oracle checks each state when it is yielded, so only where its
+step changed its already checked source, and reads a counterexample trace
+off `visited`.
 """
 
 from __future__ import annotations
@@ -95,6 +98,7 @@ Configuration = frozenset  # of Thread
 
 _site_hash = operator.attrgetter("site_hash")
 _change = operator.itemgetter(1)  # a (key, change) item's change, for filtering out 0s
+_shape_key = operator.attrgetter("key")
 
 
 def make_config(threads) -> Configuration:
@@ -127,39 +131,21 @@ def initial_config(index: SystemIndex) -> Configuration:
     return make_config(launch(index, index.root, EPSILON, {}))
 
 
-class ConcreteStep:
-    """One synchronization of `receiver` with `sender`, from `source` to
-    `target`; `shape` is what it does apart from the rest of `source`, shared
-    by every step of the same (receiver, sender) pair, and `pair`,
-    `launched_recv` and `launched_send` are read from it."""
-
-    __slots__ = ("source", "receiver", "sender", "target", "shape")
-
-    def __init__(self, *, source, receiver, sender, target, shape):
-        self.source = source
-        self.receiver = receiver
-        self.sender = sender
-        self.target = target
-        self.shape = shape
-
-    pair = property(operator.attrgetter("shape.pair"))
-    launched_recv = property(operator.attrgetter("shape.launched_recv"))
-    launched_send = property(operator.attrgetter("shape.launched_send"))
-
-
 class StepShape:
-    """What a step does that depends only on its receiver and sender: the
-    threads it consumes ({sender} for a FETCH, else {receiver, sender}), the
-    threads each side launches and their union, and its canonical order key
-    (both labels, then both markers)."""
+    """One synchronization of `receiver` with `sender`, as all it does apart
+    from the rest of its configuration: its label `pair`, the threads it
+    consumes ({sender} for a FETCH, else {receiver, sender}), the threads
+    each side launches and their union, and its canonical order key (both
+    labels, then both markers)."""
 
     __slots__ = (
-        "pair", "consumed", "launched_recv", "launched_send", "launched", "key",
-        "launched_sites", "changes",
+        "receiver", "sender", "pair", "consumed", "launched_recv", "launched_send",
+        "launched", "key", "launched_sites", "changes",
     )
 
-    def __init__(self, pair, consumed, launched_recv, launched_send, key, changes=None):
-        self.pair = pair
+    def __init__(self, receiver, sender, consumed, launched_recv, launched_send, key, changes=None):
+        self.receiver, self.sender = receiver, sender
+        self.pair = (receiver.label, sender.label)
         self.consumed = consumed
         self.launched_recv = launched_recv
         self.launched_send = launched_send
@@ -220,7 +206,7 @@ class StepTable:
         changes = None
         if self.gv is not None:
             changes = self._changes((lq, le), (recv, send), consumed, ct_recv + ct_send)
-        return StepShape((lq, le), consumed, ct_recv, ct_send, key, changes)
+        return StepShape(recv, send, consumed, ct_recv, ct_send, key, changes)
 
     def _changes(self, pair, takers, consumed, launched) -> tuple:
         # `StepShape.changes` of a step of `pair` by `takers`
@@ -265,9 +251,9 @@ def _launch_order(t: Thread):
 
 def enabled_steps(
     index: SystemIndex, config: Configuration, table: StepTable | None = None
-) -> list[ConcreteStep]:
-    """All synchronizations enabled in `config`, in a canonical order.  Step
-    shapes come from `table`, or from a throwaway one.
+) -> list[StepShape]:
+    """The shapes of all synchronizations enabled in `config`, in a canonical
+    order.  They come from `table`, or from a throwaway one.
 
     Senders are bucketed by (channel name, arity), so each receiver meets only
     its own bucket.  No two threads of `config` share a (label, marker), so
@@ -284,23 +270,13 @@ def enabled_steps(
             senders.setdefault((t.env[chan[l]], len(arg[l])), []).append(t)
         elif kind in (INPUT, FETCH):
             receivers.append(t)
-    matches = []
+    shapes = []
     for r in receivers:
         l = r.label
         for s in senders.get((r.env[chan[l]], len(arg[l])), ()):
-            matches.append((table.shape(r, s), r, s))
-    matches.sort(key=lambda m: m[0].key)
-    sites = set(map(_site_hash, config))
-    return [
-        ConcreteStep(
-            source=config,
-            receiver=r,
-            sender=s,
-            target=step_target(config, sites, shape),
-            shape=shape,
-        )
-        for shape, r, s in matches
-    ]
+            shapes.append(table.shape(r, s))
+    shapes.sort(key=_shape_key)
+    return shapes
 
 
 def step_target(config: Configuration, sites: set, shape: StepShape) -> Configuration:
@@ -319,10 +295,13 @@ class Walk:
     step order.  A state is a configuration with a frozenset of
     ((unit, pair), n): how often each step pair has involved each concrete
     unit of `gv` (empty without `gv`).  Iterating yields every explored edge
-    as (source, step, target, admitted); a new target is admitted while fewer
-    than `max_configs` states have been.  The first one refused sets
+    as (source, shape, target, admitted); a new target is admitted while
+    fewer than `max_configs` states have been.  The first one refused sets
     `truncated` and is the last edge yielded; a state left at `max_depth`
     with a step to a state not visited sets it too.
+
+    `visited` is the search tree: it maps each admitted state to its
+    (source, pair) edge, and `initial` to None.
 
     Edges are yielded layer by layer, so every source is yielded (as an
     admitted target, or as `initial` before the walk starts) before any of
@@ -330,11 +309,11 @@ class Walk:
     checked the source of every edge it meets.
 
     The walk keeps one `StepTable`: every step of one (receiver, sender) pair
-    shares its shape, and equal threads are one object, so set and dict
-    lookups of threads compare identities.  With `gv`, `unit_of` computes
-    each distinct thread's concrete unit once per walk.  A target's counters
-    are its source's with just its shape's counter keys replaced, read from
-    one dict of the source's counters per expanded source."""
+    is one shape, and equal threads are one object, so set and dict lookups
+    of threads compare identities.  With `gv`, the table computes each
+    distinct thread's concrete unit once per walk.  A target's counters are
+    its source's with just its shape's counter keys replaced, read from one
+    dict of the source's counters per expanded source."""
 
     def __init__(self, index: SystemIndex, max_configs: int, max_depth: int, gv=None):
         if max_configs <= 0 or max_depth <= 0:
@@ -342,9 +321,8 @@ class Walk:
         self.index, self.gv = index, gv
         self.max_configs, self.max_depth = max_configs, max_depth
         self.table = StepTable(index, gv)
-        self.unit_of = self.table.unit_of
         self.initial = (frozenset(map(self.table.intern, initial_config(index))), frozenset())
-        self.visited = {self.initial}
+        self.visited: dict[tuple, tuple | None] = {self.initial: None}
         self.truncated = False
 
     def __iter__(self):
@@ -354,14 +332,14 @@ class Walk:
             depth += 1
             nxt = []
             for source in frontier:
-                for step, target in self._edges(source):
+                for shape, target in self._edges(source):
                     new = target not in self.visited
                     admitted = new and len(self.visited) < self.max_configs
                     self.truncated |= new and not admitted
                     if admitted:
-                        self.visited.add(target)
+                        self.visited[target] = (source, shape.pair)
                         nxt.append(target)
-                    yield source, step, target, admitted
+                    yield source, shape, target, admitted
                     if self.truncated:  # nothing after can be admitted
                         return
             frontier = nxt
@@ -373,18 +351,20 @@ class Walk:
             )
 
     def _edges(self, source):
-        """(step, target state) for every step enabled in `source`."""
-        counters = source[1]
+        """(shape, target state) for every step enabled in `source`; the
+        source's site hashes are taken once for every target's site check."""
+        config, counters = source
+        sites = set(map(_site_hash, config))
         tally = dict(counters)
-        for step in enabled_steps(self.index, source[0], self.table):
-            yield step, (step.target, self._count(counters, tally, step))
+        for shape in enabled_steps(self.index, config, self.table):
+            yield shape, (step_target(config, sites, shape), self._count(counters, tally, shape))
 
-    def _count(self, counters: frozenset, tally: dict, step: ConcreteStep) -> frozenset:
-        """`counters` after `step`; `tally` is `dict(counters)`.  Only the
-        step's own keys are read and replaced."""
+    def _count(self, counters: frozenset, tally: dict, shape: StepShape) -> frozenset:
+        """`counters` after a step of `shape`; `tally` is `dict(counters)`.
+        Only the shape's own keys are read and replaced."""
         if self.gv is None:
             return counters
-        keys = step.shape.changes[0]
+        keys = shape.changes[0]
         old = [(k, tally[k]) for k in keys if k in tally]
         return counters.difference(old).union([(k, tally.get(k, 0) + 1) for k in keys])
 

@@ -6,7 +6,7 @@ round, which the change-driven rounds of `engine.iterate` must match."""
 
 import sys
 
-from picount.concrete import ConcreteStep, Walk
+from picount.concrete import Configuration, StepShape, Walk, step_target
 from picount.engine import Analysis, FixpointResult, step
 from picount.partition import PartitionCase, member_key
 from picount.syntax import Label, SystemIndex
@@ -26,41 +26,49 @@ def reached(index: SystemIndex, max_configs: int, max_depth: int = 1 << 30) -> s
     return {config for config, _ in walked(index, max_configs, max_depth).visited}
 
 
-def walk_steps(index: SystemIndex, max_configs: int) -> list[ConcreteStep]:
-    """The step of every edge leaving the first `max_configs` states an
-    uninstrumented walk admits, in walk order.  A walk bounded by
+def walk_steps(index: SystemIndex, max_configs: int) -> list[tuple]:
+    """(source, shape, target) of every edge leaving the first `max_configs`
+    states an uninstrumented walk admits, in walk order.  A walk bounded by
     `max_configs` would stop at its first refused target and leave most of
     those states unexpanded, so the walk here is unbounded and cut at the
-    first edge leaving a later state (sources come in admission order)."""
+    first edge leaving a later state (sources come in admission order).
+    Sources and targets are configurations."""
     walk = Walk(index, sys.maxsize, 1 << 30)
     rank = {walk.initial: 0}
     steps = []
-    for source, step, target, admitted in walk:
+    for source, shape, target, admitted in walk:
         if rank[source] >= max_configs:
             break
         if admitted:
             rank[target] = len(rank)
-        steps.append(step)
+        steps.append((source[0], shape, target[0]))
     return steps
 
 
-def step_units(step: ConcreteStep, gv) -> dict[tuple[Label, str], tuple]:
-    """Concrete computation unit of every thread taking part in `step`."""
+def target_of(config: Configuration, shape: StepShape) -> Configuration:
+    """`config` after a step of `shape`, with the walk's site check."""
+    return step_target(config, {t.site_hash for t in config}, shape)
+
+
+def step_units(shape: StepShape, gv) -> dict[tuple[Label, str], tuple]:
+    """Concrete computation unit of every thread taking part in a step of
+    `shape`."""
     units = {
-        (step.receiver.label, "?"): gv.concrete_unit(step.receiver.label, step.receiver.env),
-        (step.sender.label, "!"): gv.concrete_unit(step.sender.label, step.sender.env),
+        (shape.receiver.label, "?"): gv.concrete_unit(shape.receiver.label, shape.receiver.env),
+        (shape.sender.label, "!"): gv.concrete_unit(shape.sender.label, shape.sender.env),
     }
-    for t in step.launched_recv:
+    for t in shape.launched_recv:
         units[(t.label, "?")] = gv.concrete_unit(t.label, t.env)
-    for t in step.launched_send:
+    for t in shape.launched_send:
         units[(t.label, "!")] = gv.concrete_unit(t.label, t.env)
     return units
 
 
-def alpha_step(step: ConcreteStep, gv) -> PartitionCase:
-    """Partition case realized by a concrete step: roster members grouped by
-    equal concrete units, each class mapped to its abstract unit."""
-    units = step_units(step, gv)
+def alpha_step(shape: StepShape, gv) -> PartitionCase:
+    """Partition case realized by a concrete step of `shape`: roster members
+    grouped by equal concrete units, each class mapped to its abstract
+    unit."""
+    units = step_units(shape, gv)
     by_unit: dict[tuple, list] = {}
     for member in sorted(units, key=member_key):
         by_unit.setdefault(units[member], []).append(member)

@@ -35,7 +35,7 @@ def test_criterion_1_shared_memory_mutual_exclusion():
     )
     elapsed = time.time() - t0
     lay = result.analysis.layout
-    cu = result.con_fix
+    cu = result.fix.con
     dom = result.analysis.con_dom
     eq = {lay.x(2): 1, lay.x(6): 1, lay.x(10): 1, lay.y((1, 13)): -1}
     assert dom.query(cu, ("cell",), eq, 0), "x2+x6+x10 <= y(1,13) missing"
@@ -80,13 +80,13 @@ def test_criterion_2_two_semaphore_bounds():
 
 def test_criterion_3_product_refines_control_flow():
     product_run = run(AnalysisConfig(path=corpus_path("synccomm.pi")))
-    u_labels = product_run.env_fix.get(4).labels["u"]
-    v_labels = product_run.env_fix.get(7).labels["v"]
+    u_labels = product_run.fix.env.get(4).labels["u"]
+    v_labels = product_run.fix.env.get(7).labels["v"]
     assert u_labels <= {"c"}, f"u bound to {set(u_labels)}"
     assert v_labels <= {"b"}, f"v bound to {set(v_labels)}"
     standalone = run(AnalysisConfig(path=corpus_path("synccomm.pi"), abstraction="env"))
-    assert standalone.env_fix.get(4).labels["u"] == frozenset({"b", "c"})
-    assert standalone.env_fix.get(7).labels["v"] == frozenset({"b", "c"})
+    assert standalone.fix.env.get(4).labels["u"] == frozenset({"b", "c"})
+    assert standalone.fix.env.get(7).labels["v"] == frozenset({"b", "c"})
     report(
         "3 PASS: with the product u -> {c} and v -> {b}; "
         "the standalone control-flow analysis only reaches {b,c}"
@@ -281,7 +281,7 @@ def test_criterion_6_stretch_reports():
     )
     assert dlist.fix.stabilized
     dlist_outcomes = {q["query"]: q["result"] for q in dlist.report.queries}
-    env14 = dlist.env_fix.get(14)
+    env14 = dlist.fix.env.get(14)
     same_address = not env14.is_bottom and ("c", "cpp") in env14.eqs
     objects = run(
         AnalysisConfig(

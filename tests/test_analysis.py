@@ -206,7 +206,7 @@ def test_oracle_depth_limit_truncates_only_with_a_step_left(tmp_path, capsys, te
 
 def _synccomm_oracle_run():
     result = run(AnalysisConfig(path=corpus_path("synccomm.pi")))
-    return result.analysis, result.env_fix, result.con_fix
+    return result.analysis, result.fix.env, result.fix.con
 
 
 def test_walk_computes_each_thread_unit_once(monkeypatch):
@@ -278,7 +278,7 @@ def test_check_soundness_clean(semaphore_index):
 
 def test_corrupted_env_fixpoint_is_flagged():
     result = run(AnalysisConfig(path=corpus_path("semaphore2.pi")))
-    env = result.env_fix
+    env = result.fix.env
     # claim the channel of the replicated receiver is a trigger name
     wrong = AtomEnv.make(
         ("a",), {"a": frozenset({"rec@1"})}, frozenset(), frozenset()
@@ -287,22 +287,22 @@ def test_corrupted_env_fixpoint_is_flagged():
     entries[4] = wrong
     corrupted = EnvMap.of(entries)
     report = verify_configs(
-        result.analysis, corrupted, result.con_fix, max_configs=300, max_depth=20
+        result.analysis, corrupted, result.fix.con, max_configs=300, max_depth=20
     )
     assert any(v.startswith("env:") for v in report.violations)
 
 
 def test_verify_configs_stops_at_max_violations():
     result = run(AnalysisConfig(path=corpus_path("semaphore2.pi")))
-    entries = dict(result.env_fix.table)
+    entries = dict(result.fix.env.table)
     entries[4] = AtomEnv.make(("a",), {"a": frozenset({"rec@1"})}, frozenset(), frozenset())
     corrupted = EnvMap.of(entries)
     full = verify_configs(
-        result.analysis, corrupted, result.con_fix, max_configs=300, max_depth=20
+        result.analysis, corrupted, result.fix.con, max_configs=300, max_depth=20
     )
     assert len(full.violations) > 1 and full.states_visited == 300
     report = verify_configs(
-        result.analysis, corrupted, result.con_fix, max_configs=300, max_depth=20,
+        result.analysis, corrupted, result.fix.con, max_configs=300, max_depth=20,
         max_violations=1,
     )
     assert report.violations == full.violations[:1]
@@ -313,7 +313,7 @@ def test_verify_configs_stops_at_max_violations():
 def test_corrupted_contents_fixpoint_is_flagged():
     result = run(AnalysisConfig(path=corpus_path("semaphore2.pi")))
     lay = result.analysis.layout
-    cu = result.con_fix
+    cu = result.fix.con
     # pretend the semaphore unit never holds more than one pending output
     capped = nd.make(
         lay,
@@ -322,7 +322,7 @@ def test_corrupted_contents_fixpoint_is_flagged():
     )
     corrupted = CUMap.of({("a",): capped})
     report = verify_configs(
-        result.analysis, result.env_fix, corrupted, max_configs=300, max_depth=20
+        result.analysis, result.fix.env, corrupted, max_configs=300, max_depth=20
     )
     assert any(v.startswith("contents:") for v in report.violations)
 

@@ -22,17 +22,19 @@ from picount.partition import getvar_channel
 from picount.syntax import Nil, load_system
 
 from conftest import corpus_text
-from judges import alpha_step, reached, step_units, walk_steps, walked
+from judges import alpha_step, reached, step_units, target_of, walk_steps, walked
 
 
 def drive(index, config, pairs):
-    """Follow a scripted sequence of (receiver, sender) label pairs."""
+    """Follow a scripted sequence of (receiver, sender) label pairs; each
+    step taken is (source, shape, target)."""
     steps = []
     for pair in pairs:
         matching = [s for s in enabled_steps(index, config) if s.pair == pair]
         assert matching, f"no enabled step {pair}"
-        steps.append(matching[0])
-        config = matching[0].target
+        target = target_of(config, matching[0])
+        steps.append((config, matching[0], target))
+        config = target
     return config, steps
 
 
@@ -61,7 +63,7 @@ def test_initial_config_semaphore(semaphore_index):
 
 def test_first_client_launch(memory_index):
     config, steps = drive(memory_index, initial_config(memory_index), [("12'", 12)])
-    new = config - steps[0].source | set()  # nothing removed but the sender
+    new = config - steps[0][0] | set()  # nothing removed but the sender
     t5 = next(t for t in config if t.label == 13)
     assert t5.marker == (12,)
     assert t5.env == {"alloc": ("alloc", ()), "add": ("add", (12,))}
@@ -80,7 +82,7 @@ def test_fetch_rule_keeps_resource(memory_index):
     steps = enabled_steps(memory_index, config)
     assert {s.pair for s in steps} == {(1, 13), ("12'", "12''")}
     alloc_step = next(s for s in steps if s.pair == (1, 13))
-    target = alloc_step.target
+    target = target_of(config, alloc_step)
     # the resource thread survives, the client request is consumed
     assert alloc_step.receiver in target
     assert alloc_step.sender not in target
@@ -99,13 +101,13 @@ def test_rule_cardinalities_on_corpus(semaphore_index, synccomm_index):
     for index in (semaphore_index, synccomm_index):
         steps = walk_steps(index, 300)
         assert steps
-        for step in steps:
+        for source, step, target in steps:
             n_recv = len(index.beta_cont(step.pair[0]))
             n_send = len(index.beta_cont(step.pair[1]))
             if index.type[step.pair[0]] == "input":
-                assert len(step.target) == len(step.source) - 2 + n_recv + n_send
+                assert len(target) == len(source) - 2 + n_recv + n_send
             else:
-                assert len(step.target) == len(step.source) - 1 + n_recv + n_send
+                assert len(target) == len(source) - 1 + n_recv + n_send
 
 
 def test_marker_collision_is_internal_error():
@@ -163,7 +165,7 @@ def test_name_provenance(semaphore_index):
 
 def test_explore_empty_system():
     walk = walked(load_system("0"), max_configs=10, max_depth=10)
-    assert walk.visited == {(frozenset(), frozenset())}
+    assert walk.visited.keys() == {(frozenset(), frozenset())}
     assert walk.truncated is False
 
 
@@ -207,6 +209,21 @@ def test_budget_of_all_reachable_states_is_exhaustive_and_one_less_truncates(gv)
     assert edge_key(cut[last])[:-1] == edge_key(edges[last])[:-1] and edges[last][3]
     (*_, target, admitted) = cut[last]
     assert not admitted and target not in short.visited
+
+
+@pytest.mark.parametrize("gv", [None, getvar_channel])
+def test_visited_is_the_search_tree(synccomm_index, gv):
+    walk = Walk(synccomm_index, 600, 1 << 30, gv and gv(synccomm_index))
+    tree = {target: (source, shape.pair) for source, shape, target, ok in walk if ok}
+    assert walk.visited == {walk.initial: None, **tree}
+    # every admitted state leads back to the initial one through admitted states
+    for state in walk.visited:
+        path = []
+        while (edge := walk.visited[state]) is not None:
+            path.append(state)
+            state = edge[0]
+            assert state in walk.visited and len(path) < len(walk.visited)
+        assert state == walk.initial
 
 
 def test_oracle_check_reports_the_budget_boundary(tmp_path, capsys):
@@ -266,8 +283,8 @@ def test_memory_cell_occupancy(memory_index):
 def test_explore_deterministic(synccomm_index):
     assert reached(synccomm_index, 500) == reached(synccomm_index, 500)
     a, b = walk_steps(synccomm_index, 500), walk_steps(synccomm_index, 500)
-    assert [(s.pair, s.receiver, s.sender) for s in a] == [
-        (s.pair, s.receiver, s.sender) for s in b
+    assert [(s.pair, s.receiver, s.sender) for _, s, _ in a] == [
+        (s.pair, s.receiver, s.sender) for _, s, _ in b
     ]
 
 
@@ -307,8 +324,8 @@ def test_launched_threads_are_in_sort_key_order(name):
     # the step table orders a step's launched threads by label alone
     index = load_system(corpus_text(name))
     steps = walk_steps(index, 1000)
-    assert any(len(s.launched_recv) > 1 or len(s.launched_send) > 1 for s in steps)
-    for step in steps:
+    assert any(len(s.launched_recv) > 1 or len(s.launched_send) > 1 for _, s, _ in steps)
+    for _, step, _ in steps:
         assert step.launched_recv == tuple(sorted(step.launched_recv, key=Thread.sort_key))
         assert step.launched_send == tuple(sorted(step.launched_send, key=Thread.sort_key))
 
@@ -333,7 +350,7 @@ def test_walk_counters_stay_empty_without_getvar(synccomm_index):
     assert all(not source[1] and not target[1] for source, _, target, _ in edges)
     admitted = [target for _, _, target, ok in edges if ok]
     assert len(admitted) == len(set(admitted)) == len(walk.visited) - 1
-    assert set(admitted) | {walk.initial} == walk.visited
+    assert set(admitted) | {walk.initial} == walk.visited.keys()
 
 
 def test_walk_counts_steps_per_unit(synccomm_index):

@@ -187,7 +187,7 @@ def test_decomposition_identity(semaphore_index, synccomm_index):
     # per class: |created| - |consumed| equals the unit's concrete thread delta
     for index in (semaphore_index, synccomm_index):
         gv = getvar_channel(index)
-        for step in walk_steps(index, 150):
+        for source, step, target in walk_steps(index, 150):
             lq, le = step.pair
             case = alpha_step(step, gv)
             units = step_units(step, gv)
@@ -209,7 +209,7 @@ def test_decomposition_identity(semaphore_index, synccomm_index):
                 created = sum(
                     1 for (l, role) in cls if l != (lq if role == "?" else le)
                 )
-                delta = count(step.target, unit) - count(step.source, unit)
+                delta = count(target, unit) - count(source, unit)
                 assert delta == created - consumed
 
 
@@ -252,14 +252,14 @@ def test_oracle_vectors_admitted(semaphore_index):
     # follow one linear trace of the BFS to accumulate true step counts
     config = initial_config(index)
     for _ in range(8):
-        steps = [s for s in explored if s.source == config]
+        steps = [(s, target) for source, s, target in explored if source == config]
         if not steps:
             break
-        step = steps[0]
+        step, target = steps[0]
         for u in set(step_units(step, gv).values()):
             counters.setdefault(u, {}).setdefault(step.pair, 0)
             counters[u][step.pair] += 1
-        config = step.target
+        config = target
         per_unit = {}
         for t in config:
             u = gv.concrete_unit(t.label, t.env)

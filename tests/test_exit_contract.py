@@ -95,6 +95,36 @@ def test_two_key_marker_spec_passes_the_oracle(capsys):
     assert "violations 0" in capsys.readouterr().out
 
 
+def _warned_input(case, tmp_path) -> tuple[list[str], str]:
+    """CLI arguments naming an input that draws one warning, and its text."""
+    if case == "arity":
+        return list(TWOKEY), (
+            "channel variable a used with arities [0, 1]; mismatched prefixes never synchronize"
+        )
+    index = load_system(ONE_STEP)
+    system, spec = tmp_path / "one.pi", tmp_path / "spec.json"
+    system.write_text(ONE_STEP)
+    table = {fmt_label(l): {"k": index.chan[l]} for l in index.labels}
+    spec.write_text(json.dumps({"keys": ["k"], "stable": ["k"], "map": table}))
+    args = [str(system), "--partition", str(spec)]
+    return args, f"partition spec {spec}: unknown key 'stable' is ignored"
+
+
+ONE_STEP = "new a in (a![] | a?[].0)"
+
+
+@pytest.mark.parametrize("case", ["arity", "stable-key"])
+def test_oracle_check_prints_the_input_warnings(case, tmp_path, capsys):
+    args, warning = _warned_input(case, tmp_path)
+    main(["analyze", *args])
+    assert f"warning: {warning}" in capsys.readouterr().out.splitlines()
+    assert main(["oracle-check", *args, "--max-configs", "300"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # the warning, then the counts; the exit code is the oracle's
+    assert lines[0] == f"warning: {warning}"
+    assert lines[1].startswith("configurations ") and lines[-1] == "violations 0"
+
+
 def test_unstabilized_json_report_says_why(capsys):
     code = main(
         [

@@ -98,10 +98,10 @@ def _fuzz_iterate(seed):
 
 def _corrupted_env():
     result = run(AnalysisConfig(path=corpus_path("semaphore2.pi")))
-    entries = dict(result.env_fix.table)
+    entries = dict(result.fix.env.table)
     # claim the channel of the replicated receiver is a trigger name
     entries[4] = AtomEnv.make(("a",), {"a": frozenset({"rec@1"})}, frozenset(), frozenset())
-    return result.analysis, EnvMap.of(entries), result.con_fix
+    return result.analysis, EnvMap.of(entries), result.fix.con
 
 
 def _corrupted_contents():
@@ -109,7 +109,7 @@ def _corrupted_contents():
     lay = result.analysis.layout
     # pretend the semaphore unit never holds more than one pending output
     capped = nd.make(lay, [(0, 1) if i == lay.x(2) else (0, 0) for i in range(lay.size)], [])
-    return result.analysis, result.env_fix, CUMap.of({("a",): capped})
+    return result.analysis, result.fix.env, CUMap.of({("a",): capped})
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -161,6 +161,6 @@ def test_unit_checks_touch_only_the_units_a_step_touches(monkeypatch, synccomm_i
         return original(self, unit)
 
     monkeypatch.setattr(GetVar, "alpha_unit", counted)
-    report = verify_configs(analysis, result.env_fix, result.con_fix, 1000, 1 << 30)
+    report = verify_configs(analysis, result.fix.env, result.fix.con, 1000, 1 << 30)
     assert report.states_visited == 1000 and report.violations == []
     assert 0 < len(calls) <= bound

@@ -177,7 +177,7 @@ def test_alpha_step_is_enumerated(name, mode, request):
     gv = getvar_channel(index) if mode == "chan" else getvar_marker(index)
     hint = TopHint(index.name_universe)
     seen = 0
-    for step in walk_steps(index, 120):
+    for _, step, _ in walk_steps(index, 120):
         case = alpha_step(step, gv)
         lq, le = step.pair
         assert case in set(enumerate_contexts(pair_plan(index, gv, lq, le), hint))
@@ -215,13 +215,13 @@ def test_new_units_hold_no_thread_before_the_step(name, mode, creates):
     hint = TopHint(index.name_universe)
     enumerated = {}
     new_classes = 0
-    for step in walk_steps(index, 150):
+    for source, step, _ in walk_steps(index, 150):
         if step.pair not in enumerated:
             cases = enumerate_contexts(pair_plan(index, gv, *step.pair), hint)
             enumerated[step.pair] = {c: c for c in cases}
         case = enumerated[step.pair][alpha_step(step, gv)]
         units = step_units(step, gv)
-        before = {gv.concrete_unit(t.label, t.env) for t in step.source}
+        before = {gv.concrete_unit(t.label, t.env) for t in source}
         for cls, new in zip(case.classes, case.new_unit):
             if new:
                 new_classes += 1
@@ -237,7 +237,7 @@ def test_alpha_step_survives_fixpoint_hint(memory_product):
     env = fix.element[0]
     cache = {}
     checked = 0
-    for step in walk_steps(index, 350)[:400]:
+    for _, step, _ in walk_steps(index, 350)[:400]:
         case = alpha_step(step, gv)
         lq, le = step.pair
         if (lq, le) not in cache:

@@ -29,7 +29,7 @@ def test_memory_family_is_proved_and_sound(tmp_path):
         assert row[4] == "proved", row
         assert " ".join(map(str, row[:5] + row[6:])) == golden[n], n
         oracle = verify_configs(
-            result.analysis, result.env_fix, result.con_fix, max_configs=1000, max_depth=1 << 30
+            result.analysis, result.fix.env, result.fix.con, max_configs=1000, max_depth=1 << 30
         )
         assert oracle.configs_visited == 1000, n
         assert oracle.violations == [], (n, oracle.violations[:3])

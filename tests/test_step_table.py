@@ -13,6 +13,7 @@ consumed threads, and the per-unit label and step counts) must equal what
 the configurations' differences give, edge by edge.
 """
 
+import hashlib
 import io
 import json
 import random
@@ -33,9 +34,10 @@ from picount.concrete import (
     thread_to_json,
 )
 from picount.partition import getvar_channel, getvar_marker
-from picount.syntax import FETCH, INPUT, OUTPUT, load_system
+from picount.syntax import FETCH, INPUT, OUTPUT, fmt_label, load_system
 
 from conftest import corpus_text
+from judges import target_of
 from test_concrete import CORPUS
 from test_fuzz_soundness import random_system
 
@@ -69,14 +71,14 @@ def system_text(name: str) -> str:
     return corpus_text(name)
 
 
-def edge_record(step):
+def edge_record(shape, target):
     return (
-        step.pair,
-        step.receiver,
-        step.sender,
-        step.target,
-        step.launched_recv,
-        step.launched_send,
+        shape.pair,
+        shape.receiver,
+        shape.sender,
+        target,
+        shape.launched_recv,
+        shape.launched_send,
     )
 
 
@@ -120,11 +122,11 @@ def cut(walk, edges, reference) -> list:
 def test_walk_edges_equal_table_free_steps(name, partition):
     index, walk, edges, expanded = walk_edges(name, partition)
     reference = (
-        (source, edge_record(step))
+        (source, edge_record(shape, target_of(source[0], shape)))
         for source in expanded
-        for step in enabled_steps(index, source[0])
+        for shape in enabled_steps(index, source[0])
     )
-    assert [(source, edge_record(step)) for source, step, _, _ in edges] == cut(
+    assert [(source, edge_record(shape, target[0])) for source, shape, target, _ in edges] == cut(
         walk, edges, reference
     )
     if name not in DUMPED:
@@ -164,8 +166,8 @@ def test_bucketed_matching_equals_all_pairs(name, partition):
         (source, step) for source in expanded for step in all_pairs_steps(index, source[0])
     )
     assert [
-        (source, (step.pair, step.receiver, step.sender, step.target))
-        for source, step, _, _ in edges
+        (source, (shape.pair, shape.receiver, shape.sender, target[0]))
+        for source, shape, target, _ in edges
     ] == cut(walk, edges, reference)
 
 
@@ -243,22 +245,23 @@ def test_walk_builds_one_record_per_distinct_pair(monkeypatch, synccomm_index):
 
     monkeypatch.setattr(StepTable, "_changes", counted)
     walk = Walk(synccomm_index, SYNCCOMM_CONFIGS, 1 << 30, getvar_channel(synccomm_index))
-    steps = [step for _, step, _, _ in walk]
+    steps = [step for _, step, _, _ in walk]  # kept alive, so no id is reused
+    # a step is its pair's shape: one object per distinct pair, not per edge
+    assert len({id(step) for step in steps}) == len(walk.table._shapes)
     records = {}
     for step in steps:
-        record = step.shape.changes
-        assert records.setdefault((step.receiver, step.sender), record) is record
+        assert records.setdefault((step.receiver, step.sender), step.changes) is step.changes
     assert len(walk.visited) == SYNCCOMM_CONFIGS and len(steps) > 10 * len(records)
-    assert len(calls) == len(records)
+    assert len(calls) == len(records) == len(walk.table._shapes)
 
 
 def test_walk_keeps_one_object_per_distinct_thread(synccomm_index):
     walk = Walk(synccomm_index, SYNCCOMM_CONFIGS, 1 << 30, getvar_channel(synccomm_index))
-    steps = [step for _, step, _, _ in walk]
+    edges = [(step, target) for _, step, target, _ in walk]
     threads = [t for config, _ in walk.visited for t in config]
     assert len({id(t) for t in threads}) == len(set(threads))
-    for step in steps:
-        in_target = {id(t) for t in step.target}
+    for step, target in edges:
+        in_target = {id(t) for t in target[0]}
         assert {id(t) for t in step.launched_recv + step.launched_send} <= in_target
 
 
@@ -314,18 +317,48 @@ def test_step_changes_equal_configuration_differences(name, partition):
     gv = getvar_channel(index) if partition == "chan" else getvar_marker(index)
     walk = Walk(index, max_configs=300, max_depth=1 << 30, gv=gv)
     admitted = 0
-    for source, step, target, ok in walk:
+    for source, shape, target, ok in walk:
         if not ok:
             continue
         admitted += 1
-        shape = step.shape
         added, removed = target[0] - source[0], source[0] - target[0]
         assert added == shape.launched
         assert removed == shape.consumed
         keys, counts = shape.changes
-        assert all(pair == step.pair for _, pair in keys)
+        assert all(pair == shape.pair for _, pair in keys)
         assert len({u for u, _ in keys}) == len(keys)
         assert {u: (dict(c), {pair: 1}) for (u, pair), c in zip(keys, counts)} == old_way_delta(
-            step, gv, added, removed
+            shape, gv, added, removed
         )
     assert admitted == 299
+
+
+# sha256 of a 1,000-state walk's edges, one line per edge: the JSON list of
+# its pair, receiver, sender and whether it admitted its target
+EDGE_DIGESTS = {
+    ("synccomm.pi", "chan"): (
+        3089, "26999a0a0417314c2d17bee1ee4f201a9df4e0abeb82b8c3c258b7eecf207cfb"
+    ),
+    ("objects.pi", "marker"): (
+        2470, "30d634b1963ee74970b6231a00bdd704d6234286f5fd403951aef3ba2eacfb68"
+    ),
+}
+
+
+@pytest.mark.parametrize("name, partition", EDGE_DIGESTS)
+def test_walk_edge_order_is_pinned(name, partition):
+    index = load_system(system_text(name))
+    gv = getvar_channel(index) if partition == "chan" else getvar_marker(index)
+    digest, edges = hashlib.sha256(), 0
+    for _, shape, _, admitted in Walk(index, 1000, 1 << 30, gv):
+        line = json.dumps(
+            [
+                [fmt_label(l) for l in shape.pair],
+                thread_to_json(shape.receiver),
+                thread_to_json(shape.sender),
+                admitted,
+            ]
+        )
+        digest.update(line.encode() + b"\n")
+        edges += 1
+    assert (edges, digest.hexdigest()) == EDGE_DIGESTS[name, partition]
