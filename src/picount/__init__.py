@@ -9,7 +9,7 @@ trace-partitioned transition system, the coalesced product of a control-flow
 from .analysis import AnalysisConfig, check_soundness, run
 from .engine import Analysis, abstract_step_labels, iterate
 from .partition import getvar_channel, getvar_marker, load_partition_spec
-from .syntax import SourceError, check_wellformed, desugar_bang, load_system, parse_system
+from .syntax import SourceError, load_system, parse_system
 
 __all__ = [
     "Analysis",
@@ -17,8 +17,6 @@ __all__ = [
     "SourceError",
     "abstract_step_labels",
     "check_soundness",
-    "check_wellformed",
-    "desugar_bang",
     "getvar_channel",
     "getvar_marker",
     "iterate",

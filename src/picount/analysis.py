@@ -16,28 +16,28 @@ from .syntax import Label, SourceError, SystemIndex, fmt_label, load_system
 
 
 class Query:
-    """Bounded linear form over one abstract unit's counters."""
+    """Bounded linear form over one abstract unit's counters: the query holds
+    when, in every concrete unit that `unit` abstracts, the sum of
+    `expr[i]` times counter i is at most `bound`."""
 
-    __slots__ = ("unit_var", "terms", "bound", "text", "mutex")
+    __slots__ = ("text", "unit", "expr", "bound")
 
-    def __init__(
-        self,
-        unit_var: str,
-        terms: tuple[tuple[int, str, object], ...],  # (coeff, kind 'x'|'y'|'z', ref)
-        bound: int,
-        text: str,
-        mutex: bool = False,
-    ):
-        self.unit_var = unit_var
-        self.terms = terms
-        self.bound = bound
+    def __init__(self, text: str, unit: tuple, expr: dict[int, int], bound: int):
         self.text = text
-        self.mutex = mutex
+        self.unit = unit
+        self.expr = expr  # counter index -> coefficient
+        self.bound = bound
 
 
-def parse_query(text: str, index: SystemIndex) -> Query:
+def parse_query(text: str, analysis: Analysis) -> Query:
     """`mutex unit <var> over {l,...}` or
-    `unit <var>: <k>*x@<label> (+ <k>*x@<label>)* <= <bound>`."""
+    `unit <var>: <k>*x@<label> (+ <k>*x@<label>)* <= <bound>`, where a term
+    may also be `y@(lq,le)` or `z@(lq,le)`.  The unit binds every key of the
+    partition to <var>; a label repeated in a mutex counts once, and repeated
+    terms add up.  Checked in this order: the grammar and labels, then that
+    <var> is a restriction variable (full-name partitions), then that each
+    pair is a step pair of the system."""
+    index, gv, layout = analysis.index, analysis.gv, analysis.layout
 
     def integer(tok: str, what: str) -> int:
         try:
@@ -47,10 +47,11 @@ def parse_query(text: str, index: SystemIndex) -> Query:
 
     def resolve_label(tok: str) -> Label:
         lab: Label = int(tok) if tok.isdigit() else tok
-        if lab not in set(index.labels):
+        if lab not in index.type:
             raise SourceError(f"query names unknown label {tok}")
         return lab
 
+    terms = []  # (coeff, kind 'x'|'y'|'z', ref)
     s = text.strip()
     if s.startswith("mutex"):
         rest = s[len("mutex"):].strip()
@@ -58,7 +59,6 @@ def parse_query(text: str, index: SystemIndex) -> Query:
             raise SourceError(f"malformed query {text!r}")
         rest = rest[len("unit "):]
         var, _, labels_part = rest.partition(" over ")
-        var = var.strip()
         labels_part = labels_part.strip()
         if not (labels_part.startswith("{") and labels_part.endswith("}")):
             raise SourceError(f"malformed mutex query {text!r}")
@@ -66,53 +66,54 @@ def parse_query(text: str, index: SystemIndex) -> Query:
         labels = dict.fromkeys(
             resolve_label(t.strip()) for t in labels_part[1:-1].split(",") if t.strip()
         )
-        terms = tuple((1, "x", l) for l in labels)
-        return Query(var, terms, 1, text, mutex=True)
-    if not s.startswith("unit "):
-        raise SourceError(f"malformed query {text!r}")
-    rest = s[len("unit "):]
-    var, colon, expr = rest.partition(":")
-    if not colon:
-        raise SourceError(f"malformed query {text!r}")
-    lhs, le, bound_part = expr.partition("<=")
-    if not le:
-        raise SourceError(f"query must bound the form with <= : {text!r}")
-    terms = []
-    for piece in lhs.split("+"):
-        piece = piece.strip()
-        if not piece:
-            raise SourceError(f"empty term in query {text!r}")
-        coeff_part, star, var_part = piece.partition("*")
-        if star:
-            coeff = integer(coeff_part, "coefficient")
-        else:
-            coeff, var_part = 1, piece
-        var_part = var_part.strip()
-        if var_part.startswith("x@"):
-            terms.append((coeff, "x", resolve_label(var_part[2:])))
-        elif var_part.startswith(("y@(", "z@(")) and var_part.endswith(")"):
-            kind = var_part[0]
-            inner = var_part[3:-1]
-            lq, comma, le_ = inner.partition(",")
-            if not comma:
-                raise SourceError(f"malformed pair in query {text!r}")
-            terms.append((coeff, kind, (resolve_label(lq.strip()), resolve_label(le_.strip()))))
-        else:
-            raise SourceError(f"unknown query variable {var_part!r}")
-    return Query(var.strip(), tuple(terms), integer(bound_part, "bound"), text)
+        terms = [(1, "x", l) for l in labels]
+        bound = 1
+    else:
+        if not s.startswith("unit "):
+            raise SourceError(f"malformed query {text!r}")
+        rest = s[len("unit "):]
+        var, colon, expr = rest.partition(":")
+        if not colon:
+            raise SourceError(f"malformed query {text!r}")
+        lhs, le, bound_part = expr.partition("<=")
+        if not le:
+            raise SourceError(f"query must bound the form with <= : {text!r}")
+        for piece in lhs.split("+"):
+            piece = piece.strip()
+            if not piece:
+                raise SourceError(f"empty term in query {text!r}")
+            coeff_part, star, var_part = piece.partition("*")
+            if star:
+                coeff = integer(coeff_part, "coefficient")
+            else:
+                coeff, var_part = 1, piece
+            var_part = var_part.strip()
+            if var_part.startswith("x@"):
+                terms.append((coeff, "x", resolve_label(var_part[2:])))
+            elif var_part.startswith(("y@(", "z@(")) and var_part.endswith(")"):
+                kind = var_part[0]
+                inner = var_part[3:-1]
+                lq, comma, le_ = inner.partition(",")
+                if not comma:
+                    raise SourceError(f"malformed pair in query {text!r}")
+                terms.append((coeff, kind, (resolve_label(lq.strip()), resolve_label(le_.strip()))))
+            else:
+                raise SourceError(f"unknown query variable {var_part!r}")
+        bound = integer(bound_part, "bound")
 
-
-def query_unit(gv: GetVar, query: Query) -> tuple:
-    """Abstract unit a query addresses: every key bound to the named variable."""
-    return gv.abstract_unit_of_vars(dict.fromkeys(gv.keys, query.unit_var))
-
-
-def query_expr(layout, query: Query) -> dict[int, int]:
+    var = var.strip()
+    if gv.mode == FULL_NAME and var not in index.name_universe:
+        raise SourceError(f"query unit {var} is not a restriction variable")
     expr: dict[int, int] = {}
-    for coeff, kind, ref in query.terms:
-        i = layout.index[kind, ref]
+    for coeff, kind, ref in terms:
+        i = layout.index.get((kind, ref))
+        if i is None:
+            pair = f"({fmt_label(ref[0])},{fmt_label(ref[1])})"
+            raise SourceError(
+                f"query term {kind}@{pair} in {text!r}: {pair} is not a step pair of the system"
+            )
         expr[i] = expr.get(i, 0) + coeff
-    return expr
+    return Query(text, gv.abstract_unit_of_vars(dict.fromkeys(gv.keys, var)), expr, bound)
 
 
 # --- Configuration and reports ------------------------------------------------
@@ -288,31 +289,18 @@ def run(config: AnalysisConfig) -> RunResult:
     except OSError as exc:
         raise SourceError(f"cannot read {config.path}: {exc.strerror}") from exc
     index = load_system(text)
-    gv = _resolve_partition(config.partition, index)
-    queries = [parse_query(q, index) for q in config.queries]
-    for q in queries:
-        if gv.mode == FULL_NAME and q.unit_var not in index.name_universe:
-            raise SourceError(f"query unit {q.unit_var} is not a restriction variable")
-
-    analysis = Analysis.build(index, gv)
-    for q in queries:
-        for _, kind, ref in q.terms:
-            if kind != "x" and (kind, ref) not in analysis.layout.index:
-                pair = f"({fmt_label(ref[0])},{fmt_label(ref[1])})"
-                raise SourceError(
-                    f"query term {kind}@{pair} in {q.text!r}: "
-                    f"{pair} is not a step pair of the system"
-                )
+    analysis = Analysis.build(index, _resolve_partition(config.partition, index))
+    queries = [parse_query(q, analysis) for q in config.queries]
     fix = analysis.run(config.abstraction, config.max_iter, keep_trace=config.trace)
     env_fix, con_fix = fix.env, fix.con
 
     units_report = []
     if con_fix is not None:
-        shown = set(con_fix.units()) | {query_unit(gv, q) for q in queries}
+        shown = set(con_fix.units()) | {q.unit for q in queries}
         for unit in sorted(shown, key=repr):
             units_report.append(
                 {
-                    "unit": describe_unit(gv, unit),
+                    "unit": describe_unit(analysis.gv, unit),
                     "constraints": numdom.pretty_constraints(
                         con_fix.accum(unit, analysis.layout)
                     )
@@ -341,10 +329,7 @@ def run(config: AnalysisConfig) -> RunResult:
         if con_fix is None:
             result = "unknown"
         else:
-            unit = query_unit(gv, q)
-            proved = analysis.con_dom.query(
-                con_fix, unit, query_expr(analysis.layout, q), q.bound
-            )
+            proved = analysis.con_dom.query(con_fix, q.unit, q.expr, q.bound)
             result = "proved" if proved else "unknown"
         query_report.append({"query": q.text, "result": result})
 

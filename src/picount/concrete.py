@@ -40,10 +40,8 @@ from .syntax import (
     INPUT,
     OUTPUT,
     Label,
-    Process,
     SystemIndex,
     Var,
-    beta,
     fmt_label,
     label_key,
 )
@@ -114,12 +112,12 @@ def make_config(threads) -> Configuration:
     return threads
 
 
-def launch(index: SystemIndex, p: Process, marker: Marker, env: dict[Var, Name]) -> set[Thread]:
-    """Threads spawned when `p` starts under `marker`: inherited bindings come
+def launch(index: SystemIndex, labels: frozenset[Label] | tuple[Label, ...], marker: Marker, env: dict[Var, Name]) -> set[Thread]:
+    """Threads of `labels` spawned under `marker`: inherited bindings come
     from `env`, every other interface variable is a restriction bound here and
     gets the name (var, marker)."""
     out = set()
-    for l in beta(p):
+    for l in labels:
         e = {}
         for v in index.iface[l]:
             e[v] = env[v] if v in env else (v, marker)
@@ -128,7 +126,7 @@ def launch(index: SystemIndex, p: Process, marker: Marker, env: dict[Var, Name])
 
 
 def initial_config(index: SystemIndex) -> Configuration:
-    return make_config(launch(index, index.root, EPSILON, {}))
+    return make_config(launch(index, index.root_labels, EPSILON, {}))
 
 
 class StepShape:
@@ -200,8 +198,8 @@ class StepTable:
         else:
             new_marker = recv.marker
             consumed = frozenset({recv, send})
-        ct_recv = self._launched(launch(index, index.cont[lq], new_marker, recv_env))
-        ct_send = self._launched(launch(index, index.cont[le], send.marker, dict(send.env)))
+        ct_recv = self._launched(launch(index, index.launched[lq], new_marker, recv_env))
+        ct_send = self._launched(launch(index, index.launched[le], send.marker, dict(send.env)))
         key = (label_key(lq), label_key(le), self._marker_key_of(recv.marker), send_key)
         changes = None
         if self.gv is not None:

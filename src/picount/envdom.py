@@ -339,7 +339,7 @@ class EnvDomain:
             return None
         delta = {}
         for role, l in ((RECV, lq), (SEND, le)):
-            for launched in index.beta_cont(l):
+            for launched in index.launched[l]:
                 delta[launched] = _project(mol, role, index.iface[launched])
         return delta
 

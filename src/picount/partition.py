@@ -160,8 +160,8 @@ def load_partition_spec(path: str, index: SystemIndex) -> GetVar:
 
 def step_roster(index: SystemIndex, lq: Label, le: Label) -> tuple[Member, ...]:
     """The 2 + n? + n! threads taking part in a (lq, le) synchronization."""
-    recv = [(lq, "?")] + [(l, "?") for l in index.sorted_beta_cont(lq)]
-    send = [(le, "!")] + [(l, "!") for l in index.sorted_beta_cont(le)]
+    recv = [(lq, "?")] + [(l, "?") for l in index.launched[lq]]
+    send = [(le, "!")] + [(l, "!") for l in index.launched[le]]
     return tuple(recv + send)
 
 

@@ -6,7 +6,7 @@ Grammar (UTF-8, `#` starts a line comment)::
     unary  ::= '0'
              | '(' proc ')'
              | 'new' ident (',' ident)* 'in' unary
-             | '!' label? unary                        -- replication sugar
+             | '!' label? unary                        -- replication
              | ident '!' label? args ('.' unary)?      -- output
              | ident '?' label? args ('.' unary)?      -- input
              | '*' ident '?' label? args ('.' unary)?  -- replicated input
@@ -14,14 +14,16 @@ Grammar (UTF-8, `#` starts a line comment)::
     label  ::= integer | ident
 
 A trailing ``.0`` may be omitted.  Labels are optional; unlabeled prefix
-sites are numbered by their 1-based preorder position among all sites.
-`new x, y in P` scopes over the following unary process, so wrap parallel
-compositions in parentheses.
+and replication sites are numbered by their 1-based preorder position among
+all written sites.  `new x, y in P` scopes over the following unary process,
+so wrap parallel compositions in parentheses.
 
-The replication `!l P` is rewritten by :func:`desugar_bang` into a
-restricted trigger channel plus a replicated forwarder; the three prefixes
-it introduces are labeled `l`, `l'` and `l''` and the trigger variable is
-named ``rec@l`` (the ``@`` keeps it out of the user namespace).
+A system is read once, into the tree the analysis uses: every prefix
+labeled, and every replication `!l P` expanded into a restricted trigger
+channel plus a replicated forwarder, whose three prefixes are labeled `l`,
+`l'` and `l''` and whose trigger variable is named ``rec@l``.  The system
+must be closed, bind each name once and use each label once, generated
+labels included; a violation is reported at its token.
 """
 
 from __future__ import annotations
@@ -115,16 +117,6 @@ class Prefix(Process):
         self.cont = cont
 
 
-class Bang(Process):
-    """Surface-only replication node, removed by desugaring."""
-
-    __slots__ = ("label", "body")
-
-    def __init__(self, label: Label, body: Process):
-        self.label = label
-        self.body = body
-
-
 NIL = Nil()
 
 
@@ -184,9 +176,18 @@ def _tokenize(text: str) -> list[_Tok]:
 
 
 class _Parser:
+    """Reads a system into its final tree in one pass.  Each site is labeled
+    as it is read (`take`), each replication `!l P` is expanded where it is
+    read, and a repeated label, a free name or a second binder is reported
+    at its token."""
+
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.i = 0
+        self.sites = 0  # sites read so far: an unlabeled one is numbered by it
+        self.seen: set[Label] = set()  # every label taken, written or generated
+        self.scope: set[Var] = set()  # the names bound around the next token
+        self.binders: dict[Var, str] = {}  # every binder read, with what it is
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
@@ -206,6 +207,40 @@ class _Parser:
     def error(self, msg: str):
         t = self.peek()
         raise SourceError(msg, t.line, t.col)
+
+    def take(self, label: Label | None, tok: _Tok) -> Label:
+        """Label of the site starting at `tok`: `label`, or when it is None
+        the site's 1-based preorder position among all written sites."""
+        self.sites += 1
+        return self.claim(self.sites if label is None else label, tok)
+
+    def claim(self, label: Label, tok: _Tok) -> Label:
+        if label in self.seen:
+            raise SourceError(f"duplicate label {fmt_label(label)}", tok.line, tok.col)
+        self.seen.add(label)
+        return label
+
+    def bind(self, tok: _Tok, what: str) -> Var:
+        v = tok.text
+        if v in self.binders:
+            raise SourceError(
+                f"variable {v} bound more than once ({self.binders[v]} and {what})",
+                tok.line,
+                tok.col,
+            )
+        self.binders[v] = what
+        return v
+
+    def use(self, tok: _Tok):
+        if tok.text not in self.scope:
+            raise SourceError(f"open system, free variable {tok.text}", tok.line, tok.col)
+
+    def scoped(self, names, parse) -> Process:
+        # binders are unique, so leaving the scope removes exactly `names`
+        self.scope.update(names)
+        p = parse()
+        self.scope.difference_update(names)
+        return p
 
     # proc := unary ('|' unary)*
     def parse_proc(self) -> Process:
@@ -227,18 +262,18 @@ class _Parser:
             return p
         if t.kind == "kw" and t.text == "new":
             self.next()
-            names = [self.expect("ident").text]
+            names = [self.bind(self.expect("ident"), "restriction")]
             while self.peek().kind == ",":
                 self.next()
-                names.append(self.expect("ident").text)
+                names.append(self.bind(self.expect("ident"), "restriction"))
             kw = self.expect("kw")
             if kw.text != "in":
                 raise SourceError("expected 'in'", kw.line, kw.col)
-            body = self.parse_unary()
+            body = self.scoped(names, self.parse_unary)
             for name in reversed(names):
                 body = New(name, body)
             return body
-        if t.kind == "!":  # replication sugar
+        if t.kind == "!":
             self.next()
             label = None
             nxt = self.peek()
@@ -247,23 +282,34 @@ class _Parser:
             elif nxt.kind == "ident" and self.toks[self.i + 1].kind not in ("?", "!"):
                 # an identifier directly followed by ?/! is a channel, not a label
                 label = self.parse_label()
-            return Bang(label, self.parse_unary())
+            return self.replication(self.take(label, t), t)
         if t.kind == "*":
             self.next()
             chan = self.expect("ident")
             self.expect("?")
-            return self.parse_prefix(FETCH, chan)
+            return self.parse_prefix(FETCH, t, chan)
         if t.kind == "ident":
             chan = self.next()
             op = self.peek()
             if op.kind == "!":
                 self.next()
-                return self.parse_prefix(OUTPUT, chan)
+                return self.parse_prefix(OUTPUT, t, chan)
             if op.kind == "?":
                 self.next()
-                return self.parse_prefix(INPUT, chan)
+                return self.parse_prefix(INPUT, t, chan)
             raise SourceError("expected '!' or '?' after channel", op.line, op.col)
         self.error("unexpected end of input" if t.kind == "eof" else f"unexpected token {t.text!r}")
+
+    def replication(self, l: Label, t: _Tok) -> Process:
+        """`!l P`, whose `!` is `t`, as a restricted trigger channel `rec@l`
+        (the `@` keeps it out of the user namespace) and a replicated
+        forwarder: `new rec@l in (rec@l!l[] | *rec@l?l'[].(rec@l!l''[] | P))`.
+        A generated label that repeats one taken before is reported at `t`."""
+        l1, l2 = self.claim(f"{l}'", t), self.claim(f"{l}''", t)
+        rec = f"rec@{l}"
+        body = self.parse_unary()
+        repl = Prefix(FETCH, rec, l1, (), Par(Prefix(OUTPUT, rec, l2, (), NIL), body))
+        return New(rec, Par(Prefix(OUTPUT, rec, l, (), NIL), repl))
 
     def parse_label(self) -> Label | None:
         t = self.peek()
@@ -275,113 +321,43 @@ class _Parser:
             return t.text
         return None
 
-    def parse_prefix(self, kind: str, chan: _Tok) -> Process:
-        label = self.parse_label()
+    def parse_prefix(self, kind: str, site: _Tok, chan: _Tok) -> Process:
+        self.use(chan)
+        label = self.take(self.parse_label(), site)
         t = self.expect("[")
-        args = []
+        toks = []
         if self.peek().kind != "]":
-            args.append(self.expect("ident").text)
+            toks.append(self.expect("ident"))
             while self.peek().kind == ",":
                 self.next()
-                args.append(self.expect("ident").text)
+                toks.append(self.expect("ident"))
         self.expect("]")
-        if kind in (INPUT, FETCH) and len(set(args)) != len(args):
-            raise SourceError(f"input tuple variables must be distinct: {args}", t.line, t.col)
+        args = tuple(a.text for a in toks)
+        bound = ()
+        if kind == OUTPUT:
+            for a in toks:
+                self.use(a)
+        elif len(set(args)) != len(args):
+            raise SourceError(f"input tuple variables must be distinct: {list(args)}", t.line, t.col)
+        else:
+            bound = [self.bind(a, f"input at {fmt_label(label)}") for a in toks]
         cont: Process = NIL
         if self.peek().kind == ".":
             self.next()
-            cont = self.parse_unary()
-        return Prefix(kind, chan.text, label, tuple(args), cont)  # label None fixed later
-
-
-def _number_sites(p: Process, counter: list[int], seen: dict[Label, bool]) -> Process:
-    """Assign preorder positions to unlabeled sites and reject duplicate labels."""
-
-    def take(label: Label | None) -> Label:
-        counter[0] += 1
-        if label is None:
-            label = counter[0]
-        if label in seen:
-            raise SourceError(f"duplicate label {fmt_label(label)}")
-        seen[label] = True
-        return label
-
-    if isinstance(p, Nil):
-        return p
-    if isinstance(p, Par):
-        left = _number_sites(p.left, counter, seen)
-        return Par(left, _number_sites(p.right, counter, seen))
-    if isinstance(p, New):
-        return New(p.var, _number_sites(p.body, counter, seen))
-    if isinstance(p, Prefix):
-        label = take(p.label)
-        return Prefix(p.kind, p.chan, label, p.args, _number_sites(p.cont, counter, seen))
-    if isinstance(p, Bang):
-        label = take(p.label)
-        return Bang(label, _number_sites(p.body, counter, seen))
-    raise AssertionError(p)
+            cont = self.scoped(bound, self.parse_unary)
+        return Prefix(kind, chan.text, label, args, cont)
 
 
 def parse_system(text: str) -> Process:
-    """Parse a system; every prefix/replication site ends up labeled."""
+    """Parse a closed system into its final tree: every prefix labeled, every
+    replication expanded, every name bound once.  Any error names its line
+    and column."""
     parser = _Parser(text)
     p = parser.parse_proc()
     t = parser.peek()
     if t.kind != "eof":
         raise SourceError(f"trailing input {t.text!r}", t.line, t.col)
-    return _number_sites(p, [0], {})
-
-
-# --- Pretty printer -----------------------------------------------------
-
-
-def pretty(p: Process) -> str:
-    if isinstance(p, Nil):
-        return "0"
-    if isinstance(p, Par):
-        return f"({pretty(p.left)} | {pretty(p.right)})"
-    if isinstance(p, New):
-        return f"new {p.var} in {pretty(p.body)}"
-    if isinstance(p, Bang):
-        return f"!{fmt_label(p.label)} {pretty(p.body)}"
-    if isinstance(p, Prefix):
-        star = "*" if p.kind == FETCH else ""
-        op = "!" if p.kind == OUTPUT else "?"
-        head = f"{star}{p.chan}{op}{fmt_label(p.label)}[{', '.join(p.args)}]"
-        if isinstance(p.cont, Nil):
-            return head
-        return f"{head}.{pretty(p.cont)}"
-    raise AssertionError(p)
-
-
-# --- Replication desugaring ---------------------------------------------
-
-
-def bang_labels(l: Label) -> tuple[Label, Label, Label]:
-    return l, f"{l}'", f"{l}''"
-
-
-def bang_var(l: Label) -> Var:
-    return f"rec@{l}"
-
-
-def desugar_bang(p: Process) -> Process:
-    """Expand every replication node into its trigger-channel encoding."""
-    if isinstance(p, (Nil,)):
-        return p
-    if isinstance(p, Par):
-        return Par(desugar_bang(p.left), desugar_bang(p.right))
-    if isinstance(p, New):
-        return New(p.var, desugar_bang(p.body))
-    if isinstance(p, Prefix):
-        return Prefix(p.kind, p.chan, p.label, p.args, desugar_bang(p.cont))
-    if isinstance(p, Bang):
-        l0, l1, l2 = bang_labels(p.label)
-        rec = bang_var(p.label)
-        body = desugar_bang(p.body)
-        repl = Prefix(FETCH, rec, l1, (), Par(Prefix(OUTPUT, rec, l2, (), NIL), body))
-        return New(rec, Par(Prefix(OUTPUT, rec, l0, (), NIL), repl))
-    raise AssertionError(p)
+    return p
 
 
 # --- Static index --------------------------------------------------------
@@ -394,8 +370,6 @@ def free_vars(p: Process) -> frozenset[Var]:
         return free_vars(p.left) | free_vars(p.right)
     if isinstance(p, New):
         return free_vars(p.body) - {p.var}
-    if isinstance(p, Bang):
-        return free_vars(p.body)
     if isinstance(p, Prefix):
         inner = free_vars(p.cont)
         if p.kind in (INPUT, FETCH):
@@ -415,21 +389,20 @@ def beta(p: Process) -> frozenset[Label]:
         return beta(p.body)
     if isinstance(p, Prefix):
         return frozenset({p.label})
-    raise AssertionError(f"beta on desugared trees only: {p}")
+    raise AssertionError(p)
 
 
 class SystemIndex:
-    """Per-label static maps of a closed, uniquely-bound, bang-free system."""
+    """Per-label static maps of a parsed system."""
 
     __slots__ = (
-        "root",
         "labels",
         "type",
         "chan",
         "arg",
-        "cont",
         "iface",
-        "restriction_vars",
+        "launched",
+        "name_universe",
         "root_labels",
         "fresh",
         "warnings",
@@ -437,90 +410,53 @@ class SystemIndex:
 
     def __init__(
         self,
-        root: Process,
         labels: tuple[Label, ...],
         type: dict[Label, str],
         chan: dict[Label, Var],
         arg: dict[Label, tuple[Var, ...]],
-        cont: dict[Label, Process],
         iface: dict[Label, frozenset[Var]],
-        restriction_vars: tuple[Var, ...],
+        launched: dict[Label, tuple[Label, ...]],
+        name_universe: frozenset[Var],
         root_labels: frozenset[Label],
         fresh: dict[Label, frozenset[Var]],
         warnings: list[str] | None = None,
     ):
-        self.root = root
         self.labels = labels  # all prefix labels, sorted
         self.type = type
         self.chan = chan
         self.arg = arg
-        self.cont = cont
         self.iface = iface  # free variables of comp(l)
-        self.restriction_vars = restriction_vars  # in binding preorder; the name universe
+        self.launched = launched  # beta of cont(l), label-sorted
+        self.name_universe = name_universe  # every restriction variable
         self.root_labels = root_labels  # beta of the whole system
         self.fresh = fresh  # restriction vars first bound when cont(l) launches
         self.warnings = [] if warnings is None else warnings
 
-    @property
-    def name_universe(self) -> frozenset[Var]:
-        return frozenset(self.restriction_vars)
 
-    def interface(self, l: Label) -> frozenset[Var]:
-        if l not in self.iface:
-            raise SourceError(f"unknown label {fmt_label(l)}")
-        return self.iface[l]
-
-    def beta_cont(self, l: Label) -> frozenset[Label]:
-        return beta(self.cont[l])
-
-    def sorted_beta_cont(self, l: Label) -> tuple[Label, ...]:
-        return tuple(sorted(self.beta_cont(l), key=label_key))
-
-
-def check_wellformed(p: Process) -> SystemIndex:
-    """Verify closedness, label and binder uniqueness; build the static maps."""
-    fv = free_vars(p)
-    if fv:
-        raise SourceError(f"open system, free variable {sorted(fv)[0]}")
-
+def load_system(text: str) -> SystemIndex:
+    """Parse a system and build its static maps."""
+    p = parse_system(text)
     comp: dict[Label, Prefix] = {}
-    binders: dict[Var, str] = {}
-    restrictions: list[Var] = []
-
-    def bind(v: Var, what: str):
-        if v in binders:
-            raise SourceError(f"variable {v} bound more than once ({binders[v]} and {what})")
-        binders[v] = what
-
-    # preorder, left before right; an explicit stack leaves no reference cycle
+    restrictions: set[Var] = set()
+    # an explicit stack leaves no reference cycle
     stack = [p]
     while stack:
         q = stack.pop()
         if isinstance(q, Par):
             stack += (q.right, q.left)
         elif isinstance(q, New):
-            bind(q.var, "restriction")
-            restrictions.append(q.var)
+            restrictions.add(q.var)
             stack.append(q.body)
-        elif isinstance(q, Bang):
-            raise SourceError("replication must be desugared before indexing")
         elif isinstance(q, Prefix):
-            if q.label in comp:
-                raise SourceError(f"duplicate label {fmt_label(q.label)}")
             comp[q.label] = q
-            if q.kind in (INPUT, FETCH):
-                for a in q.args:
-                    bind(a, f"input at {fmt_label(q.label)}")
             stack.append(q.cont)
-        elif not isinstance(q, Nil):
-            raise AssertionError(q)
 
     labels = tuple(sorted(comp, key=label_key))
     iface = {l: free_vars(comp[l]) for l in labels}
+    launched = {l: tuple(sorted(beta(comp[l].cont), key=label_key)) for l in labels}
     fresh = {}
     for l in labels:
-        launched = beta(comp[l].cont)
-        used = frozenset().union(*(iface[m] for m in launched)) if launched else frozenset()
+        used = frozenset().union(*(iface[m] for m in launched[l]))
         fresh[l] = used - free_vars(comp[l].cont)
 
     warnings = []
@@ -535,20 +471,14 @@ def check_wellformed(p: Process) -> SystemIndex:
             )
 
     return SystemIndex(
-        root=p,
         labels=labels,
         type={l: comp[l].kind for l in labels},
         chan={l: comp[l].chan for l in labels},
         arg={l: comp[l].args for l in labels},
-        cont={l: comp[l].cont for l in labels},
         iface=iface,
-        restriction_vars=tuple(restrictions),
+        launched=launched,
+        name_universe=frozenset(restrictions),
         root_labels=beta(p),
         fresh=fresh,
         warnings=warnings,
     )
-
-
-def load_system(text: str) -> SystemIndex:
-    """parse + desugar + index in one go."""
-    return check_wellformed(desugar_bang(parse_system(text)))

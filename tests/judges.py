@@ -1,11 +1,13 @@
 """Test judges over the concrete semantics: what an uninstrumented `Walk`
 reaches, and the partition case a concrete step realizes (which the
 partition-completeness tests and the oracle reference check compare with the
-abstract enumeration).  Also the iteration that posts every pair in every
-round, which the change-driven rounds of `engine.iterate` must match."""
+abstract enumeration), and whether a configuration keeps a query's bound.
+Also the iteration that posts every pair in every round, which the
+change-driven rounds of `engine.iterate` must match."""
 
 import sys
 
+from picount.analysis import Query
 from picount.concrete import Configuration, StepShape, Walk, step_target
 from picount.engine import Analysis, FixpointResult, step
 from picount.partition import PartitionCase, member_key
@@ -43,6 +45,19 @@ def walk_steps(index: SystemIndex, max_configs: int) -> list[tuple]:
             rank[target] = len(rank)
         steps.append((source[0], shape, target[0]))
     return steps
+
+
+def query_holds(analysis: Analysis, q: Query, config: Configuration) -> bool:
+    """Does every concrete unit of `config` that `q.unit` abstracts keep
+    `q.expr` over its label counts within `q.bound`?  A configuration holds
+    no step counts, so a query is judged on its label terms."""
+    gv, layout = analysis.gv, analysis.layout
+    totals: dict[tuple, int] = {}
+    for t in config:
+        u = gv.concrete_unit(t.label, t.env)
+        if gv.alpha_unit(u) == q.unit:
+            totals[u] = totals.get(u, 0) + q.expr.get(layout.x(t.label), 0)
+    return all(total <= q.bound for total in totals.values())
 
 
 def target_of(config: Configuration, shape: StepShape) -> Configuration:

@@ -11,49 +11,64 @@ from picount.analysis import (
     AnalysisConfig,
     check_soundness,
     parse_query,
-    query_expr,
-    query_unit,
     run,
     verify_configs,
 )
 from picount.cli import main
 from picount.concrete import Thread, thread_to_json
 from picount.contents import CUMap
+from picount.engine import Analysis
 from picount.envdom import AtomEnv, EnvMap
 from picount.partition import GetVar, getvar_channel, getvar_marker
 from picount.syntax import SourceError
 
 from conftest import corpus_path
-from judges import reached
+from judges import query_holds, reached
 from test_fuzz_soundness import random_system
 
 
-def test_parse_mutex_query(memory_index):
-    q = parse_query("mutex unit cell over {2, 6, 10}", memory_index)
-    assert q.mutex and q.bound == 1 and q.unit_var == "cell"
-    assert set(q.terms) == {(1, "x", 2), (1, "x", 6), (1, "x", 10)}
+@pytest.fixture(scope="module")
+def memory_analysis(memory_index):
+    return Analysis.build(memory_index, getvar_channel(memory_index))
 
 
-def test_parse_linear_query(memory_index):
-    q = parse_query("unit cell: 2*x@5 + x@9 + 1*y@(1,13) <= 3", memory_index)
+def test_parse_mutex_query(memory_analysis):
+    x = memory_analysis.layout.x
+    # a set: the repeated label counts once
+    q = parse_query("mutex unit cell over {2, 6, 10, 6}", memory_analysis)
+    assert q.bound == 1 and q.unit == ("cell",)
+    assert q.expr == {x(2): 1, x(6): 1, x(10): 1}
+
+
+def test_parse_linear_query(memory_analysis):
+    layout = memory_analysis.layout
+    # repeated terms add up
+    q = parse_query("unit cell: 2*x@5 + x@9 + 1*y@(1,13) + x@5 <= 3", memory_analysis)
     assert q.bound == 3
-    assert set(q.terms) == {(2, "x", 5), (1, "x", 9), (1, "y", (1, 13))}
+    assert q.expr == {layout.x(5): 3, layout.x(9): 1, layout.y((1, 13)): 1}
 
 
-def test_parse_query_rejects_unknown_label(memory_index):
+def test_parse_query_rejects_unknown_label(memory_analysis):
     with pytest.raises(SourceError, match="unknown label"):
-        parse_query("mutex unit cell over {2, 99}", memory_index)
+        parse_query("mutex unit cell over {2, 99}", memory_analysis)
     with pytest.raises(SourceError):
-        parse_query("unit cell 1*x@2 <= 1", memory_index)
+        parse_query("unit cell 1*x@2 <= 1", memory_analysis)
     with pytest.raises(SourceError):
-        parse_query("unit cell: 1*w@2 <= 1", memory_index)
+        parse_query("unit cell: 1*w@2 <= 1", memory_analysis)
 
 
-def test_query_unit_and_expr(memory_index):
-    gv = getvar_channel(memory_index)
-    q = parse_query("mutex unit cell over {2,6,10}", memory_index)
-    assert query_unit(gv, q) == ("cell",)
-    assert query_unit(getvar_marker(memory_index), q) == ("*",)
+def test_parse_query_checks_the_unit_before_the_pairs(memory_analysis):
+    # `address` is an input variable, and (2,3) pairs two outputs
+    with pytest.raises(SourceError) as info:
+        parse_query("unit address: 1*y@(2,3) <= 0", memory_analysis)
+    assert str(info.value) == "query unit address is not a restriction variable"
+
+
+def test_query_unit_and_expr(memory_index, memory_analysis):
+    q = parse_query("mutex unit cell over {2,6,10}", memory_analysis)
+    assert q.unit == ("cell",)
+    marker = Analysis.build(memory_index, getvar_marker(memory_index))
+    assert parse_query("mutex unit cell over {2,6,10}", marker).unit == ("*",)
 
 
 def test_run_memory_proves_mutex():
@@ -436,19 +451,9 @@ def test_proved_queries_hold_in_every_explored_config(name, partition, query):
     if verdict != "proved":
         assert name == "dlist.pi"  # the stretch query may stay unknown
         return
-    q = parse_query(query, result.analysis.index)
-    index = result.analysis.index
-    gv = result.analysis.gv
-    coeffs = {(kind, ref): c for c, kind, ref in q.terms}
-    for config in reached(index, max_configs=1500):
-        per_unit = {}
-        for t in config:
-            u = gv.concrete_unit(t.label, t.env)
-            if gv.alpha_unit(u) != query_unit(gv, q):
-                continue
-            per_unit.setdefault(u, 0)
-            per_unit[u] += coeffs.get(("x", t.label), 0)
-        assert all(total <= q.bound for total in per_unit.values())
+    q = parse_query(query, result.analysis)
+    for config in reached(result.analysis.index, max_configs=1500):
+        assert query_holds(result.analysis, q, config)
 
 
 def test_never_proves_what_the_oracle_refutes(semaphore_index):

@@ -19,7 +19,7 @@ from picount.concrete import (
     thread_to_json,
 )
 from picount.partition import getvar_channel
-from picount.syntax import Nil, load_system
+from picount.syntax import load_system
 
 from conftest import corpus_text
 from judges import alpha_step, reached, step_units, target_of, walk_steps, walked
@@ -39,7 +39,7 @@ def drive(index, config, pairs):
 
 
 def test_launch_nil(memory_index):
-    assert launch(memory_index, Nil(), EPSILON, {}) == set()
+    assert launch(memory_index, (), EPSILON, {}) == set()
 
 
 def test_initial_config_memory(memory_index):
@@ -102,8 +102,8 @@ def test_rule_cardinalities_on_corpus(semaphore_index, synccomm_index):
         steps = walk_steps(index, 300)
         assert steps
         for source, step, target in steps:
-            n_recv = len(index.beta_cont(step.pair[0]))
-            n_send = len(index.beta_cont(step.pair[1]))
+            n_recv = len(index.launched[step.pair[0]])
+            n_send = len(index.launched[step.pair[1]])
             if index.type[step.pair[0]] == "input":
                 assert len(target) == len(source) - 2 + n_recv + n_send
             else:

@@ -266,7 +266,7 @@ def test_gc_examples():
         delta = dom.post_delta(in0, out0, 1, 4, case)
         if delta is None:
             continue
-        assert set(delta) == index.beta_cont(1) | index.beta_cont(4)
+        assert set(delta) == set(index.launched[1] + index.launched[4])
         for l, a in delta.items():
             assert a.vars == tuple(sorted(index.iface[l])) and set(a.labels) == index.iface[l]
 

@@ -9,14 +9,14 @@ import random
 import pytest
 
 from picount import cli
-from picount.analysis import AnalysisConfig, parse_query, query_unit, run, verify_configs
+from picount.analysis import AnalysisConfig, parse_query, run, verify_configs
 from picount.cli import main
 from picount.engine import Analysis
 from picount.partition import getvar_channel
 from picount.syntax import fmt_label, load_system
 
 from conftest import corpus_path
-from judges import reached
+from judges import query_holds, reached
 from test_fuzz_soundness import random_system
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -162,19 +162,12 @@ def test_budgeted_proofs_hold_in_explored_configs(seed, partition, tmp_path):
         result = run(
             AnalysisConfig(path=str(path), partition=partition, max_iter=max_iter, queries=queries)
         )
-        gv = result.analysis.gv
         for entry in result.report.queries:
             if entry["result"] != "proved":
                 continue
-            q = parse_query(entry["query"], index)
-            ((_, _, label),) = q.terms
+            q = parse_query(entry["query"], result.analysis)
             for config in configs:
-                per_unit = {}
-                for t in config:
-                    u = gv.concrete_unit(t.label, t.env)
-                    if t.label == label and gv.alpha_unit(u) == query_unit(gv, q):
-                        per_unit[u] = per_unit.get(u, 0) + 1
-                assert all(n <= q.bound for n in per_unit.values()), (
+                assert query_holds(result.analysis, q, config), (
                     text, partition, max_iter, entry["query"], config,
                 )
 

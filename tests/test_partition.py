@@ -66,8 +66,8 @@ def test_marker_mode_trivial_abstract_unit(memory_index):
 def test_step_roster(memory_index):
     roster = step_roster(memory_index, 5, 10)
     assert set(roster) == {(5, "?"), (6, "?"), (7, "?"), (10, "!")}
-    n_recv = len(memory_index.beta_cont(5))
-    n_send = len(memory_index.beta_cont(10))
+    n_recv = len(memory_index.launched[5])
+    n_send = len(memory_index.launched[10])
     assert len(roster) == 2 + n_recv + n_send
 
 

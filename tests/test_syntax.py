@@ -1,26 +1,24 @@
 import gc
+import os
 
 import pytest
 from hypothesis import given, strategies as st
 
 from picount.syntax import (
-    Bang,
     New,
     Nil,
     Par,
     Prefix,
     SourceError,
+    _tokenize,
     beta,
-    check_wellformed,
-    desugar_bang,
     free_vars,
     label_key,
     load_system,
     parse_system,
-    pretty,
 )
 
-from conftest import MEMORY_WRITE, corpus_text
+from conftest import CORPUS, MEMORY_WRITE, corpus_text
 
 
 def test_parse_nil():
@@ -33,12 +31,12 @@ def test_parse_memory_allocator_labels(memory_index):
 
 def test_duplicate_label_rejected():
     with pytest.raises(SourceError, match="duplicate label 1"):
-        parse_system("a!1[].0 | a?1[].0")
+        parse_system("new a in (a!1[].0 | a?1[].0)")
 
 
 def test_nondistinct_input_args_rejected():
     with pytest.raises(SourceError, match="distinct"):
-        parse_system("c?1[x, x].0")
+        parse_system("new c in c?1[x, x].0")
 
 
 @pytest.mark.parametrize(
@@ -50,6 +48,27 @@ def test_nondistinct_input_args_rejected():
     ],
 )
 def test_truncated_input_names_end_of_input(text, message):
+    with pytest.raises(SourceError) as exc:
+        load_system(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("new a in (a!1[].0 | a?1[].0)", "duplicate label 1 at 1:21"),
+        # a replication's generated label l' collides with a written one,
+        # reported at the later site whichever is written first
+        ("new c in (!a 0 | c!a'[])", "duplicate label a' at 1:18"),
+        ("new c in (c!a'[] | !a 0)", "duplicate label a' at 1:20"),
+        ("new c in (c![d] | c?[])", "open system, free variable d at 1:14"),
+        (
+            "new x in (x?1[y].0 | new y in y!2[].0)",
+            "variable y bound more than once (input at 1 and restriction) at 1:26",
+        ),
+    ],
+)
+def test_system_error_names_its_token(text, message):
     with pytest.raises(SourceError) as exc:
         load_system(text)
     assert str(exc.value) == message
@@ -72,19 +91,13 @@ def _prefix_labels(p):
         return _prefix_labels(p.left) + _prefix_labels(p.right)
     if isinstance(p, New):
         return _prefix_labels(p.body)
-    if isinstance(p, Bang):
-        return [p.label] + _prefix_labels(p.body)
     return []
 
 
-def test_desugar_identity_without_bang():
-    p = parse_system("new a in (a!1[] | a?2[])")
-    assert desugar_bang(p) == p
-
-
 def test_desugar_bang_structure():
-    p = parse_system("!12 new add in alloc!13[add]")
-    d = desugar_bang(p)
+    alloc = parse_system("new alloc in !12 new add in alloc!13[add]")
+    assert isinstance(alloc, New) and alloc.var == "alloc"
+    d = alloc.body
     assert isinstance(d, New) and d.var == "rec@12"
     body = d.body
     assert isinstance(body, Par)
@@ -99,7 +112,7 @@ def test_desugar_bang_structure():
 def test_nested_bang_two_rec_vars_six_labels():
     # expanding the rewrite by hand: each replication adds one restriction and
     # three prefixes; the inner body contributes nothing else here
-    d = desugar_bang(parse_system("!1 (!2 0)"))
+    d = parse_system("!1 (!2 0)")
     names = set()
     labels = []
 
@@ -124,28 +137,27 @@ def test_wellformed_memory_static_maps(memory_index):
     assert idx.type[1] == "fetch"
     assert idx.chan[1] == "alloc"
     assert idx.arg[1] == ("address",)
-    assert beta(idx.cont[5]) == {6, 7}
+    assert idx.launched[5] == (6, 7)
     assert idx.root_labels == {1, 12, "12'"}
 
 
 def test_open_system_rejected():
-    with pytest.raises(SourceError, match="free variable c"):
-        check_wellformed(parse_system("c!1[].0"))
+    with pytest.raises(SourceError, match="free variable c at 1:1"):
+        parse_system("c!1[].0")
 
 
 def test_rebinding_rejected():
     with pytest.raises(SourceError, match="bound more than once"):
-        check_wellformed(parse_system("new x in (x?1[y].0 | new y in y!2[].0)"))
+        parse_system("new x in (x?1[y].0 | new y in y!2[].0)")
 
 
 def test_interface_examples(memory_index):
-    assert memory_index.interface(1) == {"alloc", "null"}
-    assert memory_index.interface(5) == {"cell", "fwd"}
+    assert memory_index.iface[1] == {"alloc", "null"}
+    assert memory_index.iface[5] == {"cell", "fwd"}
     # a prefix whose subprocess has no free variables cannot exist in a closed
     # system (its channel is free), so the minimum is the channel itself
-    assert memory_index.interface(11) == {"ack"}
-    with pytest.raises(SourceError, match="unknown label"):
-        memory_index.interface(99)
+    assert memory_index.iface[11] == {"ack"}
+    assert 99 not in memory_index.iface
 
 
 def test_interface_empty_on_synthetic_prefix():
@@ -191,22 +203,12 @@ def test_beta_equations(p):
         assert beta(p) == {p.label}
 
 
-@pytest.mark.parametrize(
-    "name", ["memory.pi", "semaphore2.pi", "synccomm.pi", "objects.pi", "dlist.pi"]
-)
-def test_parse_pretty_roundtrip(name):
-    ast = parse_system(corpus_text(name))
-    assert parse_system(pretty(ast)) == ast
-
-
 def test_desugar_preserves_user_labels(memory_index):
-    surface = parse_system(corpus_text("memory.pi"))
-    user = set(_prefix_labels(surface))
-    desugared = set(_prefix_labels(desugar_bang(surface)))
-    assert user <= desugared
-    assert len(desugared) == len(user) + 2 * sum(
-        1 for l in user if isinstance(l, int) and l in (12, 15, 18)
-    )
+    # memory.pi labels its sites 1..20; 12, 15 and 18 are replications
+    user = set(range(1, 21))
+    desugared = set(_prefix_labels(parse_system(corpus_text("memory.pi"))))
+    assert desugared == user | {f"{l}{p}" for l in (12, 15, 18) for p in ("'", "''")}
+    assert set(memory_index.labels) == desugared
 
 
 def test_load_system_leaves_no_reference_cycle():
@@ -219,3 +221,31 @@ def test_load_system_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+_MUTANT_SOURCES = [
+    os.path.join(CORPUS, name) for name in sorted(os.listdir(CORPUS)) if name.endswith(".pi")
+] + [MEMORY_WRITE]
+
+
+def test_every_error_in_a_system_names_its_location():
+    # each system with one token deleted either loads or is rejected with a
+    # located error
+    mutants = rejected = 0
+    for path in _MUTANT_SOURCES:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        lines = text.split("\n")
+        starts = [0]
+        for line in lines:
+            starts.append(starts[-1] + len(line) + 1)
+        for tok in _tokenize(text)[:-1]:
+            at = starts[tok.line - 1] + tok.col - 1
+            mutant = text[:at] + text[at + len(tok.text):]
+            mutants += 1
+            try:
+                load_system(mutant)
+            except SourceError as exc:
+                rejected += 1
+                assert exc.line is not None, (path, tok.line, tok.col, str(exc))
+    assert mutants == 638 and rejected == 537

@@ -14,7 +14,6 @@ from picount.syntax import (
     INPUT,
     OUTPUT,
     NIL,
-    Bang,
     New,
     Nil,
     Par,
@@ -35,7 +34,6 @@ def equal_pairs():
         (Par(Nil(), NIL), Par(NIL, Nil())),
         (New("a", Nil()), New("a", NIL)),
         (Prefix(INPUT, "a", 1, ("x",), Nil()), Prefix(INPUT, "a", 1, ("x",), NIL)),
-        (Bang(2, Par(NIL, NIL)), Bang(2, Par(Nil(), Nil()))),
     ]
 
 
@@ -48,12 +46,10 @@ def test_ast_nodes_equal_and_hash_within_a_type(left, right):
 
 
 def test_ast_nodes_differ_across_types_and_fields():
-    # New and Bang have the same field values here; only the type differs
     nodes = [
         Nil(),
         Par(NIL, NIL),
         New("a", NIL),
-        Bang("a", NIL),
         Prefix(INPUT, "a", 1, (), NIL),
         Prefix(OUTPUT, "a", 1, (), NIL),
         Prefix(FETCH, "a", 1, (), NIL),
@@ -163,7 +159,7 @@ def test_default_lists_are_not_shared():
     fixes = [FixpointResult(None, None, 1, True) for _ in range(2)]
     assert fixes[0].trace == [] and fixes[0].trace is not fixes[1].trace
     indexes = [
-        SystemIndex(NIL, (), {}, {}, {}, {}, {}, (), frozenset(), {}) for _ in range(2)
+        SystemIndex((), {}, {}, {}, {}, {}, frozenset(), frozenset(), {}) for _ in range(2)
     ]
     assert indexes[0].warnings == [] and indexes[0].warnings is not indexes[1].warnings
     indexes[0].warnings.append("w")
