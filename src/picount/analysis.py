@@ -354,10 +354,13 @@ def run(config: AnalysisConfig) -> RunResult:
 
 
 class OracleReport:
-    __slots__ = ("configs", "states_visited", "truncated", "violations")
+    __slots__ = ("threads", "configs", "states_visited", "truncated", "violations")
 
-    def __init__(self, configs: set, states_visited: int, truncated: bool, violations: list[str]):
-        self.configs = configs  # the configurations checked
+    def __init__(
+        self, threads: list, configs: set, states_visited: int, truncated: bool, violations: list
+    ):
+        self.threads = threads  # by id
+        self.configs = configs  # the configurations checked, as bitsets over `threads`
         self.states_visited = states_visited
         self.truncated = truncated
         self.violations = violations
@@ -423,7 +426,7 @@ def verify_configs(
     violations: list[str] = []
     checked_env: set = set()
     checked_vec: set = set()
-    empty = (frozenset(), frozenset())
+    empty = (0, ())
     grouped = (empty, ({}, {}))  # the source being expanded, with by_unit of it
 
     def trace_of(state) -> str:
@@ -437,12 +440,13 @@ def verify_configs(
         """Label counts and step counts of each unit of `state`."""
         config, tally = state
         counts: dict[tuple, dict] = {}
-        for t in config:
+        for t in walk.table.members(config):
             c = counts.setdefault(walk.table.unit_of(t), {})
             c[t.label] = c.get(t.label, 0) + 1
         steps: dict[tuple, dict] = {}
-        for (u, pair), n in tally:
-            steps.setdefault(u, {})[pair] = n
+        for (u, pair), n in zip(walk.table.counters, tally):
+            if n:
+                steps.setdefault(u, {})[pair] = n
         return counts, steps
 
     def check_env(state, added):
@@ -498,15 +502,18 @@ def verify_configs(
     # no step reached the initial state: its units' keys carry no pair
     counts = by_unit(walk.initial)[0]
     stopped = not check(
-        walk.initial, empty, walk.initial[0], dict.fromkeys(counts).items(),
+        walk.initial, empty, walk.threads(walk.initial), dict.fromkeys(counts).items(),
         map(dict.items, counts.values()),
     )
     if not stopped:
         for source, shape, target, admitted in walk:
-            if admitted and not check(target, source, shape.launched, *shape.changes):
+            if admitted and not check(
+                target, source, shape.launched_recv + shape.launched_send, *shape.changes
+            ):
                 stopped = True
                 break
     return OracleReport(
+        threads=walk.table.threads,
         configs={config for config, _ in walk.visited},
         states_visited=len(walk.visited),
         truncated=walk.truncated or stopped,

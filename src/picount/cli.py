@@ -79,7 +79,7 @@ def main(argv=None) -> int:
         if args.dump_oracle:
             try:
                 with open(args.dump_oracle, "w", encoding="utf-8") as out:
-                    dump_configs(oracle.configs, out)
+                    dump_configs(oracle.threads, oracle.configs, out)
             except OSError as exc:
                 raise SourceError(f"cannot write {args.dump_oracle}: {exc.strerror}") from exc
         for w in result.report.warnings:

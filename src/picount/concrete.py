@@ -11,17 +11,16 @@ the sender's marker.
 `Walk` is the one deterministic bounded breadth-first walk over reachable
 configurations, optionally carrying per-unit step counters; the soundness
 oracle (`analysis.verify_configs`) is its only consumer in the package.
-Each walk keeps one `StepTable`: equal threads are one object, and a step is
-its `StepShape`, built once per distinct (receiver, sender) pair: everything
-it does apart from the rest of its configuration (consumed and launched
-threads and their site hashes, canonical order key, what it changes in each
-concrete unit).  `enabled_steps` buckets a configuration's senders by
-(channel, arity), so each receiver meets only the senders it can synchronize
-with, and returns the enabled shapes.  The walk takes a source's site hashes
-once for every target's site check, computes each distinct thread's
-concrete unit once, and replaces only the step's own keys in a target's
-counters.  `dump_configs` ranks and encodes each distinct thread once and
-sorts each configuration once, by rank.
+Each walk keeps one `StepTable`, which gives each distinct thread and each
+(unit, step pair) counter a dense id, so a walk state is two small values:
+an `int` bitset over thread ids and a tuple of counts over counter ids.  A
+step is its `StepShape`, built once per distinct (receiver, sender) pair:
+everything it does apart from the rest of its configuration.  A state's
+steps are read off its receiver bits and the sender mask of each one's
+(channel, arity) bucket; a target is `(config & ~consumed) | launched`,
+checked against the table's per-site masks, and its tally one tuple copy.
+`dump_configs` ranks and encodes each distinct thread once and sorts each
+configuration once, by rank.
 
 The walk yields every state before the edges leaving it, ends at its first
 refused target, and keeps each admitted state's edge in `visited` (see
@@ -35,16 +34,7 @@ from __future__ import annotations
 import json
 import operator
 
-from .syntax import (
-    FETCH,
-    INPUT,
-    OUTPUT,
-    Label,
-    SystemIndex,
-    Var,
-    fmt_label,
-    label_key,
-)
+from .syntax import FETCH, OUTPUT, Label, SystemIndex, Var, fmt_label, label_key
 
 Marker = tuple[Label, ...]
 Name = tuple[Var, Marker]  # (restriction variable, marker of declaring thread)
@@ -59,16 +49,13 @@ class InternalError(AssertionError):
 class Thread:
     """One running prefix: (label, marker, environment over its interface).
     `site` is (label, marker), which no two threads of one configuration
-    share; `site_hash` is its hash, taken once."""
+    share."""
 
-    __slots__ = ("label", "marker", "env", "site", "site_hash", "_key", "_hash")
+    __slots__ = ("label", "marker", "env", "site", "_key", "_hash")
 
     def __init__(self, label: Label, marker: Marker, env: dict[Var, Name]):
-        self.label = label
-        self.marker = marker
-        self.env = env
+        self.label, self.marker, self.env = label, marker, env
         self.site = (label, marker)
-        self.site_hash = hash(self.site)
         self._key = (label, marker, tuple(sorted(env.items())))
         self._hash = hash(self._key)
 
@@ -92,37 +79,40 @@ def _marker_key(m: Marker):
 
 
 Configuration = frozenset  # of Thread
-
-
-_site_hash = operator.attrgetter("site_hash")
 _change = operator.itemgetter(1)  # a (key, change) item's change, for filtering out 0s
 _shape_key = operator.attrgetter("key")
 
 
-def make_config(threads) -> Configuration:
-    # names the first repeated site met; a step's target is checked by site
-    # hash first (step_target)
-    threads = frozenset(threads)
+def bit_ids(mask: int) -> list[int]:
+    """The ids whose bits are set in `mask`, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _check_sites(threads):
+    # names the first repeated site met
     seen = set()
     for t in threads:
-        k = t.site
-        if k in seen:
-            raise InternalError(f"two threads share (label, marker) {k}")
-        seen.add(k)
+        if t.site in seen:
+            raise InternalError(f"two threads share (label, marker) {t.site}")
+        seen.add(t.site)
     return threads
+
+
+def make_config(threads) -> Configuration:
+    return _check_sites(frozenset(threads))
 
 
 def launch(index: SystemIndex, labels: frozenset[Label] | tuple[Label, ...], marker: Marker, env: dict[Var, Name]) -> set[Thread]:
     """Threads of `labels` spawned under `marker`: inherited bindings come
     from `env`, every other interface variable is a restriction bound here and
     gets the name (var, marker)."""
-    out = set()
-    for l in labels:
-        e = {}
-        for v in index.iface[l]:
-            e[v] = env[v] if v in env else (v, marker)
-        out.add(Thread(l, marker, e))
-    return out
+    iface = index.iface
+    return {Thread(l, marker, {v: env.get(v, (v, marker)) for v in iface[l]}) for l in labels}
 
 
 def initial_config(index: SystemIndex) -> Configuration:
@@ -131,86 +121,135 @@ def initial_config(index: SystemIndex) -> Configuration:
 
 class StepShape:
     """One synchronization of `receiver` with `sender`, as all it does apart
-    from the rest of its configuration: its label `pair`, the threads it
-    consumes ({sender} for a FETCH, else {receiver, sender}), the threads
-    each side launches and their union, and its canonical order key (both
-    labels, then both markers)."""
+    from the rest of its configuration: its label `pair`, the masks of the
+    threads it `consumed` ({sender} for a FETCH, else {receiver, sender})
+    and `launched`, the threads each side launches, and its canonical order
+    key (both labels, then both markers).
+
+    Under a unit map, `changes` is (keys, counts): the counters ((unit,
+    pair), ...) the step adds one to, one per unit of a thread it takes part
+    with or launches, and each one's label count changes, ((label, change),
+    ...) with no 0.  `counters` are the keys' ids, `top` the largest plus 1."""
 
     __slots__ = (
-        "receiver", "sender", "pair", "consumed", "launched_recv", "launched_send",
-        "launched", "key", "launched_sites", "changes",
+        "receiver", "sender", "pair", "consumed", "launched", "launched_recv",
+        "launched_send", "key", "changes", "counters", "top",
     )
-
-    def __init__(self, receiver, sender, consumed, launched_recv, launched_send, key, changes=None):
-        self.receiver, self.sender = receiver, sender
-        self.pair = (receiver.label, sender.label)
-        self.consumed = consumed
-        self.launched_recv = launched_recv
-        self.launched_send = launched_send
-        self.launched = frozenset(launched_recv + launched_send)
-        self.key = key
-        # the launched threads' site hashes, None when two of them agree
-        sites = frozenset(map(_site_hash, self.launched))
-        self.launched_sites = sites if len(sites) == len(self.launched) else None
-        # under a unit map, (keys, counts): the counters ((unit, pair), ...)
-        # the step adds one to, one per unit of a thread it takes part with
-        # or launches, and for each in turn that unit's label count changes,
-        # ((label, change), ...) with no 0: -1 per consumed and +1 per
-        # launched thread
-        self.changes = changes
 
 
 class StepTable:
-    """One object per distinct thread, one `StepShape` per distinct
-    (receiver, sender) pair and one order key per marker, built on first use.
-    With a unit map `gv`, shapes carry their `changes`.  A table serves one
-    walk, so the threads and pairs that walk meets bound its size."""
+    """One id per distinct thread, one `StepShape` per distinct (receiver,
+    sender) pair and one order key per marker, built on first use.  With a
+    unit map `gv`, one id per (unit, pair) counter, and shapes carry their
+    `changes`.  A table serves one walk, so the threads and pairs that walk
+    meets bound its size.
+
+    Interning a thread sets its bit in its site's mask and, by its kind, in
+    `receivers` or in its (channel, arity) bucket's sender mask.  `crowded`
+    holds the threads of every site that holds more than one."""
 
     def __init__(self, index: SystemIndex, gv=None):
         self.index, self.gv = index, gv
-        self._threads: dict[Thread, Thread] = {}
-        self._shapes: dict[tuple[Thread, Thread], StepShape] = {}
+        self.threads: list[Thread] = []  # by id
+        self._ids: dict[Thread, int] = {}
+        self._sites: dict[tuple, int] = {}  # site -> mask of its threads
+        self.crowded = self.receivers = 0
+        self._buckets: dict[tuple[Name, int], int] = {}  # (channel, arity) -> bucket id
+        self._senders: list[int] = []  # by bucket id
+        self._bucket_of: list[int] = []  # by thread id
+        self._shapes: dict[tuple[int, int], StepShape] = {}
         self._marker_keys: dict[Marker, tuple] = {EPSILON: ()}
         self._units: dict[Thread, tuple] = {}
         self._counts: dict[tuple, tuple] = {}  # one object per distinct count changes
+        self.counters: dict[tuple, int] = {}  # (unit, pair) -> id, in id order
 
-    def intern(self, t: Thread) -> Thread:
-        """The table's one object equal to `t`."""
-        return self._threads.setdefault(t, t)
+    def intern(self, t: Thread) -> int:
+        """The id of `t`."""
+        i = self._ids.get(t)
+        if i is None:
+            i = self._ids[t] = len(self.threads)
+            self.threads.append(t)
+            bit, site = 1 << i, self._sites.get(t.site, 0)
+            if site:
+                self.crowded |= site | bit
+            self._sites[t.site] = site | bit
+            index, l = self.index, t.label
+            bucket = (t.env[index.chan[l]], len(index.arg[l]))
+            b = self._buckets.setdefault(bucket, len(self._senders))
+            if b == len(self._senders):
+                self._senders.append(0)
+            self._bucket_of.append(b)
+            if index.type[l] == OUTPUT:
+                self._senders[b] |= bit
+            else:
+                self.receivers |= bit
+        return i
 
-    def shape(self, recv: Thread, send: Thread) -> StepShape:
+    def members(self, config: int) -> list[Thread]:
+        """The threads of `config`, by id."""
+        return [self.threads[i] for i in bit_ids(config)]
+
+    def shape(self, recv: int, send: int) -> StepShape:
         shape = self._shapes.get((recv, send))
         if shape is None:
-            shape = self._shapes[recv, send] = self._build(recv, send)
+            shape = self._shapes[recv, send] = self._build(self.threads[recv], self.threads[send])
         return shape
+
+    def enabled(self, config: int) -> list[StepShape]:
+        """The shapes of all synchronizations enabled in `config`, in a
+        canonical order.  Each receiver meets only the senders of its own
+        (channel, arity) bucket.  No two threads of `config` share a (label,
+        marker), so the order keys are distinct and the order depends on
+        neither hashing nor ids."""
+        shapes = []
+        senders, bucket_of = self._senders, self._bucket_of
+        for r in bit_ids(config & self.receivers):
+            for s in bit_ids(config & senders[bucket_of[r]]):
+                shapes.append(self.shape(r, s))
+        shapes.sort(key=_shape_key)
+        return shapes
+
+    def target(self, config: int, shape: StepShape) -> int:
+        """`config` after a step of `shape`.  Raises `InternalError` when a
+        remaining thread shares a site with a launched one."""
+        rest = config & ~shape.consumed
+        if rest & self.crowded and shape.launched & self.crowded:
+            for t in shape.launched_recv + shape.launched_send:
+                if rest & self._sites[t.site] & ~shape.launched:
+                    raise InternalError(f"two threads share (label, marker) {t.site}")
+        return rest | shape.launched
 
     def _build(self, recv: Thread, send: Thread) -> StepShape:
         index = self.index
         lq, le = recv.label, send.label
-        passed = {y: send.env[x] for y, x in zip(index.arg[lq], index.arg[le])}
-        recv_env = dict(recv.env)
-        recv_env.update(passed)
+        recv_env = {**recv.env, **{y: send.env[x] for y, x in zip(index.arg[lq], index.arg[le])}}
         send_key = self._marker_key_of(send.marker)
         if index.type[lq] == FETCH:
             new_marker: Marker = (le,) + send.marker
             self._marker_keys[new_marker] = (label_key(le),) + send_key
-            consumed = frozenset({send})
+            consumed = (send,)
         else:
             new_marker = recv.marker
-            consumed = frozenset({recv, send})
-        ct_recv = self._launched(launch(index, index.launched[lq], new_marker, recv_env))
-        ct_send = self._launched(launch(index, index.launched[le], send.marker, dict(send.env)))
-        key = (label_key(lq), label_key(le), self._marker_key_of(recv.marker), send_key)
-        changes = None
+            consumed = (recv, send)
+        s = StepShape()
+        s.receiver, s.sender, s.pair = recv, send, (lq, le)
+        s.launched_recv = self._launched(launch(index, index.launched[lq], new_marker, recv_env))
+        s.launched_send = self._launched(launch(index, index.launched[le], send.marker, send.env))
+        launched = s.launched_recv + s.launched_send
+        _check_sites(launched)
+        s.consumed, s.launched = self._mask(consumed), self._mask(launched)
+        s.key = (label_key(lq), label_key(le), self._marker_key_of(recv.marker), send_key)
+        s.changes, s.counters, s.top = None, (), 0
         if self.gv is not None:
-            changes = self._changes((lq, le), (recv, send), consumed, ct_recv + ct_send)
-        return StepShape(recv, send, consumed, ct_recv, ct_send, key, changes)
+            s.changes = self._changes(s.pair, (recv, send), consumed, launched)
+            ids = self.counters
+            s.counters = tuple(ids.setdefault(k, len(ids)) for k in s.changes[0])
+            s.top = max(s.counters) + 1
+        return s
 
     def _changes(self, pair, takers, consumed, launched) -> tuple:
         # `StepShape.changes` of a step of `pair` by `takers`
-        counts: dict[tuple, dict] = {}
-        for t in takers + launched:
-            counts.setdefault(self.unit_of(t), {})
+        counts = {self.unit_of(t): {} for t in takers + launched}
         for threads, d in ((consumed, -1), (launched, 1)):
             for t in threads:
                 c = counts[self.unit_of(t)]
@@ -224,21 +263,20 @@ class StepTable:
 
     def unit_of(self, t: Thread) -> tuple:
         """Concrete unit of `t` under `gv`, computed once per distinct thread."""
-        u = self._units.get(t)
-        if u is None:
-            u = self._units[t] = self.gv.concrete_unit(t.label, t.env)
-        return u
+        return self._units.get(t) or self._units.setdefault(t, self.gv.concrete_unit(t.label, t.env))
 
     def _marker_key_of(self, m: Marker) -> tuple:
         """`_marker_key(m)`, kept per table.  A marker that a FETCH step
         launched got its key when the step was built, from the sender's."""
-        key = self._marker_keys.get(m)
-        if key is None:
-            key = self._marker_keys[m] = _marker_key(m)
-        return key
+        return self._marker_keys.get(m) or self._marker_keys.setdefault(m, _marker_key(m))
+
+    def _mask(self, threads) -> int:
+        # of distinct interned threads
+        return sum(1 << self._ids[t] for t in threads)
 
     def _launched(self, threads: set[Thread]) -> tuple[Thread, ...]:
-        return tuple(sorted(map(self.intern, threads), key=_launch_order))
+        # interned in this order, so ids do not depend on set iteration
+        return tuple(self.threads[self.intern(t)] for t in sorted(threads, key=_launch_order))
 
 
 def _launch_order(t: Thread):
@@ -247,56 +285,17 @@ def _launch_order(t: Thread):
     return label_key(t.label)
 
 
-def enabled_steps(
-    index: SystemIndex, config: Configuration, table: StepTable | None = None
-) -> list[StepShape]:
-    """The shapes of all synchronizations enabled in `config`, in a canonical
-    order.  They come from `table`, or from a throwaway one.
-
-    Senders are bucketed by (channel name, arity), so each receiver meets only
-    its own bucket.  No two threads of `config` share a (label, marker), so
-    the order keys are distinct and the order does not depend on hashing."""
-    if table is None:
-        table = StepTable(index)
-    kinds, chan, arg = index.type, index.chan, index.arg
-    receivers = []
-    senders: dict[tuple[Name, int], list[Thread]] = {}
-    for t in config:
-        l = t.label
-        kind = kinds[l]
-        if kind == OUTPUT:
-            senders.setdefault((t.env[chan[l]], len(arg[l])), []).append(t)
-        elif kind in (INPUT, FETCH):
-            receivers.append(t)
-    shapes = []
-    for r in receivers:
-        l = r.label
-        for s in senders.get((r.env[chan[l]], len(arg[l])), ()):
-            shapes.append(table.shape(r, s))
-    shapes.sort(key=_shape_key)
-    return shapes
-
-
-def step_target(config: Configuration, sites: set, shape: StepShape) -> Configuration:
-    """`config` after a step of `shape`; `sites` are its site hashes.
-    Launched hashes apart from them and from each other name new sites; any
-    overlap gets `make_config`'s exact check."""
-    target = (config - shape.consumed) | shape.launched
-    launched = shape.launched_sites
-    if launched is None or not sites.isdisjoint(launched):
-        return make_config(target)
-    return target
-
-
 class Walk:
     """The one bounded breadth-first walk over concrete states, in canonical
-    step order.  A state is a configuration with a frozenset of
-    ((unit, pair), n): how often each step pair has involved each concrete
-    unit of `gv` (empty without `gv`).  Iterating yields every explored edge
-    as (source, shape, target, admitted); a new target is admitted while
-    fewer than `max_configs` states have been.  The first one refused sets
-    `truncated` and is the last edge yielded; a state left at `max_depth`
-    with a step to a state not visited sets it too.
+    step order.  A state is (configuration, tally): a bitset over the
+    table's thread ids, and a tuple over its counter ids, with no trailing
+    0, of how often each step pair has involved each concrete unit of `gv`
+    (empty without `gv`).  Counts never fall, so equal states are equal
+    values; `threads` and `tally` decode one.  Iterating yields every
+    explored edge as (source, shape, target, admitted); a new target is
+    admitted while fewer than `max_configs` states have been.  The first one
+    refused sets `truncated` and is the last edge yielded; a state left at
+    `max_depth` with a step to a state not visited sets it too.
 
     `visited` is the search tree: it maps each admitted state to its
     (source, pair) edge, and `initial` to None.
@@ -306,22 +305,25 @@ class Walk:
     its own edges: a consumer that checks each state when it is yielded has
     checked the source of every edge it meets.
 
-    The walk keeps one `StepTable`: every step of one (receiver, sender) pair
-    is one shape, and equal threads are one object, so set and dict lookups
-    of threads compare identities.  With `gv`, the table computes each
-    distinct thread's concrete unit once per walk.  A target's counters are
-    its source's with just its shape's counter keys replaced, read from one
-    dict of the source's counters per expanded source."""
+    The walk keeps one `StepTable`: every step of one (receiver, sender)
+    pair is one shape.  With `gv`, the table computes each distinct thread's
+    concrete unit once per walk."""
 
     def __init__(self, index: SystemIndex, max_configs: int, max_depth: int, gv=None):
         if max_configs <= 0 or max_depth <= 0:
             raise ValueError("exploration limits must be positive")
-        self.index, self.gv = index, gv
         self.max_configs, self.max_depth = max_configs, max_depth
         self.table = StepTable(index, gv)
-        self.initial = (frozenset(map(self.table.intern, initial_config(index))), frozenset())
+        self.initial = (self.table._mask(self.table._launched(initial_config(index))), ())
         self.visited: dict[tuple, tuple | None] = {self.initial: None}
         self.truncated = False
+
+    def threads(self, state) -> frozenset[Thread]:
+        return frozenset(self.table.members(state[0]))
+
+    def tally(self, state) -> dict[tuple, int]:
+        """((unit, pair) -> n), with no 0."""
+        return {k: n for k, n in zip(self.table.counters, state[1]) if n}
 
     def __iter__(self):
         frontier = [self.initial]
@@ -342,29 +344,17 @@ class Walk:
                         return
             frontier = nxt
         if frontier:
-            self.truncated = any(
-                target not in self.visited
-                for source in frontier
-                for _, target in self._edges(source)
-            )
+            self.truncated = any(t not in self.visited for s in frontier for _, t in self._edges(s))
 
     def _edges(self, source):
-        """(shape, target state) for every step enabled in `source`; the
-        source's site hashes are taken once for every target's site check."""
-        config, counters = source
-        sites = set(map(_site_hash, config))
-        tally = dict(counters)
-        for shape in enabled_steps(self.index, config, self.table):
-            yield shape, (step_target(config, sites, shape), self._count(counters, tally, shape))
-
-    def _count(self, counters: frozenset, tally: dict, shape: StepShape) -> frozenset:
-        """`counters` after a step of `shape`; `tally` is `dict(counters)`.
-        Only the shape's own keys are read and replaced."""
-        if self.gv is None:
-            return counters
-        keys = shape.changes[0]
-        old = [(k, tally[k]) for k in keys if k in tally]
-        return counters.difference(old).union([(k, tally.get(k, 0) + 1) for k in keys])
+        """(shape, target state) for every step enabled in `source`."""
+        config, tally = source
+        table = self.table
+        for shape in table.enabled(config):
+            counts = list(tally) + [0] * (shape.top - len(tally))
+            for k in shape.counters:
+                counts[k] += 1
+            yield shape, (table.target(config, shape), tuple(counts))
 
 
 # --- Oracle dump (JSON lines, one record per configuration) ---------------
@@ -375,14 +365,17 @@ def thread_to_json(t: Thread) -> list:
     return [fmt_label(t.label), [fmt_label(l) for l in t.marker], env]
 
 
-def dump_configs(configs, stream):
-    # each distinct thread is keyed, ranked and encoded once.  A configuration
-    # is then sorted once, as the list of its threads' ranks: ranks follow
-    # `Thread.sort_key`, so rank lists order the configurations as their
-    # sorted key lists do.  Joining the encodings with ", " is byte-identical
-    # to `json.dumps` of the whole list.
-    threads = sorted(set().union(*configs), key=Thread.sort_key)
-    rank = {t: i for i, t in enumerate(threads)}
-    text = [json.dumps(thread_to_json(t), sort_keys=True) for t in threads]
-    for row in sorted(sorted(map(rank.__getitem__, c)) for c in configs):
+def dump_configs(threads, configs, stream):
+    # `configs` are bitsets over `threads`.  Each thread present is keyed,
+    # ranked and encoded once.  A configuration is then sorted once, as the
+    # list of its threads' ranks: ranks follow `Thread.sort_key`, so rank
+    # lists order the configurations as their sorted key lists do.  Joining
+    # the encodings with ", " is byte-identical to `json.dumps` of the list.
+    present = 0
+    for c in configs:
+        present |= c
+    present = sorted(bit_ids(present), key=lambda i: threads[i].sort_key())
+    rank = {i: r for r, i in enumerate(present)}
+    text = [json.dumps(thread_to_json(threads[i]), sort_keys=True) for i in present]
+    for row in sorted(sorted(map(rank.__getitem__, bit_ids(c))) for c in configs):
         stream.write("[" + ", ".join(map(text.__getitem__, row)) + "]\n")

@@ -1,17 +1,75 @@
-"""Test judges over the concrete semantics: what an uninstrumented `Walk`
-reaches, and the partition case a concrete step realizes (which the
-partition-completeness tests and the oracle reference check compare with the
-abstract enumeration), and whether a configuration keeps a query's bound.
+"""Test judges over the concrete semantics: the table-free step reference
+(`enabled_steps`, `step_target`) over configurations as thread sets, what
+an uninstrumented `Walk` reaches, and the partition case a concrete step
+realizes (which the partition-completeness tests and the oracle reference
+check compare with the abstract enumeration), and whether a configuration
+keeps a query's bound.
 Also the iteration that posts every pair in every round, which the
 change-driven rounds of `engine.iterate` must match."""
 
 import sys
 
 from picount.analysis import Query
-from picount.concrete import Configuration, StepShape, Walk, step_target
+from picount.concrete import (
+    Configuration,
+    StepShape,
+    StepTable,
+    Walk,
+    dump_configs,
+    make_config,
+)
 from picount.engine import Analysis, FixpointResult, step
 from picount.partition import PartitionCase, member_key
-from picount.syntax import Label, SystemIndex
+from picount.syntax import FETCH, INPUT, OUTPUT, Label, SystemIndex
+
+
+def enabled_steps(index: SystemIndex, config: Configuration) -> list[StepShape]:
+    """The shapes of all synchronizations enabled in `config`, a set of
+    threads, in the walk's canonical order, built by a throwaway table.
+    Senders are bucketed by (channel name, arity), so each receiver meets
+    only its own bucket."""
+    table = StepTable(index)
+    kinds, chan, arg = index.type, index.chan, index.arg
+    receivers = []
+    senders: dict[tuple, list] = {}
+    for t in config:
+        l = t.label
+        kind = kinds[l]
+        if kind == OUTPUT:
+            senders.setdefault((t.env[chan[l]], len(arg[l])), []).append(t)
+        elif kind in (INPUT, FETCH):
+            receivers.append(t)
+    shapes = []
+    for r in receivers:
+        l = r.label
+        for s in senders.get((r.env[chan[l]], len(arg[l])), ()):
+            shapes.append(table.shape(table.intern(r), table.intern(s)))
+    shapes.sort(key=lambda shape: shape.key)
+    return shapes
+
+
+def consumed(index: SystemIndex, shape: StepShape) -> frozenset:
+    """The threads a step of `shape` consumes: a FETCH keeps its receiver."""
+    if index.type[shape.pair[0]] == FETCH:
+        return frozenset({shape.sender})
+    return frozenset({shape.receiver, shape.sender})
+
+
+def launched(shape: StepShape) -> frozenset:
+    return frozenset(shape.launched_recv + shape.launched_send)
+
+
+def dump_thread_sets(configs, stream):
+    """`dump_configs` of configurations given as thread sets."""
+    threads = list(set().union(*configs))
+    ids = {t: i for i, t in enumerate(threads)}
+    dump_configs(threads, [sum(1 << ids[t] for t in c) for c in configs], stream)
+
+
+def step_target(index: SystemIndex, config: Configuration, shape: StepShape) -> Configuration:
+    """`config` after a step of `shape`, with `make_config`'s exact site
+    check."""
+    return make_config((config - consumed(index, shape)) | launched(shape))
 
 
 def walked(index: SystemIndex, max_configs: int, max_depth: int = 1 << 30) -> Walk:
@@ -25,7 +83,8 @@ def walked(index: SystemIndex, max_configs: int, max_depth: int = 1 << 30) -> Wa
 def reached(index: SystemIndex, max_configs: int, max_depth: int = 1 << 30) -> set:
     """Configurations an uninstrumented walk admits, bounded by both their
     number and the transition depth."""
-    return {config for config, _ in walked(index, max_configs, max_depth).visited}
+    walk = walked(index, max_configs, max_depth)
+    return {walk.threads(state) for state in walk.visited}
 
 
 def walk_steps(index: SystemIndex, max_configs: int) -> list[tuple]:
@@ -34,7 +93,7 @@ def walk_steps(index: SystemIndex, max_configs: int) -> list[tuple]:
     `max_configs` would stop at its first refused target and leave most of
     those states unexpanded, so the walk here is unbounded and cut at the
     first edge leaving a later state (sources come in admission order).
-    Sources and targets are configurations."""
+    Sources and targets are configurations, as thread sets."""
     walk = Walk(index, sys.maxsize, 1 << 30)
     rank = {walk.initial: 0}
     steps = []
@@ -43,7 +102,7 @@ def walk_steps(index: SystemIndex, max_configs: int) -> list[tuple]:
             break
         if admitted:
             rank[target] = len(rank)
-        steps.append((source[0], shape, target[0]))
+        steps.append((walk.threads(source), shape, walk.threads(target)))
     return steps
 
 
@@ -58,11 +117,6 @@ def query_holds(analysis: Analysis, q: Query, config: Configuration) -> bool:
         if gv.alpha_unit(u) == q.unit:
             totals[u] = totals.get(u, 0) + q.expr.get(layout.x(t.label), 0)
     return all(total <= q.bound for total in totals.values())
-
-
-def target_of(config: Configuration, shape: StepShape) -> Configuration:
-    """`config` after a step of `shape`, with the walk's site check."""
-    return step_target(config, {t.site_hash for t in config}, shape)
 
 
 def step_units(shape: StepShape, gv) -> dict[tuple[Label, str], tuple]:

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import random
 import sys
 
@@ -69,6 +70,24 @@ def test_query_unit_and_expr(memory_index, memory_analysis):
     assert q.unit == ("cell",)
     marker = Analysis.build(memory_index, getvar_marker(memory_index))
     assert parse_query("mutex unit cell over {2,6,10}", marker).unit == ("*",)
+
+
+TWOKEY = os.path.join(os.path.dirname(__file__), "data", "twokey.pi")
+TWOKEY_FULL = os.path.join(os.path.dirname(__file__), "data", "twokey-full.json")
+
+
+def test_query_unit_binds_every_key_of_a_full_name_spec():
+    # under the two-key full-name spec the sends at 2 sit in unit (a, n) and
+    # every other thread in (a, a); `unit a` is (a, a), where x@2 stays 0
+    query = "unit a: 1*x@2 <= 0"
+    result = run(AnalysisConfig(path=TWOKEY, partition=TWOKEY_FULL, queries=(query,)))
+    q = parse_query(query, result.analysis)
+    assert result.analysis.gv.keys == ("b1", "b2") and q.unit == ("a", "a")
+    assert result.report.queries == [{"query": query, "result": "proved"}]
+    assert "[b1=a, b2=a]" in [u["unit"] for u in result.report.units]
+    configs = reached(result.analysis.index, max_configs=100)
+    assert any(t.label == 2 for c in configs for t in c)
+    assert all(query_holds(result.analysis, q, c) for c in configs)
 
 
 def test_run_memory_proves_mutex():
@@ -195,7 +214,14 @@ def _count_calls(monkeypatch, fn):
 def test_oracle_dump_parses_and_walks_once(tmp_path, capsys, monkeypatch):
     loads = _count_calls(monkeypatch, syntax.load_system)
     walks = _count_calls(monkeypatch, concrete.initial_config)
-    expansions = _count_calls(monkeypatch, concrete.enabled_steps)
+    expansions = []
+    enabled = concrete.StepTable.enabled
+
+    def counted(self, config):
+        expansions.append(config)
+        return enabled(self, config)
+
+    monkeypatch.setattr(concrete.StepTable, "enabled", counted)
     dump = tmp_path / "oracle.jsonl"
     path = corpus_path("synccomm.pi")
     code = main(["oracle-check", path, "--max-configs", "300", "--dump-oracle", str(dump)])
@@ -219,6 +245,11 @@ def test_oracle_depth_limit_truncates_only_with_a_step_left(tmp_path, capsys, te
     assert capsys.readouterr().out.startswith(f"configurations 2 ({verdict})\n")
 
 
+def members(report, config: int) -> list:
+    """The threads of one of `report`'s configurations."""
+    return [report.threads[i] for i in concrete.bit_ids(config)]
+
+
 def _synccomm_oracle_run():
     result = run(AnalysisConfig(path=corpus_path("synccomm.pi")))
     return result.analysis, result.fix.env, result.fix.con
@@ -228,8 +259,9 @@ def test_walk_computes_each_thread_unit_once(monkeypatch):
     analysis, env_fix, con_fix = _synccomm_oracle_run()
     # every thread the walk meets sits in the source or the target of an edge
     threads = set()
-    for source, _, target, _ in concrete.Walk(analysis.index, 300, 1 << 30, analysis.gv):
-        threads |= source[0] | target[0]
+    walk = concrete.Walk(analysis.index, 300, 1 << 30, analysis.gv)
+    for source, _, target, _ in walk:
+        threads |= walk.threads(source) | walk.threads(target)
     calls = []
     original = GetVar.concrete_unit
 
@@ -255,9 +287,9 @@ def test_thread_sort_key_runs_only_in_the_dump_once_per_thread(monkeypatch):
     monkeypatch.setattr(Thread, "sort_key", counted)
     report = verify_configs(analysis, env_fix, con_fix, max_configs=300, max_depth=1 << 30)
     assert keyed == []
-    concrete.dump_configs(report.configs, io.StringIO())
+    concrete.dump_configs(report.threads, report.configs, io.StringIO())
     assert keyed and len(keyed) == len(set(keyed))
-    assert set(keyed) == set().union(*report.configs)
+    assert set(keyed) == {t for c in report.configs for t in members(report, c)}
 
 
 def test_oracle_dump_holds_the_checked_configs(tmp_path, capsys, monkeypatch):
@@ -275,7 +307,10 @@ def test_oracle_dump_holds_the_checked_configs(tmp_path, capsys, monkeypatch):
     (oracle,) = reports
     lines = dump.read_text().splitlines()
     checked = {
-        json.dumps([thread_to_json(t) for t in sorted(c, key=Thread.sort_key)], sort_keys=True)
+        json.dumps(
+            [thread_to_json(t) for t in sorted(members(oracle, c), key=Thread.sort_key)],
+            sort_keys=True,
+        )
         for c in oracle.configs
     }
     assert len(lines) == oracle.configs_visited == len(checked)

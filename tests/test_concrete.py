@@ -9,10 +9,10 @@ from picount.cli import main
 from picount.concrete import (
     EPSILON,
     InternalError,
+    StepTable,
     Thread,
     Walk,
     dump_configs,
-    enabled_steps,
     initial_config,
     launch,
     make_config,
@@ -22,7 +22,16 @@ from picount.partition import getvar_channel
 from picount.syntax import load_system
 
 from conftest import corpus_text
-from judges import alpha_step, reached, step_units, target_of, walk_steps, walked
+from judges import (
+    alpha_step,
+    dump_thread_sets,
+    enabled_steps,
+    reached,
+    step_target,
+    step_units,
+    walk_steps,
+    walked,
+)
 
 
 def drive(index, config, pairs):
@@ -32,7 +41,7 @@ def drive(index, config, pairs):
     for pair in pairs:
         matching = [s for s in enabled_steps(index, config) if s.pair == pair]
         assert matching, f"no enabled step {pair}"
-        target = target_of(config, matching[0])
+        target = step_target(index, config, matching[0])
         steps.append((config, matching[0], target))
         config = target
     return config, steps
@@ -82,7 +91,7 @@ def test_fetch_rule_keeps_resource(memory_index):
     steps = enabled_steps(memory_index, config)
     assert {s.pair for s in steps} == {(1, 13), ("12'", "12''")}
     alloc_step = next(s for s in steps if s.pair == (1, 13))
-    target = target_of(config, alloc_step)
+    target = step_target(memory_index, config, alloc_step)
     # the resource thread survives, the client request is consumed
     assert alloc_step.receiver in target
     assert alloc_step.sender not in target
@@ -120,34 +129,46 @@ def test_marker_collision_is_internal_error():
 def test_site_hash_collision_is_no_error():
     # CPython hashes -1 and -2 alike, so these distinct sites' hashes agree
     t1, t2 = Thread(-1, (), {}), Thread(-2, (), {})
-    assert t1.site != t2.site and t1.site_hash == t2.site_hash
+    assert t1.site != t2.site and hash(t1.site) == hash(t2.site)
     assert make_config([t1, t2]) == {t1, t2}
     with pytest.raises(InternalError, match=r"\(-1, \(\)\)"):
         make_config([t1, t2, Thread(-1, (), {"a": ("a", ())})])
 
 
-def test_walk_admits_a_launched_site_hash_collision(monkeypatch):
+def test_walk_admits_a_launched_site_hash_collision():
     # ints hash modulo the hash modulus, so the launched b!m[] thread's site
     # hash equals the present b!1[] thread's, though their sites differ
     m = sys.hash_info.modulus + 1
     index = load_system(f"new a, b in (b!1[] | a!3[] | a?4[].b!{m}[])")
-    calls = []
-    original = concrete.make_config
-
-    def counted(threads):
-        calls.append(threads)
-        return original(threads)
-
-    monkeypatch.setattr(concrete, "make_config", counted)
     walk = Walk(index, max_configs=10, max_depth=1 << 30)
     ((source, _, target, admitted),) = list(walk)
-    (present,) = [t for t in source[0] if t.label == 1]
-    (launched,) = target[0] - source[0]
+    source, target = walk.threads(source), walk.threads(target)
+    (present,) = [t for t in source if t.label == 1]
+    (launched,) = target - source
     assert launched.label == m and launched.site != present.site
-    assert launched.site_hash == present.site_hash
-    assert admitted and present in target[0]
-    # the initial configuration, then the exact check of the colliding target
-    assert len(calls) == 2
+    assert hash(launched.site) == hash(present.site)
+    assert admitted and present in target
+
+
+def test_walk_refuses_a_launched_thread_at_a_present_site(monkeypatch):
+    # the step launches b!2[] under the label and marker of the present b!1[]
+    # thread, with another environment
+    index = load_system("new a, b, c in (b!1[] | a!3[] | a?4[].b!2[c])")
+    original = concrete.launch
+
+    def relabelled(*args):
+        return {
+            Thread(1, t.marker, t.env) if t.label == 2 else t for t in original(*args)
+        }
+
+    monkeypatch.setattr(concrete, "launch", relabelled)
+    walk = Walk(index, max_configs=10, max_depth=1 << 30)
+    edges = []
+    with pytest.raises(InternalError, match=r"two threads share \(label, marker\) \(1, \(\)\)"):
+        edges.extend(walk)
+    # refused before the edge is yielded; the launched thread is interned
+    assert edges == [] and len(walk.visited) == 1
+    assert len([t for t in walk.table.threads if t.site == (1, ())]) == 2
 
 
 def test_name_provenance(semaphore_index):
@@ -157,15 +178,15 @@ def test_name_provenance(semaphore_index):
     for _, step, _, _ in walk:
         for t in step.launched_recv + step.launched_send:
             markers.add(t.marker)
-    for config, _ in walk.visited:
-        for t in config:
+    for state in walk.visited:
+        for t in walk.threads(state):
             for name in t.env.values():
                 assert name[1] in markers
 
 
 def test_explore_empty_system():
     walk = walked(load_system("0"), max_configs=10, max_depth=10)
-    assert walk.visited.keys() == {(frozenset(), frozenset())}
+    assert [(walk.threads(s), walk.tally(s)) for s in walk.visited] == [(frozenset(), {})]
     assert walk.truncated is False
 
 
@@ -237,13 +258,13 @@ def test_oracle_check_reports_the_budget_boundary(tmp_path, capsys):
 
 def test_enabled_steps_runs_only_for_sources_of_yielded_edges(monkeypatch, synccomm_index):
     calls = []
-    original = concrete.enabled_steps
+    original = StepTable.enabled
 
-    def counted(index, config, table=None):
+    def counted(self, config):
         calls.append(config)
-        return original(index, config, table)
+        return original(self, config)
 
-    monkeypatch.setattr(concrete, "enabled_steps", counted)
+    monkeypatch.setattr(StepTable, "enabled", counted)
     walk = Walk(synccomm_index, 1000, 1 << 30, getvar_channel(synccomm_index))
     sources = list(dict.fromkeys(source for source, _, _, _ in walk))
     assert calls == [config for config, _ in sources]
@@ -292,7 +313,7 @@ def test_dump_configs_json_lines(semaphore_index, tmp_path):
     configs = reached(semaphore_index, max_configs=50)
     out = tmp_path / "oracle.jsonl"
     with open(out, "w") as fh:
-        dump_configs(configs, fh)
+        dump_thread_sets(configs, fh)
     lines = out.read_text().splitlines()
     assert len(lines) == len(configs)
     for line in lines:
@@ -310,7 +331,7 @@ def test_dump_configs_orders_env_markers_of_mixed_type():
     lines = []
     for configs in ([plain, primed], [primed, plain]):
         out = io.StringIO()
-        dump_configs(configs, out)
+        dump_thread_sets(configs, out)
         lines.append(out.getvalue().splitlines())
     assert lines[0] == lines[1]
     assert [json.loads(l)[0][2]["x"][1] for l in lines[0]] == [["12"], ["12'"]]
@@ -332,9 +353,10 @@ def test_launched_threads_are_in_sort_key_order(name):
 
 @pytest.mark.parametrize("name", ["synccomm.pi", "objects.pi"])
 def test_dump_configs_lines_equal_whole_record_encoding(name):
-    configs = reached(load_system(corpus_text(name)), max_configs=300)
+    walk = walked(load_system(corpus_text(name)), max_configs=300)
     out = io.StringIO()
-    dump_configs(configs, out)
+    dump_configs(walk.table.threads, {config for config, _ in walk.visited}, out)
+    configs = {walk.threads(state) for state in walk.visited}
     ordered = sorted(configs, key=lambda c: sorted(map(Thread.sort_key, c)))
     expected = [
         json.dumps([thread_to_json(t) for t in sorted(c, key=Thread.sort_key)], sort_keys=True)
@@ -358,13 +380,13 @@ def test_walk_counts_steps_per_unit(synccomm_index):
     # 600 states yield 1,754 edges, at least the 1,558 of expanding all of 300
     walk = Walk(synccomm_index, max_configs=600, max_depth=1 << 30, gv=gv)
     for source, step, target, _ in walk:
-        before, after = dict(source[1]), dict(target[1])
+        before, after = walk.tally(source), walk.tally(target)
         bumped = {(u, step.pair) for u in step_units(step, gv).values()}
         assert set(after) == set(before) | bumped
         for key, n in after.items():
             assert n == before.get(key, 0) + (key in bumped)
     # the instrumented walk reaches the same configurations as the plain one
-    configs = {config for config, _ in walk.visited}
+    configs = {walk.threads(state) for state in walk.visited}
     assert configs == reached(synccomm_index, max_configs=600)
 
 

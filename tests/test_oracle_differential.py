@@ -42,7 +42,7 @@ def reference_violations(analysis, env_fix, con_fix, max_configs, max_depth, max
 
     def check(state):
         new = len(violations)
-        config, tally = state
+        config, tally = walk.threads(state), walk.tally(state).items()
         if env_fix is not None:
             for t in config:
                 if t in checked_env:
@@ -149,7 +149,7 @@ def test_unit_checks_touch_only_the_units_a_step_touches(monkeypatch, synccomm_i
     result = run(AnalysisConfig(path=corpus_path("synccomm.pi")))
     analysis, gv = result.analysis, result.analysis.gv
     walk = Walk(synccomm_index, 1000, 1 << 30, gv)
-    initial = {gv.concrete_unit(t.label, t.env) for t in walk.initial[0]}
+    initial = {gv.concrete_unit(t.label, t.env) for t in walk.threads(walk.initial)}
     bound = len(initial) + sum(
         len(set(step_units(step, gv).values())) for _, step, _, admitted in walk if admitted
     )

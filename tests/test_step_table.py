@@ -1,16 +1,17 @@
 """The walk's step table against table-free step construction.
 
 A `Walk` builds each distinct (receiver, sender) step shape once and keeps one
-object per distinct thread.  Its edges must be exactly what a direct
-`enabled_steps` call, with a throwaway table, gives for each state it
-expands, in order, up to the walk's first refused target, where it stops (an
-exhaustive walk expands every state).  The configurations it reaches must
-dump as the record-by-record encoding does (checked on the systems whose
-dumps are small enough to encode twice).  `enabled_steps` matches senders by
-(channel, arity) bucket; its steps must be those of an all-pairs match, in
-the same order.  What a shape says its step changes (the launched and
-consumed threads, and the per-unit label and step counts) must equal what
-the configurations' differences give, edge by edge.
+id per distinct thread.  Its edges, decoded into thread sets, must be
+exactly what the table-free reference `judges.enabled_steps`, with a
+throwaway table, gives for each state it expands, in order, up to the walk's
+first refused target, where it stops (an exhaustive walk expands every
+state).  The configurations it reaches must dump as the record-by-record
+encoding does (checked on the systems whose dumps are small enough to encode
+twice).  The walk matches senders by (channel, arity) bucket; its steps must
+be those of an all-pairs match, in the same order.  What a shape says its
+step changes (the launched and consumed threads, and the per-unit label and
+step counts) must equal what the configurations' differences give, edge by
+edge.
 """
 
 import hashlib
@@ -28,16 +29,14 @@ from picount.concrete import (
     Thread,
     Walk,
     dump_configs,
-    enabled_steps,
     initial_config,
-    make_config,
     thread_to_json,
 )
 from picount.partition import getvar_channel, getvar_marker
 from picount.syntax import FETCH, INPUT, OUTPUT, fmt_label, load_system
 
 from conftest import corpus_text
-from judges import target_of
+from judges import consumed, enabled_steps, launched, step_target
 from test_concrete import CORPUS
 from test_fuzz_soundness import random_system
 
@@ -94,7 +93,8 @@ def record_encoding(configs) -> list[str]:
 def walk_edges(name: str, partition: str):
     """The system's index, a walk of it with its edges, and the states that
     walk admitted, in the order it expands them.  Checks that the walk ends
-    at its first refused target, or is exhaustive."""
+    at its first refused target, or is exhaustive.  Sources and targets are
+    walk states."""
     index = load_system(system_text(name))
     gv = getvar_channel(index) if partition == "chan" else getvar_marker(index)
     walk = Walk(index, max_configs=MAX_CONFIGS[name], max_depth=1 << 30, gv=gv)
@@ -122,19 +122,18 @@ def cut(walk, edges, reference) -> list:
 def test_walk_edges_equal_table_free_steps(name, partition):
     index, walk, edges, expanded = walk_edges(name, partition)
     reference = (
-        (source, edge_record(shape, target_of(source[0], shape)))
+        (source, edge_record(shape, step_target(index, walk.threads(source), shape)))
         for source in expanded
-        for shape in enabled_steps(index, source[0])
+        for shape in enabled_steps(index, walk.threads(source))
     )
-    assert [(source, edge_record(shape, target[0])) for source, shape, target, _ in edges] == cut(
-        walk, edges, reference
-    )
+    assert [
+        (source, edge_record(shape, walk.threads(target))) for source, shape, target, _ in edges
+    ] == cut(walk, edges, reference)
     if name not in DUMPED:
         return
-    configs = {config for config, _ in walk.visited}
     out = io.StringIO()
-    dump_configs(configs, out)
-    assert out.getvalue().splitlines() == record_encoding(configs)
+    dump_configs(walk.table.threads, {config for config, _ in walk.visited}, out)
+    assert out.getvalue().splitlines() == record_encoding(set(map(walk.threads, walk.visited)))
 
 
 def all_pairs_steps(index, config) -> list[tuple]:
@@ -150,12 +149,9 @@ def all_pairs_steps(index, config) -> list[tuple]:
                 continue
             if s.env[index.chan[s.label]] != r.env[index.chan[r.label]]:
                 continue
-            matches.append((table.shape(r, s), r, s))
+            matches.append((table.shape(table.intern(r), table.intern(s)), r, s))
     matches.sort(key=lambda m: m[0].key)
-    return [
-        (shape.pair, r, s, make_config((config - shape.consumed) | shape.launched))
-        for shape, r, s in matches
-    ]
+    return [(shape.pair, r, s, step_target(index, config, shape)) for shape, r, s in matches]
 
 
 @pytest.mark.parametrize("partition", ["chan", "marker"])
@@ -163,33 +159,35 @@ def all_pairs_steps(index, config) -> list[tuple]:
 def test_bucketed_matching_equals_all_pairs(name, partition):
     index, walk, edges, expanded = walk_edges(name, partition)
     reference = (
-        (source, step) for source in expanded for step in all_pairs_steps(index, source[0])
+        (source, step)
+        for source in expanded
+        for step in all_pairs_steps(index, walk.threads(source))
     )
     assert [
-        (source, (shape.pair, shape.receiver, shape.sender, target[0]))
+        (source, (shape.pair, shape.receiver, shape.sender, walk.threads(target)))
         for source, shape, target, _ in edges
     ] == cut(walk, edges, reference)
 
 
 def test_walk_checks_every_target(monkeypatch, synccomm_index):
     built, checked = [], []
-    make, target = concrete.make_config, concrete.step_target
+    make, target = concrete.make_config, StepTable.target
 
     def counted_make(threads):
         built.append(threads)
         return make(threads)
 
-    def counted_target(*args):
+    def counted_target(self, *args):
         checked.append(args)
-        return target(*args)
+        return target(self, *args)
 
     monkeypatch.setattr(concrete, "make_config", counted_make)
-    monkeypatch.setattr(concrete, "step_target", counted_target)
+    monkeypatch.setattr(StepTable, "target", counted_target)
     walk = Walk(synccomm_index, SYNCCOMM_CONFIGS, 1 << 30, getvar_channel(synccomm_index))
     edges = list(walk)
     assert len(walk.visited) == SYNCCOMM_CONFIGS
-    # one site check per edge; no launched site hash meets a present one, so
-    # only the initial configuration goes through make_config
+    # one site check per edge; only the initial configuration goes through
+    # make_config
     assert len(checked) == len(edges)
     assert len(built) == 1
 
@@ -226,10 +224,10 @@ def test_launching_two_threads_of_one_site_is_internal_error(monkeypatch, syncco
         return out
 
     monkeypatch.setattr(concrete, "launch", doubled)
-    targets = []
+    walk, targets = Walk(synccomm_index, 1000, 1 << 30), []
     with pytest.raises(InternalError, match="two threads share"):
-        for _, _, target, _ in Walk(synccomm_index, 1000, 1 << 30):
-            targets.append(target[0])
+        for _, _, target, _ in walk:
+            targets.append(walk.threads(target))
     assert len(calls) > 1
     # refused at the first step that launches them, so no target holds both
     assert all(len({t.site for t in config}) == len(config) for config in targets)
@@ -258,10 +256,11 @@ def test_walk_builds_one_record_per_distinct_pair(monkeypatch, synccomm_index):
 def test_walk_keeps_one_object_per_distinct_thread(synccomm_index):
     walk = Walk(synccomm_index, SYNCCOMM_CONFIGS, 1 << 30, getvar_channel(synccomm_index))
     edges = [(step, target) for _, step, target, _ in walk]
-    threads = [t for config, _ in walk.visited for t in config]
+    threads = [t for state in walk.visited for t in walk.threads(state)]
     assert len({id(t) for t in threads}) == len(set(threads))
+    assert len(set(walk.table.threads)) == len(walk.table.threads)
     for step, target in edges:
-        in_target = {id(t) for t in target[0]}
+        in_target = {id(t) for t in walk.threads(target)}
         assert {id(t) for t in step.launched_recv + step.launched_send} <= in_target
 
 
@@ -321,9 +320,10 @@ def test_step_changes_equal_configuration_differences(name, partition):
         if not ok:
             continue
         admitted += 1
-        added, removed = target[0] - source[0], source[0] - target[0]
-        assert added == shape.launched
-        assert removed == shape.consumed
+        source, target = walk.threads(source), walk.threads(target)
+        added, removed = target - source, source - target
+        assert added == launched(shape)
+        assert removed == consumed(index, shape)
         keys, counts = shape.changes
         assert all(pair == shape.pair for _, pair in keys)
         assert len({u for u, _ in keys}) == len(keys)
