@@ -78,8 +78,8 @@ def judge(text: str, partition: str) -> list[str] | None:
     fix = analysis.run("product", max_iter=MAX_ITER)
     if not fix.stabilized:
         return None
-    env, con = fix.element
-    return verify_configs(analysis, env, con, max_configs=MAX_CONFIGS, max_depth=1 << 30).violations
+    report = verify_configs(analysis, fix.env, fix.con, max_configs=MAX_CONFIGS, max_depth=1 << 30)
+    return report.violations
 
 
 def search(threads: int, depth: int) -> dict:

@@ -380,18 +380,6 @@ class OracleReport:
         return "\n".join(lines) + "\n"
 
 
-def _plus(base: dict, changes) -> dict:
-    """`base` with `changes`, ((key, change), ...), added, keeping no 0."""
-    out = dict(base)
-    for k, d in changes:
-        n = out.get(k, 0) + d
-        if n:
-            out[k] = n
-        else:
-            del out[k]
-    return out
-
-
 def verify_configs(
     analysis: Analysis,
     env_fix: EnvMap | None,
@@ -408,26 +396,24 @@ def verify_configs(
     `max_configs` bounds those states: the walk stops, truncated, at the
     first state it refuses, or once `max_violations` violations are found.
 
-    The walk yields each edge's step as its shape, and a state is checked as
-    what that shape says it changed in its source: the launched threads (all
-    the target adds, as no launched thread shares a site with a present one),
-    and the units of the shape's `changes`, each as the source's counts plus
-    those changes (the initial state is the difference from the empty
-    state).  That skips nothing because a source is always checked before
-    its edges are yielded: the initial state first, and every admitted
-    target when it is yielded, one layer before it is expanded.  So every
-    other thread of the state, and every other unit's (abstract unit, label
-    counts, step counts) key, was already checked.  A violation's trace is
-    the path of step pairs from the initial state, read back through the
+    A state is checked only where it can hold something not yet checked: its
+    threads not in any state checked before (a mask over thread ids), and
+    the units its step touched (`StepShape.units`; every unit of the initial
+    state), each read off the state with `StepTable.unit_counts`.  That
+    skips nothing because a source is always checked before its edges are
+    yielded: the initial state first, and every admitted target when it is
+    yielded, one layer before it is expanded.  A step changes no other
+    unit's threads or step counts, so every other unit's (abstract unit,
+    label counts, step counts) key was already checked.  A violation's trace
+    is the path of step pairs from the initial state, read back through the
     walk's search tree, `walk.visited`.
     """
     index, gv, layout = analysis.index, analysis.gv, analysis.layout
     walk = Walk(index, max_configs, max_depth, gv)
+    table = walk.table
     violations: list[str] = []
-    checked_env: set = set()
+    checked_env = 0  # the ids of the threads of every checked state
     checked_vec: set = set()
-    empty = (0, ())
-    grouped = (empty, ({}, {}))  # the source being expanded, with by_unit of it
 
     def trace_of(state) -> str:
         pairs = []
@@ -436,84 +422,49 @@ def verify_configs(
             pairs.append(f"({fmt_label(pair[0])},{fmt_label(pair[1])})")
         return " -> ".join(reversed(pairs)) if pairs else "(initial configuration)"
 
-    def by_unit(state) -> tuple[dict, dict]:
-        """Label counts and step counts of each unit of `state`."""
-        config, tally = state
-        counts: dict[tuple, dict] = {}
-        for t in walk.table.members(config):
-            c = counts.setdefault(walk.table.unit_of(t), {})
-            c[t.label] = c.get(t.label, 0) + 1
-        steps: dict[tuple, dict] = {}
-        for (u, pair), n in zip(walk.table.counters, tally):
-            if n:
-                steps.setdefault(u, {})[pair] = n
-        return counts, steps
-
-    def check_env(state, added):
-        if env_fix is None:
-            return
-        for t in added:
-            if t in checked_env:
-                continue
-            checked_env.add(t)
-            if not atom_admits(env_fix.get(t.label), t.env):
-                violations.append(
-                    f"env: thread {t!r} outside abstraction of point "
-                    f"{fmt_label(t.label)}; trace {trace_of(state)}"
-                )
-
-    def check_units(state, source, keys, changes):
-        nonlocal grouped
-        if con_fix is None:
-            return
-        if grouped[0] is not source:
-            grouped = (source, by_unit(source))
-        source_counts, source_steps = grouped[1]
-        for (u, pair), count_changes in zip(keys, changes):
-            counts = _plus(source_counts.get(u, {}), count_changes)
-            steps = dict(source_steps.get(u, {}))
-            if pair is not None:
-                steps[pair] = steps.get(pair, 0) + 1
-            abs_unit = gv.alpha_unit(u)
-            # neither counts nor step tallies hold a 0, so this names the vector
-            key = (abs_unit, frozenset(counts.items()), frozenset(steps.items()))
-            if key in checked_vec:
-                continue
-            checked_vec.add(key)
-            vec = unit_vector(layout, counts, steps)
-            if not analysis.con_dom.admits_vector(con_fix, abs_unit, vec):
-                violations.append(
-                    f"contents: unit {abs_unit} vector "
-                    f"{ {layout.pretty(i): v for i, v in sorted(vec.items())} } rejected; "
-                    f"trace {trace_of(state)}"
-                )
-
-    def check(state, source, added, keys, changes) -> bool:
-        """Check what `state` changed from `source`, which is checked; False
-        once enough violations are found."""
+    def check(state, units) -> bool:
+        """Check the threads of `state` not checked before and its `units`;
+        False once enough violations are found."""
+        nonlocal checked_env
         new = len(violations)
-        check_env(state, added)
-        check_units(state, source, keys, changes)
+        if env_fix is not None:
+            for t in table.members(state[0] & ~checked_env):
+                if not atom_admits(env_fix.get(t.label), t.env):
+                    violations.append(
+                        f"env: thread {t!r} outside abstraction of point "
+                        f"{fmt_label(t.label)}; trace {trace_of(state)}"
+                    )
+            checked_env |= state[0]
+        if con_fix is not None:
+            for u in units:
+                counts, steps = table.unit_counts(state, u)
+                abs_unit = gv.alpha_unit(u)
+                # neither counts nor step tallies hold a 0, so this names the vector
+                key = (abs_unit, frozenset(counts.items()), frozenset(steps.items()))
+                if key in checked_vec:
+                    continue
+                checked_vec.add(key)
+                vec = unit_vector(layout, counts, steps)
+                if not analysis.con_dom.admits_vector(con_fix, abs_unit, vec):
+                    violations.append(
+                        f"contents: unit {abs_unit} vector "
+                        f"{ {layout.pretty(i): v for i, v in sorted(vec.items())} } rejected; "
+                        f"trace {trace_of(state)}"
+                    )
         if len(violations) - new > 1:
-            # sets iterate in string-hash order; fix the order here
+            # within one state, violations are listed in the order of their text
             violations[new:] = sorted(violations[new:])
         return len(violations) < max_violations
 
-    # no step reached the initial state: its units' keys carry no pair
-    counts = by_unit(walk.initial)[0]
-    stopped = not check(
-        walk.initial, empty, walk.threads(walk.initial), dict.fromkeys(counts).items(),
-        map(dict.items, counts.values()),
-    )
+    initial_units = dict.fromkeys(map(table.unit_of, table.members(walk.initial[0])))
+    stopped = not check(walk.initial, initial_units)
     if not stopped:
-        for source, shape, target, admitted in walk:
-            if admitted and not check(
-                target, source, shape.launched_recv + shape.launched_send, *shape.changes
-            ):
+        for _, shape, target, admitted in walk:
+            if admitted and not check(target, shape.units):
                 stopped = True
                 break
     return OracleReport(
-        threads=walk.table.threads,
+        threads=table.threads,
         configs={config for config, _ in walk.visited},
         states_visited=len(walk.visited),
         truncated=walk.truncated or stopped,

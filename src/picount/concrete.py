@@ -19,14 +19,16 @@ everything it does apart from the rest of its configuration.  A state's
 steps are read off its receiver bits and the sender mask of each one's
 (channel, arity) bucket; a target is `(config & ~consumed) | launched`,
 checked against the table's per-site masks, and its tally one tuple copy.
-`dump_configs` ranks and encodes each distinct thread once and sorts each
-configuration once, by rank.
+Under a unit map the table also keeps each concrete unit's thread mask and
+counter ids, so a unit's counts are read straight off a state
+(`StepTable.unit_counts`).  `dump_configs` ranks and encodes each distinct
+thread once and sorts each configuration once, by rank.
 
 The walk yields every state before the edges leaving it, ends at its first
 refused target, and keeps each admitted state's edge in `visited` (see
-`Walk`).  The oracle checks each state when it is yielded, so only where its
-step changed its already checked source, and reads a counterexample trace
-off `visited`.
+`Walk`).  The oracle checks each state when it is yielded, so only its
+threads not met before and the units its step touched, and reads a
+counterexample trace off `visited`.
 """
 
 from __future__ import annotations
@@ -79,7 +81,6 @@ def _marker_key(m: Marker):
 
 
 Configuration = frozenset  # of Thread
-_change = operator.itemgetter(1)  # a (key, change) item's change, for filtering out 0s
 _shape_key = operator.attrgetter("key")
 
 
@@ -126,14 +127,15 @@ class StepShape:
     and `launched`, the threads each side launches, and its canonical order
     key (both labels, then both markers).
 
-    Under a unit map, `changes` is (keys, counts): the counters ((unit,
-    pair), ...) the step adds one to, one per unit of a thread it takes part
-    with or launches, and each one's label count changes, ((label, change),
-    ...) with no 0.  `counters` are the keys' ids, `top` the largest plus 1."""
+    Under a unit map, `units` are the concrete units of the threads the step
+    takes part with or launches, each once, in the order of those threads
+    (receiver, sender, then launched).  The step adds one to each one's
+    (unit, pair) counter; `counters` are those counters' ids, `top` the
+    largest plus 1."""
 
     __slots__ = (
         "receiver", "sender", "pair", "consumed", "launched", "launched_recv",
-        "launched_send", "key", "changes", "counters", "top",
+        "launched_send", "key", "units", "counters", "top",
     )
 
 
@@ -141,12 +143,13 @@ class StepTable:
     """One id per distinct thread, one `StepShape` per distinct (receiver,
     sender) pair and one order key per marker, built on first use.  With a
     unit map `gv`, one id per (unit, pair) counter, and shapes carry their
-    `changes`.  A table serves one walk, so the threads and pairs that walk
+    `units`.  A table serves one walk, so the threads and pairs that walk
     meets bound its size.
 
-    Interning a thread sets its bit in its site's mask and, by its kind, in
-    `receivers` or in its (channel, arity) bucket's sender mask.  `crowded`
-    holds the threads of every site that holds more than one."""
+    Interning a thread sets its bit in its site's mask, in its unit's mask
+    (with `gv`) and, by its kind, in `receivers` or in its (channel, arity)
+    bucket's sender mask.  `crowded` holds the threads of every site that
+    holds more than one."""
 
     def __init__(self, index: SystemIndex, gv=None):
         self.index, self.gv = index, gv
@@ -159,8 +162,9 @@ class StepTable:
         self._bucket_of: list[int] = []  # by thread id
         self._shapes: dict[tuple[int, int], StepShape] = {}
         self._marker_keys: dict[Marker, tuple] = {EPSILON: ()}
-        self._units: dict[Thread, tuple] = {}
-        self._counts: dict[tuple, tuple] = {}  # one object per distinct count changes
+        self._units: dict[Thread, tuple] = {}  # thread -> its concrete unit
+        self._unit_masks: dict[tuple, int] = {}  # unit -> mask of its threads
+        self._unit_counters: dict[tuple, list] = {}  # unit -> [(counter id, pair), ...]
         self.counters: dict[tuple, int] = {}  # (unit, pair) -> id, in id order
 
     def intern(self, t: Thread) -> int:
@@ -183,6 +187,9 @@ class StepTable:
                 self._senders[b] |= bit
             else:
                 self.receivers |= bit
+            if self.gv is not None:
+                u = self._units[t] = self.gv.concrete_unit(l, t.env)
+                self._unit_masks[u] = self._unit_masks.get(u, 0) | bit
         return i
 
     def members(self, config: int) -> list[Thread]:
@@ -239,31 +246,36 @@ class StepTable:
         _check_sites(launched)
         s.consumed, s.launched = self._mask(consumed), self._mask(launched)
         s.key = (label_key(lq), label_key(le), self._marker_key_of(recv.marker), send_key)
-        s.changes, s.counters, s.top = None, (), 0
+        s.units, s.counters, s.top = (), (), 0
         if self.gv is not None:
-            s.changes = self._changes(s.pair, (recv, send), consumed, launched)
-            ids = self.counters
-            s.counters = tuple(ids.setdefault(k, len(ids)) for k in s.changes[0])
+            s.units = tuple(dict.fromkeys(self._units[t] for t in (recv, send) + launched))
+            s.counters = tuple(self._counter(u, s.pair) for u in s.units)
             s.top = max(s.counters) + 1
         return s
 
-    def _changes(self, pair, takers, consumed, launched) -> tuple:
-        # `StepShape.changes` of a step of `pair` by `takers`
-        counts = {self.unit_of(t): {} for t in takers + launched}
-        for threads, d in ((consumed, -1), (launched, 1)):
-            for t in threads:
-                c = counts[self.unit_of(t)]
-                c[t.label] = c.get(t.label, 0) + d
-        keys, changes = [], []
-        for u, c in counts.items():
-            keys.append((u, pair))
-            c = tuple(filter(_change, c.items()))
-            changes.append(self._counts.setdefault(c, c))
-        return tuple(keys), tuple(changes)
+    def _counter(self, u: tuple, pair) -> int:
+        # the id of counter (u, pair)
+        k = self.counters.get((u, pair))
+        if k is None:
+            k = self.counters[u, pair] = len(self.counters)
+            self._unit_counters.setdefault(u, []).append((k, pair))
+        return k
 
     def unit_of(self, t: Thread) -> tuple:
-        """Concrete unit of `t` under `gv`, computed once per distinct thread."""
-        return self._units.get(t) or self._units.setdefault(t, self.gv.concrete_unit(t.label, t.env))
+        """Concrete unit of interned `t` under `gv`, computed when it was
+        interned."""
+        return self._units[t]
+
+    def unit_counts(self, state, u: tuple) -> tuple[dict, dict]:
+        """Label counts and step counts of unit `u` in `state`, with no 0."""
+        config, tally = state
+        counts: dict = {}
+        for i in bit_ids(config & self._unit_masks[u]):
+            l = self.threads[i].label
+            counts[l] = counts.get(l, 0) + 1
+        top = len(tally)  # a tally holds no trailing 0
+        steps = {p: tally[k] for k, p in self._unit_counters.get(u, ()) if k < top and tally[k]}
+        return counts, steps
 
     def _marker_key_of(self, m: Marker) -> tuple:
         """`_marker_key(m)`, kept per table.  A marker that a FETCH step

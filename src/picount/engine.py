@@ -71,15 +71,6 @@ class FixpointResult:
         self.stabilized = stabilized
         self.trace = [] if trace is None else trace
 
-    @property
-    def element(self):
-        """(env, con) for a product run, else the one component it iterated."""
-        if self.env is None:
-            return self.con
-        if self.con is None:
-            return self.env
-        return (self.env, self.con)
-
 
 class Analysis:
     """All domain objects for one system under one partitioning.  No

@@ -56,7 +56,8 @@ REDUCE_ROUNDS = 2
 
 
 class CountLayout:
-    """Index assignment for K = x-vars of all labels + y/z per feasible pair.
+    """Index assignment for K = x-vars of all labels + y/z per step pair (every
+    receiver/sender pair of matching arity, feasible or not).
     A counter is its key: ("x", label) for an occupancy counter, ("y", pair)
     for a step counter and ("z", pair) for a step flag."""
 

@@ -143,7 +143,7 @@ def test_post_freshness_restarts_unit(memory_product):
     # restarts from the exact empty contents no matter what accumulated before
     analysis, fix = memory_product
     dom, lay = analysis.con_dom, analysis.layout
-    cu = fix.element[1]
+    cu = fix.con
     classes = (
         frozenset({(1, "?"), (13, "!")}),
         frozenset({(3, "?"), (14, "!")}),
@@ -157,7 +157,7 @@ def test_post_freshness_restarts_unit(memory_product):
     # the enumeration decides which units the step creates
     (case,) = [
         c
-        for c in enumerate_contexts(pair_plan(analysis.index, analysis.gv, 1, 13), fix.element[0])
+        for c in enumerate_contexts(pair_plan(analysis.index, analysis.gv, 1, 13), fix.env)
         if c == wanted
     ]
     assert case.new_unit == (False, True, False, True, True)
@@ -215,7 +215,7 @@ def test_decomposition_identity(semaphore_index, synccomm_index):
 
 def test_query_examples(memory_product):
     analysis, fix = memory_product
-    cu = fix.element[1]
+    cu = fix.con
     lay = analysis.layout
     q = {lay.x(2): 1, lay.x(6): 1, lay.x(10): 1}
     assert analysis.con_dom.query(cu, ("cell",), q, 1)
@@ -226,7 +226,7 @@ def test_query_examples(memory_product):
 
 def test_negative_bound_is_unknown_for_touched_and_absent_units(memory_product):
     analysis, fix = memory_product
-    cu = fix.element[1]
+    cu = fix.con
     q = {analysis.layout.x(2): 1}
     assert not analysis.con_dom.query(cu, ("cell",), q, -1)
     assert not analysis.con_dom.query(cu, ("nosuchvar",), q, -1)
@@ -234,7 +234,7 @@ def test_negative_bound_is_unknown_for_touched_and_absent_units(memory_product):
 
 def test_absent_unit_admits_only_the_zero_vector(memory_product):
     analysis, fix = memory_product
-    cu = fix.element[1]
+    cu = fix.con
     assert analysis.con_dom.admits_vector(cu, ("nosuchvar",), {})
     assert not analysis.con_dom.admits_vector(cu, ("nosuchvar",), {analysis.layout.x(2): 1})
 
@@ -245,7 +245,7 @@ def test_oracle_vectors_admitted(semaphore_index):
     gv = getvar_channel(index)
     analysis = Analysis.build(index, gv)
     fix = analysis.run("product")
-    cu = fix.element[1]
+    cu = fix.con
     lay = analysis.layout
     explored = walk_steps(index, 60)
     counters = {}
@@ -274,7 +274,7 @@ def test_marker_mode_single_unit(semaphore_index):
     gv = getvar_marker(semaphore_index)
     analysis = Analysis.build(semaphore_index, gv)
     fix = analysis.run("product")
-    cu = fix.element[1]
+    cu = fix.con
     assert set(cu.units()) <= {("*",)}
     lay = analysis.layout
     q = {lay.x(2): 1, lay.x(3): 1, lay.x(5): 1}

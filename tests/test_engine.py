@@ -47,7 +47,7 @@ def test_iterate_empty_system():
     analysis = Analysis.build(index, getvar_channel(index))
     fix = analysis.run("product")
     assert fix.stabilized and fix.iterations == 1
-    assert fix.element == (analysis.env_dom.init(), analysis.con_dom.init())
+    assert (fix.env, fix.con) == (analysis.env_dom.init(), analysis.con_dom.init())
 
 
 def _semaphore(semaphore_index):
@@ -66,12 +66,12 @@ def test_iterate_identity_post(semaphore_index, monkeypatch):
     env_init, con_init = _init(analysis)
     for kind, expected in (
         ("product", (env_init, con_init)),
-        ("env", env_init),
-        ("contents", con_init),
+        ("env", (env_init, None)),
+        ("contents", (None, con_init)),
     ):
         fix = analysis.run(kind, max_iter=10, keep_trace=True)
         assert fix.stabilized
-        assert fix.element == expected
+        assert (fix.env, fix.con) == expected
         assert fix.trace[-1]["posts"] > 0  # sub-cases were posted, and added nothing
 
 
@@ -189,7 +189,7 @@ def test_product_of_identical_abstractions(semaphore_index, synccomm_index, monk
 def test_memory_fixpoint_entails_cell_invariants(memory_product):
     analysis, fix = memory_product
     lay = analysis.layout
-    cu = fix.element[1]
+    cu = fix.con
     eq = {lay.x(2): 1, lay.x(6): 1, lay.x(10): 1, lay.y((1, 13)): -1}
     assert analysis.con_dom.query(cu, ("cell",), eq, 0)
     assert analysis.con_dom.query(cu, ("cell",), {i: -c for i, c in eq.items()}, 0)
@@ -211,11 +211,11 @@ def test_product_components_refine_standalone(semaphore_index, synccomm_index):
     for index in (semaphore_index, synccomm_index):
         gv = getvar_channel(index)
         analysis = Analysis.build(index, gv)
-        product = analysis.run("product").element
-        env_alone = analysis.run("env").element
-        con_alone = analysis.run("contents").element
-        assert analysis.env_dom.leq(product[0], env_alone)
-        assert analysis.con_dom.leq(product[1], con_alone)
+        product = analysis.run("product")
+        env_alone = analysis.run("env").env
+        con_alone = analysis.run("contents").con
+        assert analysis.env_dom.leq(product.env, env_alone)
+        assert analysis.con_dom.leq(product.con, con_alone)
 
 
 def test_trace_records_bottom_tallies(semaphore_index):

@@ -22,7 +22,7 @@ def test_reused_pairs_match_posting_every_pair(seed):
         for kind in ("product", "env", "contents"):
             fix = Analysis.build(index, gv).run(kind, max_iter=300, keep_trace=True)
             ref = posted_every_round(Analysis.build(index, gv), kind, max_iter=300)
-            assert fix.element == ref.element, (seed, gv.mode, kind)
+            assert (fix.env, fix.con) == (ref.env, ref.con), (seed, gv.mode, kind)
             assert (fix.iterations, fix.stabilized) == (ref.iterations, ref.stabilized)
             assert fix.trace == ref.trace, (seed, gv.mode, kind)
 

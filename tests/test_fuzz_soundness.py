@@ -83,8 +83,8 @@ def test_random_systems_are_sound(seed):
         assert fix.stabilized, f"did not stabilize: {text}"
         report = verify_configs(
             analysis,
-            fix.element[0],
-            fix.element[1],
+            fix.env,
+            fix.con,
             max_configs=300,
             max_depth=30,
         )
@@ -103,7 +103,7 @@ def test_random_systems_standalone_sound(seed):
     con_fix = analysis.run("contents", max_iter=300)
     assert env_fix.stabilized and con_fix.stabilized
     report = verify_configs(
-        analysis, env_fix.element, con_fix.element, max_configs=200, max_depth=25
+        analysis, env_fix.env, con_fix.con, max_configs=200, max_depth=25
     )
     assert report.violations == [], (text, report.violations[:3])
 
@@ -117,7 +117,7 @@ def fuzz_violations(seeds) -> list[list[str]]:
         analysis = Analysis.build(index, getvar_channel(index))
         fix = analysis.run("product", max_iter=1)
         report = verify_configs(
-            analysis, fix.element[0], fix.element[1], max_configs=300, max_depth=30
+            analysis, fix.env, fix.con, max_configs=300, max_depth=30
         )
         lists.append(report.violations)
     return lists

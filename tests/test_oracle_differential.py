@@ -93,7 +93,7 @@ def _fuzz_iterate(seed):
     index = load_system(random_system(random.Random(seed)))
     analysis = Analysis.build(index, getvar_channel(index))
     fix = analysis.run("product", max_iter=1)
-    return analysis, fix.element[0], fix.element[1]
+    return analysis, fix.env, fix.con
 
 
 def _corrupted_env():
@@ -101,6 +101,15 @@ def _corrupted_env():
     entries = dict(result.fix.env.table)
     # claim the channel of the replicated receiver is a trigger name
     entries[4] = AtomEnv.make(("a",), {"a": frozenset({"rec@1"})}, frozenset(), frozenset())
+    return result.analysis, EnvMap.of(entries), result.fix.con
+
+
+def _corrupted_root_env():
+    result = run(AnalysisConfig(path=corpus_path("semaphore2.pi")))
+    entries = dict(result.fix.env.table)
+    # claim the root threads' trigger is a semaphore name: the initial state violates
+    for l in (1, "1'"):
+        entries[l] = AtomEnv.make(("rec@1",), {"rec@1": frozenset({"a"})}, frozenset(), frozenset())
     return result.analysis, EnvMap.of(entries), result.fix.con
 
 
@@ -120,7 +129,7 @@ def test_delta_check_equals_full_regroup_on_fuzz_iterates(seed):
     assert expected and report.violations == expected
 
 
-@pytest.mark.parametrize("make", [_corrupted_env, _corrupted_contents])
+@pytest.mark.parametrize("make", [_corrupted_env, _corrupted_root_env, _corrupted_contents])
 @pytest.mark.parametrize("max_violations", [1, 100])
 def test_delta_check_equals_full_regroup_on_corrupted_fixpoints(make, max_violations):
     analysis, env_fix, con_fix = make()
@@ -139,8 +148,8 @@ def test_delta_check_equals_full_regroup_when_a_step_changes_only_counters():
     table = {l: {"k": max(index.iface[l])} for l in index.labels}
     analysis = Analysis.build(index, GetVar(("k",), table))
     fix = analysis.run("product", max_iter=1)
-    report = verify_configs(analysis, fix.element[0], fix.element[1], 300, 30)
-    expected = reference_violations(analysis, fix.element[0], fix.element[1], 300, 30)
+    report = verify_configs(analysis, fix.env, fix.con, 300, 30)
+    expected = reference_violations(analysis, fix.env, fix.con, 300, 30)
     assert any(v.startswith("contents: unit ('a',)") for v in expected)
     assert report.violations == expected
 

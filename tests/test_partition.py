@@ -99,7 +99,7 @@ def test_enumerate_contexts_memory_pinpointed(memory_index):
     # sub-case of the cell read/write interaction survives
     analysis = Analysis.build(memory_index, getvar_channel(memory_index))
     fix = analysis.run("product")
-    env = fix.element[0]
+    env = fix.env
     cases = list(enumerate_contexts(pair_plan(memory_index, analysis.gv, 5, 10), env))
     assert len(cases) == 1
     case = cases[0]
@@ -234,7 +234,7 @@ def test_alpha_step_survives_fixpoint_hint(memory_product):
     # real computation step realizes
     analysis, fix = memory_product
     index, gv = analysis.index, analysis.gv
-    env = fix.element[0]
+    env = fix.env
     cache = {}
     checked = 0
     for _, step, _ in walk_steps(index, 350)[:400]:
@@ -253,7 +253,7 @@ def test_pruning_only_removes_empty_candidate_classes(synccomm_index):
     gv = getvar_channel(synccomm_index)
     top = TopHint(synccomm_index.name_universe)
     analysis = Analysis.build(synccomm_index, gv)
-    env = analysis.run("product").element[0]
+    env = analysis.run("product").env
     for lq, le in abstract_step_labels(synccomm_index):
         plan = pair_plan(synccomm_index, gv, lq, le)
         top_cases = set(enumerate_contexts(plan, top))

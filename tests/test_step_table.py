@@ -9,9 +9,10 @@ state).  The configurations it reaches must dump as the record-by-record
 encoding does (checked on the systems whose dumps are small enough to encode
 twice).  The walk matches senders by (channel, arity) bucket; its steps must
 be those of an all-pairs match, in the same order.  What a shape says its
-step changes (the launched and consumed threads, and the per-unit label and
-step counts) must equal what the configurations' differences give, edge by
-edge.
+step changes (the launched and consumed threads) must equal what the
+configurations' differences give, edge by edge; its units must be those of
+the threads it takes part with or launches, and the table's per-unit counts
+of each target must equal a regroup of the decoded state.
 """
 
 import hashlib
@@ -36,7 +37,7 @@ from picount.partition import getvar_channel, getvar_marker
 from picount.syntax import FETCH, INPUT, OUTPUT, fmt_label, load_system
 
 from conftest import corpus_text
-from judges import consumed, enabled_steps, launched, step_target
+from judges import consumed, enabled_steps, launched, step_target, step_units
 from test_concrete import CORPUS
 from test_fuzz_soundness import random_system
 
@@ -235,20 +236,20 @@ def test_launching_two_threads_of_one_site_is_internal_error(monkeypatch, syncco
 
 def test_walk_builds_one_record_per_distinct_pair(monkeypatch, synccomm_index):
     calls = []
-    original = StepTable._changes
+    original = StepTable._build
 
     def counted(self, *args):
         calls.append(args)
         return original(self, *args)
 
-    monkeypatch.setattr(StepTable, "_changes", counted)
+    monkeypatch.setattr(StepTable, "_build", counted)
     walk = Walk(synccomm_index, SYNCCOMM_CONFIGS, 1 << 30, getvar_channel(synccomm_index))
     steps = [step for _, step, _, _ in walk]  # kept alive, so no id is reused
     # a step is its pair's shape: one object per distinct pair, not per edge
     assert len({id(step) for step in steps}) == len(walk.table._shapes)
     records = {}
     for step in steps:
-        assert records.setdefault((step.receiver, step.sender), step.changes) is step.changes
+        assert records.setdefault((step.receiver, step.sender), step) is step
     assert len(walk.visited) == SYNCCOMM_CONFIGS and len(steps) > 10 * len(records)
     assert len(calls) == len(records) == len(walk.table._shapes)
 
@@ -285,22 +286,16 @@ def test_relaunching_a_present_thread_site_is_internal_error(monkeypatch, syncco
     assert len(calls) >= 5
 
 
-def old_way_delta(step, gv, added, removed) -> dict:
-    """Per-unit (label count changes, step count changes) of one edge, built
-    from the configurations' differences, with no 0 kept."""
-    delta: dict[tuple, tuple[dict, dict]] = {}
-    for threads, d in ((removed, -1), (added, 1)):
-        for t in threads:
-            c = delta.setdefault(gv.concrete_unit(t.label, t.env), ({}, {}))[0]
-            c[t.label] = c.get(t.label, 0) + d
-    takers = (step.receiver, step.sender, *step.launched_recv, *step.launched_send)
-    for u in {gv.concrete_unit(t.label, t.env) for t in takers}:
-        c = delta.setdefault(u, ({}, {}))[1]
-        c[step.pair] = c.get(step.pair, 0) + 1
-    return {
-        u: ({l: d for l, d in counts.items() if d}, steps)
-        for u, (counts, steps) in delta.items()
-    }
+def regroup(walk, state, gv) -> dict:
+    """Per-unit (label counts, step counts) of `state`, from its decoded
+    threads and tally."""
+    units: dict[tuple, tuple[dict, dict]] = {}
+    for t in walk.threads(state):
+        c = units.setdefault(gv.concrete_unit(t.label, t.env), ({}, {}))[0]
+        c[t.label] = c.get(t.label, 0) + 1
+    for (u, pair), n in walk.tally(state).items():
+        units.setdefault(u, ({}, {}))[1][pair] = n
+    return units
 
 
 CHANGED = [
@@ -316,20 +311,19 @@ def test_step_changes_equal_configuration_differences(name, partition):
     gv = getvar_channel(index) if partition == "chan" else getvar_marker(index)
     walk = Walk(index, max_configs=300, max_depth=1 << 30, gv=gv)
     admitted = 0
-    for source, shape, target, ok in walk:
+    for source, shape, target_state, ok in walk:
         if not ok:
             continue
         admitted += 1
-        source, target = walk.threads(source), walk.threads(target)
+        source, target = walk.threads(source), walk.threads(target_state)
         added, removed = target - source, source - target
         assert added == launched(shape)
         assert removed == consumed(index, shape)
-        keys, counts = shape.changes
-        assert all(pair == shape.pair for _, pair in keys)
-        assert len({u for u, _ in keys}) == len(keys)
-        assert {u: (dict(c), {pair: 1}) for (u, pair), c in zip(keys, counts)} == old_way_delta(
-            shape, gv, added, removed
-        )
+        assert shape.units == tuple(dict.fromkeys(step_units(shape, gv).values()))
+        expected = regroup(walk, target_state, gv)
+        assert set(shape.units) <= set(expected)
+        for u, counts in expected.items():
+            assert walk.table.unit_counts(target_state, u) == counts
     assert admitted == 299
 
 
