@@ -9,7 +9,7 @@ trace-partitioned transition system, the coalesced product of a control-flow
 from .analysis import AnalysisConfig, check_soundness, run
 from .engine import Analysis, abstract_step_labels, iterate
 from .partition import getvar_channel, getvar_marker, load_partition_spec
-from .syntax import SourceError, load_system, parse_system
+from .syntax import SourceError, load_system
 
 __all__ = [
     "Analysis",
@@ -22,6 +22,5 @@ __all__ = [
     "iterate",
     "load_partition_spec",
     "load_system",
-    "parse_system",
     "run",
 ]

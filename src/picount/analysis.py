@@ -12,7 +12,7 @@ from .contents import CUMap, describe_unit, unit_vector
 from .engine import Analysis, FixpointResult
 from .envdom import EnvMap, atom_admits
 from .partition import FULL_NAME, GetVar, getvar_channel, getvar_marker, load_partition_spec
-from .syntax import Label, SourceError, SystemIndex, fmt_label, load_system
+from .syntax import Label, SourceError, SystemIndex, fmt_label, load_system, read_system
 
 
 class Query:
@@ -283,12 +283,7 @@ def _env_entry(label, a) -> dict:
 def run(config: AnalysisConfig) -> RunResult:
     """Parse, analyze, prove: exit code 0 stabilized and all proved, 1 some
     query unknown or not stabilized, 2 bad input."""
-    try:
-        with open(config.path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise SourceError(f"cannot read {config.path}: {exc.strerror}") from exc
-    index = load_system(text)
+    index = load_system(read_system(config.path))
     analysis = Analysis.build(index, _resolve_partition(config.partition, index))
     queries = [parse_query(q, analysis) for q in config.queries]
     fix = analysis.run(config.abstraction, config.max_iter, keep_trace=config.trace)

@@ -653,8 +653,8 @@ def contains_point(a: NumElem, point: dict[int, int]) -> bool:
     return True
 
 
-def pretty_constraints(a: NumElem, hide_zero: bool = True) -> list[str]:
-    """Human-readable equalities and boxes; pinned variables render as boxes."""
+def pretty_constraints(a: NumElem) -> list[str]:
+    """Human-readable equalities and boxes; a variable pinned to 0 is left out."""
     if a.is_bottom:
         return ["bottom"]
     layout = a.layout
@@ -677,7 +677,7 @@ def pretty_constraints(a: NumElem, hide_zero: bool = True) -> list[str]:
             if lo > 0:
                 out.append(f"{lo} <= {name}")
         elif lo == hi:
-            if lo != 0 or not hide_zero:
+            if lo != 0:
                 out.append(f"{name} = {lo}")
         else:
             out.append(f"{lo} <= {name} <= {hi}")

@@ -18,12 +18,13 @@ and replication sites are numbered by their 1-based preorder position among
 all written sites.  `new x, y in P` scopes over the following unary process,
 so wrap parallel compositions in parentheses.
 
-A system is read once, into the tree the analysis uses: every prefix
-labeled, and every replication `!l P` expanded into a restricted trigger
-channel plus a replicated forwarder, whose three prefixes are labeled `l`,
-`l'` and `l''` and whose trigger variable is named ``rec@l``.  The system
-must be closed, bind each name once and use each label once, generated
-labels included; a violation is reported at its token.
+A system is read once, straight into the per-label maps the analysis uses
+(`SystemIndex`): no process tree is built.  Every prefix is labeled, and
+every replication `!l P` is expanded into a restricted trigger channel plus
+a replicated forwarder, whose three prefixes are labeled `l`, `l'` and `l''`
+and whose trigger variable is named ``rec@l``.  The system must be closed,
+bind each name once and use each label once, generated labels included; a
+violation is reported at its token.
 """
 
 from __future__ import annotations
@@ -60,64 +61,9 @@ def fmt_label(l: Label) -> str:
     return str(l)
 
 
-# --- AST ----------------------------------------------------------------
-
-
-class Process:
-    """A process term.  Nodes are values: two compare equal, and hash alike,
-    when they have the same type and equal fields (`__slots__`, in order)."""
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return f"{type(self).__name__}({', '.join(map(repr, self._fields()))})"
-
-
-class Nil(Process):
-    __slots__ = ()
-
-
-class Par(Process):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Process, right: Process):
-        self.left = left
-        self.right = right
-
-
-class New(Process):
-    __slots__ = ("var", "body")
-
-    def __init__(self, var: Var, body: Process):
-        self.var = var
-        self.body = body
-
-
-class Prefix(Process):
-    """Input, output or replicated-input (fetch) guarded process."""
-
-    __slots__ = ("kind", "chan", "label", "args", "cont")
-
-    def __init__(self, kind: str, chan: Var, label: Label, args: tuple[Var, ...], cont: Process):
-        self.kind = kind  # INPUT | OUTPUT | FETCH
-        self.chan = chan
-        self.label = label
-        self.args = args
-        self.cont = cont
-
-
-NIL = Nil()
+# a term's summary: the labels of the threads it starts, and its free names
+Summary = tuple[frozenset[Label], frozenset[Var]]
+_NIL: Summary = (frozenset(), frozenset())
 
 
 # --- Tokenizer / parser -------------------------------------------------
@@ -176,18 +122,26 @@ def _tokenize(text: str) -> list[_Tok]:
 
 
 class _Parser:
-    """Reads a system into its final tree in one pass.  Each site is labeled
-    as it is read (`take`), each replication `!l P` is expanded where it is
-    read, and a repeated label, a free name or a second binder is reported
-    at its token."""
+    """Reads a system in one pass, straight into the records its index is
+    built from.  Each site is labeled as it is read (`take`), each
+    replication `!l P` is expanded where it is read, and a repeated label, a
+    free name or a second binder is reported at its token.
+
+    Parsing a term returns its summary `(beta, free)`: the labels of the
+    threads the term starts, and its free names.  Each prefix `l` records its
+    site in `sites[l]` as `(kind, chan, args, iface, cont)`, where `iface` is
+    the prefix's free names and `cont` the summary of its continuation; each
+    `new` records its names in `restrictions`."""
 
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.i = 0
-        self.sites = 0  # sites read so far: an unlabeled one is numbered by it
+        self.written = 0  # sites read so far: an unlabeled one is numbered by it
         self.seen: set[Label] = set()  # every label taken, written or generated
         self.scope: set[Var] = set()  # the names bound around the next token
         self.binders: dict[Var, str] = {}  # every binder read, with what it is
+        self.sites: dict[Label, tuple] = {}
+        self.restrictions: set[Var] = set()
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
@@ -204,15 +158,11 @@ class _Parser:
             raise SourceError(f"expected {kind!r}, found {found}", t.line, t.col)
         return self.next()
 
-    def error(self, msg: str):
-        t = self.peek()
-        raise SourceError(msg, t.line, t.col)
-
     def take(self, label: Label | None, tok: _Tok) -> Label:
         """Label of the site starting at `tok`: `label`, or when it is None
         the site's 1-based preorder position among all written sites."""
-        self.sites += 1
-        return self.claim(self.sites if label is None else label, tok)
+        self.written += 1
+        return self.claim(self.written if label is None else label, tok)
 
     def claim(self, label: Label, tok: _Tok) -> Label:
         if label in self.seen:
@@ -235,31 +185,41 @@ class _Parser:
         if tok.text not in self.scope:
             raise SourceError(f"open system, free variable {tok.text}", tok.line, tok.col)
 
-    def scoped(self, names, parse) -> Process:
+    def scoped(self, names, parse) -> Summary:
         # binders are unique, so leaving the scope removes exactly `names`
         self.scope.update(names)
-        p = parse()
+        summary = parse()
         self.scope.difference_update(names)
-        return p
+        return summary
+
+    def site(self, kind: str, chan: Var, label: Label, args: tuple[Var, ...], cont: Summary) -> Summary:
+        """Record prefix `label`, whose continuation has summary `cont`, and
+        return the prefix's own summary.  `cont` keeps an input's bound
+        arguments among its free names: `fresh` subtracts them."""
+        free = cont[1] | set(args) if kind == OUTPUT else cont[1] - set(args)
+        iface = free | {chan}
+        self.sites[label] = (kind, chan, args, iface, cont)
+        return frozenset({label}), iface
 
     # proc := unary ('|' unary)*
-    def parse_proc(self) -> Process:
-        p = self.parse_unary()
+    def parse_proc(self) -> Summary:
+        beta, free = self.parse_unary()
         while self.peek().kind == "|":
             self.next()
-            p = Par(p, self.parse_unary())
-        return p
+            b, f = self.parse_unary()
+            beta, free = beta | b, free | f
+        return beta, free
 
-    def parse_unary(self) -> Process:
+    def parse_unary(self) -> Summary:
         t = self.peek()
         if t.kind == "int" and t.text == "0":
             self.next()
-            return NIL
+            return _NIL
         if t.kind == "(":
             self.next()
-            p = self.parse_proc()
+            summary = self.parse_proc()
             self.expect(")")
-            return p
+            return summary
         if t.kind == "kw" and t.text == "new":
             self.next()
             names = [self.bind(self.expect("ident"), "restriction")]
@@ -269,10 +229,9 @@ class _Parser:
             kw = self.expect("kw")
             if kw.text != "in":
                 raise SourceError("expected 'in'", kw.line, kw.col)
-            body = self.scoped(names, self.parse_unary)
-            for name in reversed(names):
-                body = New(name, body)
-            return body
+            beta, free = self.scoped(names, self.parse_unary)
+            self.restrictions.update(names)
+            return beta, free.difference(names)
         if t.kind == "!":
             self.next()
             label = None
@@ -298,18 +257,23 @@ class _Parser:
                 self.next()
                 return self.parse_prefix(INPUT, t, chan)
             raise SourceError("expected '!' or '?' after channel", op.line, op.col)
-        self.error("unexpected end of input" if t.kind == "eof" else f"unexpected token {t.text!r}")
+        msg = "unexpected end of input" if t.kind == "eof" else f"unexpected token {t.text!r}"
+        raise SourceError(msg, t.line, t.col)
 
-    def replication(self, l: Label, t: _Tok) -> Process:
+    def replication(self, l: Label, t: _Tok) -> Summary:
         """`!l P`, whose `!` is `t`, as a restricted trigger channel `rec@l`
-        (the `@` keeps it out of the user namespace) and a replicated
-        forwarder: `new rec@l in (rec@l!l[] | *rec@l?l'[].(rec@l!l''[] | P))`.
+        (the `@` keeps it out of the user namespace, so it is not free in
+        `P`) and a replicated forwarder:
+        `new rec@l in (rec@l!l[] | *rec@l?l'[].(rec@l!l''[] | P))`.
         A generated label that repeats one taken before is reported at `t`."""
         l1, l2 = self.claim(f"{l}'", t), self.claim(f"{l}''", t)
         rec = f"rec@{l}"
-        body = self.parse_unary()
-        repl = Prefix(FETCH, rec, l1, (), Par(Prefix(OUTPUT, rec, l2, (), NIL), body))
-        return New(rec, Par(Prefix(OUTPUT, rec, l, (), NIL), repl))
+        beta, free = self.parse_unary()
+        self.site(OUTPUT, rec, l2, (), _NIL)
+        self.site(FETCH, rec, l1, (), (beta | {l2}, free | {rec}))
+        self.site(OUTPUT, rec, l, (), _NIL)
+        self.restrictions.add(rec)
+        return frozenset({l, l1}), free
 
     def parse_label(self) -> Label | None:
         t = self.peek()
@@ -321,7 +285,7 @@ class _Parser:
             return t.text
         return None
 
-    def parse_prefix(self, kind: str, site: _Tok, chan: _Tok) -> Process:
+    def parse_prefix(self, kind: str, site: _Tok, chan: _Tok) -> Summary:
         self.use(chan)
         label = self.take(self.parse_label(), site)
         t = self.expect("[")
@@ -341,55 +305,14 @@ class _Parser:
             raise SourceError(f"input tuple variables must be distinct: {list(args)}", t.line, t.col)
         else:
             bound = [self.bind(a, f"input at {fmt_label(label)}") for a in toks]
-        cont: Process = NIL
+        cont = _NIL
         if self.peek().kind == ".":
             self.next()
             cont = self.scoped(bound, self.parse_unary)
-        return Prefix(kind, chan.text, label, args, cont)
-
-
-def parse_system(text: str) -> Process:
-    """Parse a closed system into its final tree: every prefix labeled, every
-    replication expanded, every name bound once.  Any error names its line
-    and column."""
-    parser = _Parser(text)
-    p = parser.parse_proc()
-    t = parser.peek()
-    if t.kind != "eof":
-        raise SourceError(f"trailing input {t.text!r}", t.line, t.col)
-    return p
+        return self.site(kind, chan.text, label, args, cont)
 
 
 # --- Static index --------------------------------------------------------
-
-
-def free_vars(p: Process) -> frozenset[Var]:
-    if isinstance(p, Nil):
-        return frozenset()
-    if isinstance(p, Par):
-        return free_vars(p.left) | free_vars(p.right)
-    if isinstance(p, New):
-        return free_vars(p.body) - {p.var}
-    if isinstance(p, Prefix):
-        inner = free_vars(p.cont)
-        if p.kind in (INPUT, FETCH):
-            inner = inner - set(p.args)
-            return inner | {p.chan}
-        return inner | set(p.args) | {p.chan}
-    raise AssertionError(p)
-
-
-def beta(p: Process) -> frozenset[Label]:
-    """Labels of the threads spawned when `p` starts running."""
-    if isinstance(p, Nil):
-        return frozenset()
-    if isinstance(p, Par):
-        return beta(p.left) | beta(p.right)
-    if isinstance(p, New):
-        return beta(p.body)
-    if isinstance(p, Prefix):
-        return frozenset({p.label})
-    raise AssertionError(p)
 
 
 class SystemIndex:
@@ -433,52 +356,49 @@ class SystemIndex:
         self.warnings = [] if warnings is None else warnings
 
 
+def read_system(path: str) -> str:
+    """The text of the system file at `path`, with its newlines read as text
+    mode reads them.  A byte that is not UTF-8 is reported at the line and
+    column the tokenizer would give it."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise SourceError(f"cannot read {path}: {exc.strerror}") from exc
+    try:
+        text, bad = data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:
+        text, bad = data[: exc.start].decode("utf-8"), data[exc.start]
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if bad is not None:
+        line, col = text.count("\n") + 1, len(text) - text.rfind("\n")
+        raise SourceError(f"invalid UTF-8 byte {bad:#04x}", line, col)
+    return text
+
+
 def load_system(text: str) -> SystemIndex:
-    """Parse a system and build its static maps."""
-    p = parse_system(text)
-    comp: dict[Label, Prefix] = {}
-    restrictions: set[Var] = set()
-    # an explicit stack leaves no reference cycle
-    stack = [p]
-    while stack:
-        q = stack.pop()
-        if isinstance(q, Par):
-            stack += (q.right, q.left)
-        elif isinstance(q, New):
-            restrictions.add(q.var)
-            stack.append(q.body)
-        elif isinstance(q, Prefix):
-            comp[q.label] = q
-            stack.append(q.cont)
+    """Parse a closed system into its static maps: every prefix labeled,
+    every replication expanded, every name bound once.  Any error names its
+    line and column."""
+    parser = _Parser(text)
+    roots, _ = parser.parse_proc()
+    t = parser.peek()
+    if t.kind != "eof":
+        raise SourceError(f"trailing input {t.text!r}", t.line, t.col)
 
-    labels = tuple(sorted(comp, key=label_key))
-    iface = {l: free_vars(comp[l]) for l in labels}
-    launched = {l: tuple(sorted(beta(comp[l].cont), key=label_key)) for l in labels}
-    fresh = {}
-    for l in labels:
-        used = frozenset().union(*(iface[m] for m in launched[l]))
-        fresh[l] = used - free_vars(comp[l].cont)
-
-    warnings = []
+    labels = tuple(sorted(parser.sites, key=label_key))
+    kind, chan, arg, iface, launched, cont_free = {}, {}, {}, {}, {}, {}
     by_chan: dict[Var, set[int]] = {}
     for l in labels:
-        by_chan.setdefault(comp[l].chan, set()).add(len(comp[l].args))
-    for v, arities in sorted(by_chan.items()):
-        if len(arities) > 1:
-            warnings.append(
-                f"channel variable {v} used with arities {sorted(arities)}; "
-                "mismatched prefixes never synchronize"
-            )
-
-    return SystemIndex(
-        labels=labels,
-        type={l: comp[l].kind for l in labels},
-        chan={l: comp[l].chan for l in labels},
-        arg={l: comp[l].args for l in labels},
-        iface=iface,
-        launched=launched,
-        name_universe=frozenset(restrictions),
-        root_labels=beta(p),
-        fresh=fresh,
-        warnings=warnings,
-    )
+        kind[l], chan[l], arg[l], iface[l], (beta, cont_free[l]) = parser.sites[l]
+        launched[l] = tuple(sorted(beta, key=label_key))
+        by_chan.setdefault(chan[l], set()).add(len(arg[l]))
+    fresh = {l: frozenset().union(*(iface[m] for m in launched[l])) - cont_free[l] for l in labels}
+    warnings = [
+        f"channel variable {v} used with arities {sorted(arities)}; "
+        "mismatched prefixes never synchronize"
+        for v, arities in sorted(by_chan.items())
+        if len(arities) > 1
+    ]
+    names = frozenset(parser.restrictions)
+    return SystemIndex(labels, kind, chan, arg, iface, launched, names, roots, fresh, warnings)

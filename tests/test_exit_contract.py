@@ -260,6 +260,22 @@ def test_cli_unreadable_system_names_its_path_once(command, tmp_path, capsys):
     assert captured.err == f"error: cannot read {missing}: No such file or directory\n"
 
 
+@pytest.mark.parametrize("command", ["analyze", "oracle-check"])
+def test_cli_system_not_utf8_is_located_like_a_bad_character(command, tmp_path, capsys):
+    # the first bad byte is located as the tokenizer locates a character it
+    # rejects, after a multi-byte character and a CRLF line end
+    head = "# caf\u00e9\r\nnew c in\r\n  c!1[] ".encode("utf-8")
+    system = tmp_path / "bad.pi"
+    system.write_bytes(head + b"\xff\n")
+    assert main([command, str(system)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid UTF-8 byte 0xff at 3:9\n"
+    system.write_bytes(head + b"$\n")
+    assert main([command, str(system)]) == 2
+    assert capsys.readouterr().err == "error: unexpected character '$' at 3:9\n"
+
+
 @pytest.mark.parametrize(
     "target, argv",
     [

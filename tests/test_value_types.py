@@ -9,69 +9,7 @@ from picount.contents import CUMap
 from picount.engine import FixpointResult
 from picount.envdom import AtomEnv, EnvMap
 from picount.partition import FULL_NAME, MARKER_ONLY, GetVar, PartitionCase
-from picount.syntax import (
-    FETCH,
-    INPUT,
-    OUTPUT,
-    NIL,
-    New,
-    Nil,
-    Par,
-    Prefix,
-    SourceError,
-    SystemIndex,
-    load_system,
-    parse_system,
-)
-
-from conftest import corpus_text
-
-
-def equal_pairs():
-    """Each AST node type, built twice from equal but distinct parts."""
-    return [
-        (Nil(), Nil()),
-        (Par(Nil(), NIL), Par(NIL, Nil())),
-        (New("a", Nil()), New("a", NIL)),
-        (Prefix(INPUT, "a", 1, ("x",), Nil()), Prefix(INPUT, "a", 1, ("x",), NIL)),
-    ]
-
-
-@pytest.mark.parametrize("left,right", equal_pairs(), ids=lambda p: type(p).__name__)
-def test_ast_nodes_equal_and_hash_within_a_type(left, right):
-    assert left is not right
-    assert left == right and not left != right
-    assert hash(left) == hash(right)
-    assert len({left, right}) == 1
-
-
-def test_ast_nodes_differ_across_types_and_fields():
-    nodes = [
-        Nil(),
-        Par(NIL, NIL),
-        New("a", NIL),
-        Prefix(INPUT, "a", 1, (), NIL),
-        Prefix(OUTPUT, "a", 1, (), NIL),
-        Prefix(FETCH, "a", 1, (), NIL),
-        Prefix(INPUT, "b", 1, (), NIL),
-        Prefix(INPUT, "a", 2, (), NIL),
-        Prefix(INPUT, "a", 1, ("x",), NIL),
-        Prefix(INPUT, "a", 1, (), Par(NIL, NIL)),
-        New("b", NIL),
-        Par(NIL, New("a", NIL)),
-    ]
-    for i, p in enumerate(nodes):
-        for j, q in enumerate(nodes):
-            assert (p == q) == (i == j), (p, q)
-    assert len(set(nodes)) == len(nodes)
-    assert Nil() != () and Par(NIL, NIL) != (NIL, NIL)
-
-
-def test_parsed_systems_compare_by_structure():
-    text = corpus_text("memory.pi")
-    a, b = parse_system(text), parse_system(text)
-    assert a is not b and a == b and hash(a) == hash(b)
-    assert a != parse_system(corpus_text("semaphore2.pi"))
+from picount.syntax import SourceError, SystemIndex, load_system
 
 
 def test_partition_case_equality_ignores_new_unit():
