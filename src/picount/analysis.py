@@ -4,15 +4,16 @@ cross-check against bounded concrete exploration, render reports.
 
 from __future__ import annotations
 
+import gc
 import json
 
 from . import numdom
 from .concrete import Walk
-from .contents import CUMap, describe_unit, unit_vector
+from .contents import CUMap, describe_unit
 from .engine import Analysis, FixpointResult
 from .envdom import EnvMap, atom_admits
 from .partition import FULL_NAME, GetVar, getvar_channel, getvar_marker, load_partition_spec
-from .syntax import Label, SourceError, SystemIndex, fmt_label, load_system, read_system
+from .syntax import Label, SourceError, SystemIndex, fmt_label, load_system, read_text
 
 
 class Query:
@@ -283,7 +284,7 @@ def _env_entry(label, a) -> dict:
 def run(config: AnalysisConfig) -> RunResult:
     """Parse, analyze, prove: exit code 0 stabilized and all proved, 1 some
     query unknown or not stabilized, 2 bad input."""
-    index = load_system(read_system(config.path))
+    index = load_system(read_text(config.path))
     analysis = Analysis.build(index, _resolve_partition(config.partition, index))
     queries = [parse_query(q, analysis) for q in config.queries]
     fix = analysis.run(config.abstraction, config.max_iter, keep_trace=config.trace)
@@ -394,21 +395,27 @@ def verify_configs(
     A state is checked only where it can hold something not yet checked: its
     threads not in any state checked before (a mask over thread ids), and
     the units its step touched (`StepShape.units`; every unit of the initial
-    state), each read off the state with `StepTable.unit_counts`.  That
+    state).  A unit's check key is its abstract unit and its count vector
+    packed into an int (`StepTable.unit_key`); only a key not checked
+    before is decoded into a vector (`StepTable.vector`) and checked.  That
     skips nothing because a source is always checked before its edges are
     yielded: the initial state first, and every admitted target when it is
     yielded, one layer before it is expanded.  A step changes no other
-    unit's threads or step counts, so every other unit's (abstract unit,
-    label counts, step counts) key was already checked.  A violation's trace
-    is the path of step pairs from the initial state, read back through the
-    walk's search tree, `walk.visited`.
+    unit's threads or step counts, so every other unit's key was already
+    checked.  A violation's trace is the path of step pairs from the
+    initial state, read back through the walk's search tree, `walk.visited`.
+
+    The walk's states, shapes and records hold no reference cycles, so the
+    cyclic collector is paused for the walk, and the caller's setting is
+    restored when it ends.
     """
     index, gv, layout = analysis.index, analysis.gv, analysis.layout
-    walk = Walk(index, max_configs, max_depth, gv)
+    walk = Walk(index, max_configs, max_depth, gv, layout)
     table = walk.table
     violations: list[str] = []
     checked_env = 0  # the ids of the threads of every checked state
-    checked_vec: set = set()
+    checked: dict[tuple, set] = {}  # abstract unit -> the unit keys checked for it
+    abstract: dict[tuple, tuple] = {}  # concrete unit -> (its abstract unit, that set)
 
     def trace_of(state) -> str:
         pairs = []
@@ -432,14 +439,16 @@ def verify_configs(
             checked_env |= state[0]
         if con_fix is not None:
             for u in units:
-                counts, steps = table.unit_counts(state, u)
-                abs_unit = gv.alpha_unit(u)
-                # neither counts nor step tallies hold a 0, so this names the vector
-                key = (abs_unit, frozenset(counts.items()), frozenset(steps.items()))
-                if key in checked_vec:
+                unit = abstract.get(u)
+                if unit is None:
+                    a = gv.alpha_unit(u)
+                    unit = abstract[u] = (a, checked.setdefault(a, set()))
+                abs_unit, seen = unit
+                key = table.unit_key(state, u)
+                if key in seen:
                     continue
-                checked_vec.add(key)
-                vec = unit_vector(layout, counts, steps)
+                seen.add(key)
+                vec = table.vector(key)
                 if not analysis.con_dom.admits_vector(con_fix, abs_unit, vec):
                     violations.append(
                         f"contents: unit {abs_unit} vector "
@@ -451,13 +460,19 @@ def verify_configs(
             violations[new:] = sorted(violations[new:])
         return len(violations) < max_violations
 
-    initial_units = dict.fromkeys(map(table.unit_of, table.members(walk.initial[0])))
-    stopped = not check(walk.initial, initial_units)
-    if not stopped:
-        for _, shape, target, admitted in walk:
-            if admitted and not check(target, shape.units):
-                stopped = True
-                break
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        initial_units = dict.fromkeys(map(table.unit_of, table.members(walk.initial[0])))
+        stopped = not check(walk.initial, initial_units)
+        if not stopped:
+            for _, shape, target, admitted in walk:
+                if admitted and not check(target, shape.units):
+                    stopped = True
+                    break
+    finally:
+        if collecting:
+            gc.enable()
     return OracleReport(
         threads=table.threads,
         configs={config for config, _ in walk.visited},

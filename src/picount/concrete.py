@@ -12,16 +12,18 @@ the sender's marker.
 configurations, optionally carrying per-unit step counters; the soundness
 oracle (`analysis.verify_configs`) is its only consumer in the package.
 Each walk keeps one `StepTable`, which gives each distinct thread and each
-(unit, step pair) counter a dense id, so a walk state is two small values:
-an `int` bitset over thread ids and a tuple of counts over counter ids.  A
+(unit, step pair) counter a dense id, so a walk state is two ints: a bitset
+over thread ids and a tally of fixed-width fields, one per counter id.  A
 step is its `StepShape`, built once per distinct (receiver, sender) pair:
 everything it does apart from the rest of its configuration.  A state's
 steps are read off its receiver bits and the sender mask of each one's
 (channel, arity) bucket; a target is `(config & ~consumed) | launched`,
-checked against the table's per-site masks, and its tally one tuple copy.
-Under a unit map the table also keeps each concrete unit's thread mask and
-counter ids, so a unit's counts are read straight off a state
-(`StepTable.unit_counts`).  `dump_configs` ranks and encodes each distinct
+checked against the table's per-site masks, and its tally one int addition
+of the shape's increment.  Under a unit map and a counting layout the
+table also keeps, per concrete unit, a thread mask per label and the unit's
+counter fields, so a unit's count vector is read straight off a state as
+one packed int (`StepTable.unit_key`), and decoded only when it is new
+(`StepTable.vector`).  `dump_configs` ranks and encodes each distinct
 thread once and sorts each configuration once, by rank.
 
 The walk yields every state before the edges leaving it, ends at its first
@@ -130,12 +132,12 @@ class StepShape:
     Under a unit map, `units` are the concrete units of the threads the step
     takes part with or launches, each once, in the order of those threads
     (receiver, sender, then launched).  The step adds one to each one's
-    (unit, pair) counter; `counters` are those counters' ids, `top` the
-    largest plus 1."""
+    (unit, pair) counter; `inc` is that addition to a tally, one 1 in each
+    of those counters' fields (0 without a unit map)."""
 
     __slots__ = (
         "receiver", "sender", "pair", "consumed", "launched", "launched_recv",
-        "launched_send", "key", "units", "counters", "top",
+        "launched_send", "key", "units", "inc",
     )
 
 
@@ -143,16 +145,20 @@ class StepTable:
     """One id per distinct thread, one `StepShape` per distinct (receiver,
     sender) pair and one order key per marker, built on first use.  With a
     unit map `gv`, one id per (unit, pair) counter, and shapes carry their
-    `units`.  A table serves one walk, so the threads and pairs that walk
-    meets bound its size.
+    `units`.  Counter `k` is the tally field of `width` bits at bit
+    `k * width`.  A table serves one walk, so the threads and pairs that
+    walk meets bound its size.
 
-    Interning a thread sets its bit in its site's mask, in its unit's mask
-    (with `gv`) and, by its kind, in `receivers` or in its (channel, arity)
-    bucket's sender mask.  `crowded` holds the threads of every site that
-    holds more than one."""
+    Interning a thread sets its bit in its site's mask and, by its kind, in
+    `receivers` or in its (channel, arity) bucket's sender mask.  `crowded`
+    holds the threads of every site that holds more than one.  With `gv`
+    and a counting `layout` as well, it also sets the bit in its unit's
+    mask for its label, and the table keeps each unit's counter fields:
+    `unit_key` packs a unit's count vector into fields of `width` bits at
+    its layout indices."""
 
-    def __init__(self, index: SystemIndex, gv=None):
-        self.index, self.gv = index, gv
+    def __init__(self, index: SystemIndex, gv=None, layout=None, width: int = 1):
+        self.index, self.gv, self.layout, self.width = index, gv, layout, width
         self.threads: list[Thread] = []  # by id
         self._ids: dict[Thread, int] = {}
         self._sites: dict[tuple, int] = {}  # site -> mask of its threads
@@ -163,9 +169,10 @@ class StepTable:
         self._shapes: dict[tuple[int, int], StepShape] = {}
         self._marker_keys: dict[Marker, tuple] = {EPSILON: ()}
         self._units: dict[Thread, tuple] = {}  # thread -> its concrete unit
-        self._unit_masks: dict[tuple, int] = {}  # unit -> mask of its threads
-        self._unit_counters: dict[tuple, list] = {}  # unit -> [(counter id, pair), ...]
         self.counters: dict[tuple, int] = {}  # (unit, pair) -> id, in id order
+        # with `layout`: unit -> ({x field shift of a label: mask of the
+        # unit's threads of it}, [(tally shift of one of its counters, y field shift)])
+        self._unit_fields: dict[tuple, tuple[dict, list]] = {}
 
     def intern(self, t: Thread) -> int:
         """The id of `t`."""
@@ -189,7 +196,10 @@ class StepTable:
                 self.receivers |= bit
             if self.gv is not None:
                 u = self._units[t] = self.gv.concrete_unit(l, t.env)
-                self._unit_masks[u] = self._unit_masks.get(u, 0) | bit
+                if self.layout is not None:
+                    masks = self._unit_fields.setdefault(u, ({}, []))[0]
+                    at = self.layout.x(l) * self.width
+                    masks[at] = masks.get(at, 0) | bit
         return i
 
     def members(self, config: int) -> list[Thread]:
@@ -246,11 +256,10 @@ class StepTable:
         _check_sites(launched)
         s.consumed, s.launched = self._mask(consumed), self._mask(launched)
         s.key = (label_key(lq), label_key(le), self._marker_key_of(recv.marker), send_key)
-        s.units, s.counters, s.top = (), (), 0
+        s.units, s.inc = (), 0
         if self.gv is not None:
             s.units = tuple(dict.fromkeys(self._units[t] for t in (recv, send) + launched))
-            s.counters = tuple(self._counter(u, s.pair) for u in s.units)
-            s.top = max(s.counters) + 1
+            s.inc = sum(1 << self._counter(u, s.pair) * self.width for u in s.units)
         return s
 
     def _counter(self, u: tuple, pair) -> int:
@@ -258,7 +267,9 @@ class StepTable:
         k = self.counters.get((u, pair))
         if k is None:
             k = self.counters[u, pair] = len(self.counters)
-            self._unit_counters.setdefault(u, []).append((k, pair))
+            if self.layout is not None:  # u's threads are interned, so it has its fields
+                at = self.layout.y(pair) * self.width
+                self._unit_fields[u][1].append((k * self.width, at))
         return k
 
     def unit_of(self, t: Thread) -> tuple:
@@ -266,16 +277,36 @@ class StepTable:
         interned."""
         return self._units[t]
 
-    def unit_counts(self, state, u: tuple) -> tuple[dict, dict]:
-        """Label counts and step counts of unit `u` in `state`, with no 0."""
+    def unit_key(self, state, u: tuple) -> int:
+        """The count vector of interned unit `u` in `state`, packed: the
+        number of its threads of label `l` in the field at `layout.x(l)`,
+        its count of steps of `pair` in the field at `layout.y(pair)`.  The
+        step flags follow from the step counts, so they are not packed."""
         config, tally = state
-        counts: dict = {}
-        for i in bit_ids(config & self._unit_masks[u]):
-            l = self.threads[i].label
-            counts[l] = counts.get(l, 0) + 1
-        top = len(tally)  # a tally holds no trailing 0
-        steps = {p: tally[k] for k, p in self._unit_counters.get(u, ()) if k < top and tally[k]}
-        return counts, steps
+        masks, counters = self._unit_fields[u]
+        key = 0
+        for at, mask in masks.items():
+            key |= (config & mask).bit_count() << at
+        field = (1 << self.width) - 1
+        for k, at in counters:
+            key |= (tally >> k & field) << at
+        return key
+
+    def vector(self, key: int) -> dict[int, int]:
+        """The sparse count vector, by layout index, that `key` packs, with
+        the flag of each step count that is not 0."""
+        layout, vec = self.layout, {}
+        field, i = (1 << self.width) - 1, 0
+        while key:
+            n = key & field
+            if n:
+                vec[i] = n
+                kind, ref = layout.vars[i]
+                if kind == "y":
+                    vec[layout.z(ref)] = 1
+            key >>= self.width
+            i += 1
+        return vec
 
     def _marker_key_of(self, m: Marker) -> tuple:
         """`_marker_key(m)`, kept per table.  A marker that a FETCH step
@@ -300,10 +331,21 @@ def _launch_order(t: Thread):
 class Walk:
     """The one bounded breadth-first walk over concrete states, in canonical
     step order.  A state is (configuration, tally): a bitset over the
-    table's thread ids, and a tuple over its counter ids, with no trailing
-    0, of how often each step pair has involved each concrete unit of `gv`
-    (empty without `gv`).  Counts never fall, so equal states are equal
-    values; `threads` and `tally` decode one.  Iterating yields every
+    table's thread ids, and an int whose field `k` counts how often the
+    step pair of counter `k` has involved its concrete unit of `gv` (0
+    without `gv`).  Equal states are equal values; `threads` and `tally`
+    decode one.
+
+    Each field is `max_configs.bit_length() + 1` bits wide, which no count
+    of an admitted state or of its targets reaches: a step adds at most 1
+    to a counter and launches at most one thread of each label, the initial
+    configuration holds at most one thread of each label, and no admitted
+    state is more than `max_configs - 1` steps deep.  So an edge's tally is
+    one int addition that never carries into the next field, and the same
+    bound holds for the per-label thread counts that `StepTable.unit_key`
+    packs with the same width.
+
+    Iterating yields every
     explored edge as (source, shape, target, admitted); a new target is
     admitted while fewer than `max_configs` states have been.  The first one
     refused sets `truncated` and is the last edge yielded; a state left at
@@ -319,14 +361,15 @@ class Walk:
 
     The walk keeps one `StepTable`: every step of one (receiver, sender)
     pair is one shape.  With `gv`, the table computes each distinct thread's
-    concrete unit once per walk."""
+    concrete unit once per walk; with a counting `layout` as well, it packs
+    unit keys."""
 
-    def __init__(self, index: SystemIndex, max_configs: int, max_depth: int, gv=None):
+    def __init__(self, index: SystemIndex, max_configs: int, max_depth: int, gv=None, layout=None):
         if max_configs <= 0 or max_depth <= 0:
             raise ValueError("exploration limits must be positive")
         self.max_configs, self.max_depth = max_configs, max_depth
-        self.table = StepTable(index, gv)
-        self.initial = (self.table._mask(self.table._launched(initial_config(index))), ())
+        self.table = StepTable(index, gv, layout, max_configs.bit_length() + 1)
+        self.initial = (self.table._mask(self.table._launched(initial_config(index))), 0)
         self.visited: dict[tuple, tuple | None] = {self.initial: None}
         self.truncated = False
 
@@ -335,7 +378,9 @@ class Walk:
 
     def tally(self, state) -> dict[tuple, int]:
         """((unit, pair) -> n), with no 0."""
-        return {k: n for k, n in zip(self.table.counters, state[1]) if n}
+        tally, width = state[1], self.table.width
+        field = (1 << width) - 1
+        return {c: n for k, c in enumerate(self.table.counters) if (n := tally >> k * width & field)}
 
     def __iter__(self):
         frontier = [self.initial]
@@ -363,10 +408,7 @@ class Walk:
         config, tally = source
         table = self.table
         for shape in table.enabled(config):
-            counts = list(tally) + [0] * (shape.top - len(tally))
-            for k in shape.counters:
-                counts[k] += 1
-            yield shape, (table.target(config, shape), tuple(counts))
+            yield shape, (table.target(config, shape), tally + shape.inc)
 
 
 # --- Oracle dump (JSON lines, one record per configuration) ---------------

@@ -171,16 +171,6 @@ class ContentsDomain:
         return not any(vec.values()) or numdom.contains_point(cu.accum(unit, self.layout), vec)
 
 
-def unit_vector(layout: CountLayout, counts: dict[Label, int], steps: dict) -> dict[int, int]:
-    """Sparse K-vector of one concrete unit: occupancies, step counts, flags."""
-    vec = {layout.x(l): n for l, n in counts.items() if n}
-    for pair, n in steps.items():
-        if n:
-            vec[layout.y(pair)] = n
-            vec[layout.z(pair)] = 1
-    return vec
-
-
 def describe_unit(gv: GetVar, unit: tuple) -> str:
     if unit == TRIVIAL_UNIT:
         return "[*]"

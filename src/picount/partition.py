@@ -35,6 +35,7 @@ from .syntax import (
     Var,
     fmt_label,
     label_key,
+    read_text,
 )
 
 FULL_NAME = "full-name"
@@ -121,14 +122,11 @@ def load_partition_spec(path: str, index: SystemIndex) -> GetVar:
     """The strategy a JSON spec describes.  Any other top-level key is
     ignored, with a warning in `index.warnings`, so that a spec written for
     an older picount still runs."""
+    text = read_text(path, "partition spec")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise SourceError(f"cannot read partition spec {path}: {exc.strerror}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        where = (exc.lineno, exc.colno) if isinstance(exc, json.JSONDecodeError) else ()
-        raise SourceError(f"partition spec {path} is not JSON", *where) from exc
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SourceError(f"partition spec {path} is not JSON", exc.lineno, exc.colno) from exc
     if not isinstance(raw, dict):
         raise SourceError(f"partition spec {path} must be a JSON object")
     if not _names(raw.get("keys")):

@@ -24,7 +24,8 @@ every replication `!l P` is expanded into a restricted trigger channel plus
 a replicated forwarder, whose three prefixes are labeled `l`, `l'` and `l''`
 and whose trigger variable is named ``rec@l``.  The system must be closed,
 bind each name once and use each label once, generated labels included; a
-violation is reported at its token.
+violation is reported at its token.  So is nesting deeper than
+`MAX_NESTING` terms; a chain of prefixes, however long, is read in a loop.
 """
 
 from __future__ import annotations
@@ -81,6 +82,11 @@ _TOKEN_RE = re.compile(
 
 _KEYWORDS = {"new", "in"}
 
+# deepest nesting of unary terms a system may use: each level takes two
+# parser frames, which keeps the parse well inside the interpreter's default
+# recursion limit of 1,000
+MAX_NESTING = 300
+
 
 class _Tok:
     __slots__ = ("kind", "text", "line", "col")
@@ -131,11 +137,17 @@ class _Parser:
     threads the term starts, and its free names.  Each prefix `l` records its
     site in `sites[l]` as `(kind, chan, args, iface, cont)`, where `iface` is
     the prefix's free names and `cont` the summary of its continuation; each
-    `new` records its names in `restrictions`."""
+    `new` records its names in `restrictions`.
+
+    A chain of prefixes is read in a loop, so its length costs no stack.
+    Every other construct nests by recursion, and a term nested more than
+    `MAX_NESTING` deep is reported at the token that opens the level too
+    many."""
 
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0  # unary terms being read around the next token
         self.written = 0  # sites read so far: an unlabeled one is numbered by it
         self.seen: set[Label] = set()  # every label taken, written or generated
         self.scope: set[Var] = set()  # the names bound around the next token
@@ -212,53 +224,46 @@ class _Parser:
 
     def parse_unary(self) -> Summary:
         t = self.peek()
-        if t.kind == "int" and t.text == "0":
-            self.next()
-            return _NIL
-        if t.kind == "(":
-            self.next()
-            summary = self.parse_proc()
-            self.expect(")")
-            return summary
-        if t.kind == "kw" and t.text == "new":
-            self.next()
-            names = [self.bind(self.expect("ident"), "restriction")]
-            while self.peek().kind == ",":
+        if self.depth == MAX_NESTING:
+            raise SourceError(f"terms nested more than {MAX_NESTING} deep", t.line, t.col)
+        self.depth += 1
+        try:
+            if t.kind == "int" and t.text == "0":
                 self.next()
-                names.append(self.bind(self.expect("ident"), "restriction"))
-            kw = self.expect("kw")
-            if kw.text != "in":
-                raise SourceError("expected 'in'", kw.line, kw.col)
-            beta, free = self.scoped(names, self.parse_unary)
-            self.restrictions.update(names)
-            return beta, free.difference(names)
-        if t.kind == "!":
-            self.next()
-            label = None
-            nxt = self.peek()
-            if nxt.kind == "int":
-                label = self.parse_label()
-            elif nxt.kind == "ident" and self.toks[self.i + 1].kind not in ("?", "!"):
-                # an identifier directly followed by ?/! is a channel, not a label
-                label = self.parse_label()
-            return self.replication(self.take(label, t), t)
-        if t.kind == "*":
-            self.next()
-            chan = self.expect("ident")
-            self.expect("?")
-            return self.parse_prefix(FETCH, t, chan)
-        if t.kind == "ident":
-            chan = self.next()
-            op = self.peek()
-            if op.kind == "!":
+                return _NIL
+            if t.kind == "(":
                 self.next()
-                return self.parse_prefix(OUTPUT, t, chan)
-            if op.kind == "?":
+                summary = self.parse_proc()
+                self.expect(")")
+                return summary
+            if t.kind == "kw" and t.text == "new":
                 self.next()
-                return self.parse_prefix(INPUT, t, chan)
-            raise SourceError("expected '!' or '?' after channel", op.line, op.col)
-        msg = "unexpected end of input" if t.kind == "eof" else f"unexpected token {t.text!r}"
-        raise SourceError(msg, t.line, t.col)
+                names = [self.bind(self.expect("ident"), "restriction")]
+                while self.peek().kind == ",":
+                    self.next()
+                    names.append(self.bind(self.expect("ident"), "restriction"))
+                kw = self.expect("kw")
+                if kw.text != "in":
+                    raise SourceError("expected 'in'", kw.line, kw.col)
+                beta, free = self.scoped(names, self.parse_unary)
+                self.restrictions.update(names)
+                return beta, free.difference(names)
+            if t.kind == "!":
+                self.next()
+                label = None
+                nxt = self.peek()
+                if nxt.kind == "int":
+                    label = self.parse_label()
+                elif nxt.kind == "ident" and self.toks[self.i + 1].kind not in ("?", "!"):
+                    # an identifier directly followed by ?/! is a channel, not a label
+                    label = self.parse_label()
+                return self.replication(self.take(label, t), t)
+            if t.kind in ("*", "ident"):
+                return self.parse_chain()
+            msg = "unexpected end of input" if t.kind == "eof" else f"unexpected token {t.text!r}"
+            raise SourceError(msg, t.line, t.col)
+        finally:
+            self.depth -= 1
 
     def replication(self, l: Label, t: _Tok) -> Summary:
         """`!l P`, whose `!` is `t`, as a restricted trigger channel `rec@l`
@@ -285,7 +290,41 @@ class _Parser:
             return t.text
         return None
 
-    def parse_prefix(self, kind: str, site: _Tok, chan: _Tok) -> Summary:
+    def parse_chain(self) -> Summary:
+        """A prefix whose continuation starts with a prefix, and so on: each
+        is read in turn, and the sites are recorded from the last back, each
+        with its continuation's summary."""
+        chain = []
+        cont = _NIL
+        while True:
+            chain.append(self.parse_prefix())
+            if self.peek().kind != ".":
+                break
+            self.next()
+            self.scope.update(chain[-1][4])
+            if self.peek().kind not in ("*", "ident"):
+                cont = self.parse_unary()
+                break
+        for kind, chan, label, args, bound in reversed(chain):
+            # binders are unique, so leaving the scope removes exactly `bound`
+            self.scope.difference_update(bound)
+            cont = self.site(kind, chan, label, args, cont)
+        return cont
+
+    def parse_prefix(self) -> tuple:
+        """`chan!l args`, `chan?l args` or `*chan?l args`, up to its
+        continuation: (kind, chan, label, args, the names it binds)."""
+        site = self.next()
+        if site.kind == "*":
+            chan = self.expect("ident")
+            self.expect("?")
+            kind = FETCH
+        else:
+            chan, op = site, self.peek()
+            if op.kind not in ("!", "?"):
+                raise SourceError("expected '!' or '?' after channel", op.line, op.col)
+            self.next()
+            kind = OUTPUT if op.kind == "!" else INPUT
         self.use(chan)
         label = self.take(self.parse_label(), site)
         t = self.expect("[")
@@ -305,11 +344,7 @@ class _Parser:
             raise SourceError(f"input tuple variables must be distinct: {list(args)}", t.line, t.col)
         else:
             bound = [self.bind(a, f"input at {fmt_label(label)}") for a in toks]
-        cont = _NIL
-        if self.peek().kind == ".":
-            self.next()
-            cont = self.scoped(bound, self.parse_unary)
-        return self.site(kind, chan.text, label, args, cont)
+        return kind, chan.text, label, args, bound
 
 
 # --- Static index --------------------------------------------------------
@@ -356,15 +391,17 @@ class SystemIndex:
         self.warnings = [] if warnings is None else warnings
 
 
-def read_system(path: str) -> str:
-    """The text of the system file at `path`, with its newlines read as text
-    mode reads them.  A byte that is not UTF-8 is reported at the line and
-    column the tokenizer would give it."""
+def read_text(path: str, what: str = "") -> str:
+    """The text of the file at `path`, with its newlines read as text mode
+    reads them.  A byte that is not UTF-8 is reported at the line and
+    column the tokenizer would give it.  Errors about a file other than the
+    system name it as `what` (e.g. "partition spec") and its path."""
+    name = f"{what} {path}" if what else path
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
-        raise SourceError(f"cannot read {path}: {exc.strerror}") from exc
+        raise SourceError(f"cannot read {name}: {exc.strerror}") from exc
     try:
         text, bad = data.decode("utf-8"), None
     except UnicodeDecodeError as exc:
@@ -372,7 +409,8 @@ def read_system(path: str) -> str:
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     if bad is not None:
         line, col = text.count("\n") + 1, len(text) - text.rfind("\n")
-        raise SourceError(f"invalid UTF-8 byte {bad:#04x}", line, col)
+        where = f" in {name}" if what else ""
+        raise SourceError(f"invalid UTF-8 byte {bad:#04x}{where}", line, col)
     return text
 
 

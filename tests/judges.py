@@ -119,6 +119,17 @@ def query_holds(analysis: Analysis, q: Query, config: Configuration) -> bool:
     return all(total <= q.bound for total in totals.values())
 
 
+def unit_vector(layout, counts: dict[Label, int], steps: dict) -> dict[int, int]:
+    """Sparse count vector of one concrete unit from its label counts and
+    step counts: occupancies, step counts and step flags."""
+    vec = {layout.x(l): n for l, n in counts.items() if n}
+    for pair, n in steps.items():
+        if n:
+            vec[layout.y(pair)] = n
+            vec[layout.z(pair)] = 1
+    return vec
+
+
 def step_units(shape: StepShape, gv) -> dict[tuple[Label, str], tuple]:
     """Concrete computation unit of every thread taking part in a step of
     `shape`."""

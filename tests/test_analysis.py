@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import sys
 
 import pytest
 
+from picount import analysis as analysis_module
 from picount import cli, concrete, syntax
 from picount import numdom as nd
 from picount.analysis import (
@@ -358,6 +360,63 @@ def test_verify_configs_stops_at_max_violations():
     assert report.violations == full.violations[:1]
     assert report.truncated
     assert report.states_visited < full.states_visited
+
+
+def _set_collector(on: bool):
+    if on:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize("max_violations", [1, 100])
+def test_verify_configs_pauses_the_collector_and_restores_it(monkeypatch, collecting, max_violations):
+    result = run(AnalysisConfig(path=corpus_path("semaphore2.pi")))
+    entries = dict(result.fix.env.table)
+    entries[4] = AtomEnv.make(("a",), {"a": frozenset({"rec@1"})}, frozenset(), frozenset())
+    corrupted = EnvMap.of(entries)
+    during = []
+    original = analysis_module.atom_admits
+
+    def watched(a, env):
+        during.append(gc.isenabled())
+        return original(a, env)
+
+    monkeypatch.setattr(analysis_module, "atom_admits", watched)
+    was = gc.isenabled()
+    try:
+        _set_collector(collecting)
+        report = verify_configs(
+            result.analysis, corrupted, result.fix.con, max_configs=300, max_depth=20,
+            max_violations=max_violations,
+        )
+        after = gc.isenabled()
+    finally:
+        _set_collector(was)
+    stopped = len(report.violations) == 1 and report.states_visited < 300
+    assert stopped if max_violations == 1 else report.states_visited == 300
+    assert during and not any(during)
+    assert after == collecting
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_verify_configs_restores_the_collector_when_the_walk_fails(monkeypatch, collecting):
+    analysis, env_fix, con_fix = _synccomm_oracle_run()
+
+    def broken(a, env):
+        raise KeyError("broken invariant")
+
+    monkeypatch.setattr(analysis_module, "atom_admits", broken)
+    was = gc.isenabled()
+    try:
+        _set_collector(collecting)
+        with pytest.raises(KeyError):
+            verify_configs(analysis, env_fix, con_fix, max_configs=300, max_depth=20)
+        after = gc.isenabled()
+    finally:
+        _set_collector(was)
+    assert after == collecting
 
 
 def test_corrupted_contents_fixpoint_is_flagged():

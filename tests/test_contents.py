@@ -2,7 +2,7 @@ import pytest
 
 from picount import numdom as nd
 from picount.concrete import initial_config
-from picount.contents import ContentsDomain, CUMap, unit_vector
+from picount.contents import ContentsDomain, CUMap
 from picount.engine import Analysis, abstract_step_labels
 from picount.numdom import INF
 from picount.partition import (
@@ -15,7 +15,7 @@ from picount.partition import (
 from picount.syntax import load_system
 
 from conftest import corpus_text
-from judges import alpha_step, step_units, walk_steps
+from judges import alpha_step, step_units, unit_vector, walk_steps
 
 
 def domain_for(index, gv=None):

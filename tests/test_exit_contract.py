@@ -223,6 +223,18 @@ def test_cli_partition_spec_not_json_exits_two(tmp_path, capsys):
     assert f"partition spec {spec} is not JSON at 2:" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "oracle-check"])
+def test_cli_partition_spec_not_utf8_is_located(command, tmp_path, capsys):
+    # the first bad byte is located as in a system file, after a multi-byte
+    # character and a CRLF line end
+    spec = tmp_path / "spec.json"
+    spec.write_bytes('{"keys": ["\u00e9"],\r\n "map": {}'.encode("utf-8") + b"\xff}")
+    assert main([command, corpus_path("synccomm.pi"), "--partition", str(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: invalid UTF-8 byte 0xff in partition spec {spec} at 2:11\n"
+
+
 def test_cli_partition_spec_without_map_exits_two(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"keys": ["b"]}))
@@ -274,6 +286,33 @@ def test_cli_system_not_utf8_is_located_like_a_bad_character(command, tmp_path, 
     system.write_bytes(head + b"$\n")
     assert main([command, str(system)]) == 2
     assert capsys.readouterr().err == "error: unexpected character '$' at 3:9\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "oracle-check"])
+def test_cli_reads_a_long_prefix_chain(command, tmp_path, capsys):
+    # a chain of prefixes is read in a loop, however long
+    system = tmp_path / "chain.pi"
+    system.write_text("new a in " + ".".join(["a![]"] * 600) + ".0")
+    assert main([command, str(system)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["analyze", "oracle-check"])
+@pytest.mark.parametrize(
+    "text, col",
+    [
+        ("new a in " + "(" * 2000 + "a![]" + ")" * 2000, 309),
+        (" ".join(f"new a{i} in" for i in range(2000)) + " a0![]", 3491),
+    ],
+    ids=("parentheses", "restrictions"),
+)
+def test_cli_nesting_too_deep_is_a_located_error(command, text, col, tmp_path, capsys):
+    system = tmp_path / "deep.pi"
+    system.write_text(text)
+    assert main([command, str(system)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: terms nested more than 300 deep at 1:{col}\n"
 
 
 @pytest.mark.parametrize(

@@ -6,24 +6,26 @@ every admitted state, deduplicating as `verify_configs` does; the two must
 report the same violations in the same order.  The inputs are far from a
 fixpoint (one-round product iterates of fuzz systems and of a system whose
 steps can leave a unit's threads unchanged, and corrupted semaphore2
-fixpoints), so states hold many violations at once.
+fixpoints), so states hold many violations at once.  Walks of 1 to 4 states
+pack their counts into the narrowest fields, of 2 to 4 bits.
 """
 
 import random
+from functools import partial
 
 import pytest
 
 from picount import numdom as nd
 from picount.analysis import AnalysisConfig, run, verify_configs
 from picount.concrete import Walk
-from picount.contents import CUMap, unit_vector
+from picount.contents import CUMap
 from picount.engine import Analysis
 from picount.envdom import AtomEnv, EnvMap, atom_admits
 from picount.partition import GetVar, getvar_channel
 from picount.syntax import fmt_label, load_system
 
 from conftest import corpus_path
-from judges import step_units
+from judges import step_units, unit_vector
 from test_fuzz_soundness import random_system
 
 
@@ -138,6 +140,24 @@ def test_delta_check_equals_full_regroup_on_corrupted_fixpoints(make, max_violat
     )
     expected = reference_violations(analysis, env_fix, con_fix, 300, 20, max_violations)
     assert expected and report.violations == expected
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _corrupted_env,
+        _corrupted_root_env,
+        _corrupted_contents,
+        *(partial(_fuzz_iterate, seed) for seed in range(8)),
+    ],
+    ids=["env", "root-env", "contents", *(f"fuzz-{seed}" for seed in range(8))],
+)
+@pytest.mark.parametrize("max_configs", [1, 2, 3, 4])
+def test_delta_check_equals_full_regroup_on_narrow_tally_fields(make, max_configs):
+    # a walk of at most 4 states packs its counts into fields of 2 to 4 bits
+    analysis, env_fix, con_fix = make()
+    report = verify_configs(analysis, env_fix, con_fix, max_configs=max_configs, max_depth=20)
+    assert report.violations == reference_violations(analysis, env_fix, con_fix, max_configs, 20)
 
 
 def test_delta_check_equals_full_regroup_when_a_step_changes_only_counters():

@@ -11,8 +11,9 @@ twice).  The walk matches senders by (channel, arity) bucket; its steps must
 be those of an all-pairs match, in the same order.  What a shape says its
 step changes (the launched and consumed threads) must equal what the
 configurations' differences give, edge by edge; its units must be those of
-the threads it takes part with or launches, and the table's per-unit counts
-of each target must equal a regroup of the decoded state.
+the threads it takes part with or launches, and each unit's packed key of
+each target must decode to the count vector of a regroup of the decoded
+state.
 """
 
 import hashlib
@@ -33,11 +34,13 @@ from picount.concrete import (
     initial_config,
     thread_to_json,
 )
+from picount.engine import abstract_step_labels
+from picount.numdom import CountLayout
 from picount.partition import getvar_channel, getvar_marker
 from picount.syntax import FETCH, INPUT, OUTPUT, fmt_label, load_system
 
 from conftest import corpus_text
-from judges import consumed, enabled_steps, launched, step_target, step_units
+from judges import consumed, enabled_steps, launched, step_target, step_units, unit_vector
 from test_concrete import CORPUS
 from test_fuzz_soundness import random_system
 
@@ -309,7 +312,9 @@ CHANGED = [
 def test_step_changes_equal_configuration_differences(name, partition):
     index = load_system(system_text(name))
     gv = getvar_channel(index) if partition == "chan" else getvar_marker(index)
-    walk = Walk(index, max_configs=300, max_depth=1 << 30, gv=gv)
+    layout = CountLayout(index.labels, abstract_step_labels(index))
+    walk = Walk(index, max_configs=300, max_depth=1 << 30, gv=gv, layout=layout)
+    table = walk.table
     admitted = 0
     for source, shape, target_state, ok in walk:
         if not ok:
@@ -322,8 +327,9 @@ def test_step_changes_equal_configuration_differences(name, partition):
         assert shape.units == tuple(dict.fromkeys(step_units(shape, gv).values()))
         expected = regroup(walk, target_state, gv)
         assert set(shape.units) <= set(expected)
-        for u, counts in expected.items():
-            assert walk.table.unit_counts(target_state, u) == counts
+        for u, (counts, steps) in expected.items():
+            vec = table.vector(table.unit_key(target_state, u))
+            assert vec == unit_vector(layout, counts, steps)
     assert admitted == 299
 
 
