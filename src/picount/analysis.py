@@ -12,8 +12,8 @@ from .concrete import Walk
 from .contents import CUMap, describe_unit
 from .engine import Analysis, FixpointResult
 from .envdom import EnvMap, atom_admits
-from .partition import FULL_NAME, GetVar, getvar_channel, getvar_marker, load_partition_spec
-from .syntax import Label, SourceError, SystemIndex, fmt_label, load_system, read_text
+from .partition import GetVar, getvar_channel, getvar_marker, load_partition_spec
+from .syntax import Label, SourceError, SystemIndex, _found, _Parser, fmt_label, load_system, read_text
 
 
 class Query:
@@ -31,88 +31,88 @@ class Query:
 
 
 def parse_query(text: str, analysis: Analysis) -> Query:
-    """`mutex unit <var> over {l,...}` or
-    `unit <var>: <k>*x@<label> (+ <k>*x@<label>)* <= <bound>`, where a term
-    may also be `y@(lq,le)` or `z@(lq,le)`.  The unit binds every key of the
-    partition to <var>; a label repeated in a mutex counts once, and repeated
-    terms add up.  Checked in this order: the grammar and labels, then that
-    <var> is a restriction variable (full-name partitions), then that each
-    pair is a step pair of the system."""
+    """`mutex unit <var> over {l, ...}` or
+    `unit <var>: <k>*x@<label> (+ <k>*x@<label>)* <= <bound>`, read by the
+    system tokenizer.  A term may also be `y@(lq,le)` or `z@(lq,le)`, the
+    coefficient (1 if left out) and the bound may be negative, and <var> may
+    be a trigger variable `rec@l`.  The unit binds every key of the
+    partition to <var>; a label repeated in a mutex counts once, and
+    repeated terms add up.  Checked in this order: the grammar and labels,
+    then that <var> is a restriction variable, then that each pair is a step
+    pair of the system.  Every error names the query and its column."""
     index, gv, layout = analysis.index, analysis.gv, analysis.layout
+    try:
+        p = _Parser(text)
 
-    def integer(tok: str, what: str) -> int:
-        try:
-            return int(tok.strip())
-        except ValueError:
-            raise SourceError(f"{what} {tok.strip()!r} is not an integer in query {text!r}") from None
+        def word(w: str):
+            t = p.next()
+            if t.text != w or t.kind != "ident":
+                raise SourceError(f"expected {w!r}, found {_found(t)}", t.line, t.col)
 
-    def resolve_label(tok: str) -> Label:
-        lab: Label = int(tok) if tok.isdigit() else tok
-        if lab not in index.type:
-            raise SourceError(f"query names unknown label {tok}")
-        return lab
+        def label() -> Label:
+            t = p.next()
+            lab = int(t.text) if t.text.isdigit() else t.text
+            if lab not in index.type:
+                msg = "unknown label" if t.kind in ("int", "ident") else "expected a label, found"
+                raise SourceError(f"{msg} {_found(t)}", t.line, t.col)
+            return lab
 
-    terms = []  # (coeff, kind 'x'|'y'|'z', ref)
-    s = text.strip()
-    if s.startswith("mutex"):
-        rest = s[len("mutex"):].strip()
-        if not rest.startswith("unit "):
-            raise SourceError(f"malformed query {text!r}")
-        rest = rest[len("unit "):]
-        var, _, labels_part = rest.partition(" over ")
-        labels_part = labels_part.strip()
-        if not (labels_part.startswith("{") and labels_part.endswith("}")):
-            raise SourceError(f"malformed mutex query {text!r}")
-        # a set: a repeated label counts once
-        labels = dict.fromkeys(
-            resolve_label(t.strip()) for t in labels_part[1:-1].split(",") if t.strip()
-        )
-        terms = [(1, "x", l) for l in labels]
-        bound = 1
-    else:
-        if not s.startswith("unit "):
-            raise SourceError(f"malformed query {text!r}")
-        rest = s[len("unit "):]
-        var, colon, expr = rest.partition(":")
-        if not colon:
-            raise SourceError(f"malformed query {text!r}")
-        lhs, le, bound_part = expr.partition("<=")
-        if not le:
-            raise SourceError(f"query must bound the form with <= : {text!r}")
-        for piece in lhs.split("+"):
-            piece = piece.strip()
-            if not piece:
-                raise SourceError(f"empty term in query {text!r}")
-            coeff_part, star, var_part = piece.partition("*")
-            if star:
-                coeff = integer(coeff_part, "coefficient")
-            else:
-                coeff, var_part = 1, piece
-            var_part = var_part.strip()
-            if var_part.startswith("x@"):
-                terms.append((coeff, "x", resolve_label(var_part[2:])))
-            elif var_part.startswith(("y@(", "z@(")) and var_part.endswith(")"):
-                kind = var_part[0]
-                inner = var_part[3:-1]
-                lq, comma, le_ = inner.partition(",")
-                if not comma:
-                    raise SourceError(f"malformed pair in query {text!r}")
-                terms.append((coeff, kind, (resolve_label(lq.strip()), resolve_label(le_.strip()))))
-            else:
-                raise SourceError(f"unknown query variable {var_part!r}")
-        bound = integer(bound_part, "bound")
+        def integer(what: str) -> int:
+            t = p.next()
+            if t.kind != "int" or "'" in t.text:
+                raise SourceError(f"{what} {t.text!r} is not an integer", t.line, t.col)
+            return int(t.text)
 
-    var = var.strip()
-    if gv.mode == FULL_NAME and var not in index.name_universe:
-        raise SourceError(f"query unit {var} is not a restriction variable")
+        def term() -> tuple:
+            coeff = 1
+            if p.peek().kind != "ident" or p.toks[p.i + 1].kind == "*":
+                coeff = integer("coefficient")
+                p.expect("*")
+            t = p.next()
+            if t.text not in ("x", "y", "z"):
+                raise SourceError(f"unknown query variable {t.text!r}", t.line, t.col)
+            p.expect("@")
+            if t.text == "x":
+                return coeff, "x", label(), t
+            p.expect("(")
+            lq = label()
+            p.expect(",")
+            pair = lq, label()
+            p.expect(")")
+            return coeff, t.text, pair, t
+
+        mutex = p.peek().text == "mutex" and p.accept("ident")
+        word("unit")
+        unit = p.expect("ident")
+        var = unit.text
+        if p.accept("@"):  # a replication's trigger variable rec@l
+            var += f"@{label()}"
+        if mutex:
+            word("over")
+            p.expect("{")
+            # a set: a repeated label counts once
+            terms = [(1, "x", l, unit) for l in dict.fromkeys(p.listed(label))]
+            p.expect("}")
+            bound = 1
+        else:
+            p.expect(":")
+            terms = p.listed(term, "+")
+            p.expect("<=")
+            bound = integer("bound")
+        p.end()
+    except SourceError as exc:
+        raise SourceError(f"{exc.msg} in query {text!r}", exc.line, exc.col) from None
+
+    if var not in index.name_universe:
+        msg = f"unit {var} is not a restriction variable in query {text!r}"
+        raise SourceError(msg, unit.line, unit.col)
     expr: dict[int, int] = {}
-    for coeff, kind, ref in terms:
+    for coeff, kind, ref, t in terms:
         i = layout.index.get((kind, ref))
         if i is None:
             pair = f"({fmt_label(ref[0])},{fmt_label(ref[1])})"
-            raise SourceError(
-                f"query term {kind}@{pair} in {text!r}: {pair} is not a step pair of the system"
-            )
+            msg = f"query term {kind}@{pair} in {text!r}: {pair} is not a step pair of the system"
+            raise SourceError(msg, t.line, t.col)
         expr[i] = expr.get(i, 0) + coeff
     return Query(text, gv.abstract_unit_of_vars(dict.fromkeys(gv.keys, var)), expr, bound)
 

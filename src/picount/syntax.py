@@ -24,8 +24,9 @@ every replication `!l P` is expanded into a restricted trigger channel plus
 a replicated forwarder, whose three prefixes are labeled `l`, `l'` and `l''`
 and whose trigger variable is named ``rec@l``.  The system must be closed,
 bind each name once and use each label once, generated labels included; a
-violation is reported at its token.  So is nesting deeper than
-`MAX_NESTING` terms; a chain of prefixes, however long, is read in a loop.
+violation is reported at its token.  The parser reads with an explicit
+stack, so nesting is bounded only by memory.  Its tokenizer and cursor also
+read `analysis.parse_query`'s queries.
 """
 
 from __future__ import annotations
@@ -73,19 +74,14 @@ _TOKEN_RE = re.compile(
     r"""(?P<ws>[ \t\r]+)
       | (?P<comment>\#[^\n]*)
       | (?P<nl>\n)
-      | (?P<int>\d+)
+      | (?P<int>-?\d+'*)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-      | (?P<punct>[()\[\],.|!?*])
+      | (?P<punct><=|[()\[\],.|!?*:@{}+])
     """,
     re.VERBOSE,
 )
 
 _KEYWORDS = {"new", "in"}
-
-# deepest nesting of unary terms a system may use: each level takes two
-# parser frames, which keeps the parse well inside the interpreter's default
-# recursion limit of 1,000
-MAX_NESTING = 300
 
 
 class _Tok:
@@ -127,27 +123,30 @@ def _tokenize(text: str) -> list[_Tok]:
     return toks
 
 
+def _found(t: _Tok) -> str:
+    return "end of input" if t.kind == "eof" else repr(t.text)
+
+
 class _Parser:
     """Reads a system in one pass, straight into the records its index is
     built from.  Each site is labeled as it is read (`take`), each
     replication `!l P` is expanded where it is read, and a repeated label, a
     free name or a second binder is reported at its token.
 
-    Parsing a term returns its summary `(beta, free)`: the labels of the
-    threads the term starts, and its free names.  Each prefix `l` records its
-    site in `sites[l]` as `(kind, chan, args, iface, cont)`, where `iface` is
-    the prefix's free names and `cont` the summary of its continuation; each
+    A term's summary is `(beta, free)`: the labels of the threads the term
+    starts, and its free names.  Each prefix `l` records its site in
+    `sites[l]` as `(kind, chan, args, iface, cont)`, where `iface` is the
+    prefix's free names and `cont` the summary of its continuation; each
     `new` records its names in `restrictions`.
 
-    A chain of prefixes is read in a loop, so its length costs no stack.
-    Every other construct nests by recursion, and a term nested more than
-    `MAX_NESTING` deep is reported at the token that opens the level too
-    many."""
+    No method recurses: `parse_system` reads every construct in one loop
+    over a stack of open frames, so nesting costs no interpreter stack.  The
+    same cursor (`peek`, `next`, `accept`, `expect`, `listed`, `end`) reads
+    a query."""
 
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.i = 0
-        self.depth = 0  # unary terms being read around the next token
         self.written = 0  # sites read so far: an unlabeled one is numbered by it
         self.seen: set[Label] = set()  # every label taken, written or generated
         self.scope: set[Var] = set()  # the names bound around the next token
@@ -166,9 +165,27 @@ class _Parser:
     def expect(self, kind: str) -> _Tok:
         t = self.peek()
         if t.kind != kind:
-            found = "end of input" if t.kind == "eof" else repr(t.text)
-            raise SourceError(f"expected {kind!r}, found {found}", t.line, t.col)
+            raise SourceError(f"expected {kind!r}, found {_found(t)}", t.line, t.col)
         return self.next()
+
+    def accept(self, kind: str) -> bool:
+        """Read the next token if it is of `kind`."""
+        if self.peek().kind != kind:
+            return False
+        self.i += 1
+        return True
+
+    def listed(self, read, sep: str = ",") -> list:
+        """`read()`, then again after each `sep` that follows."""
+        items = [read()]
+        while self.accept(sep):
+            items.append(read())
+        return items
+
+    def end(self):
+        t = self.peek()
+        if t.kind != "eof":
+            raise SourceError(f"trailing input {t.text!r}", t.line, t.col)
 
     def take(self, label: Label | None, tok: _Tok) -> Label:
         """Label of the site starting at `tok`: `label`, or when it is None
@@ -197,13 +214,6 @@ class _Parser:
         if tok.text not in self.scope:
             raise SourceError(f"open system, free variable {tok.text}", tok.line, tok.col)
 
-    def scoped(self, names, parse) -> Summary:
-        # binders are unique, so leaving the scope removes exactly `names`
-        self.scope.update(names)
-        summary = parse()
-        self.scope.difference_update(names)
-        return summary
-
     def site(self, kind: str, chan: Var, label: Label, args: tuple[Var, ...], cont: Summary) -> Summary:
         """Record prefix `label`, whose continuation has summary `cont`, and
         return the prefix's own summary.  `cont` keeps an input's bound
@@ -213,67 +223,73 @@ class _Parser:
         self.sites[label] = (kind, chan, args, iface, cont)
         return frozenset({label}), iface
 
-    # proc := unary ('|' unary)*
-    def parse_proc(self) -> Summary:
-        beta, free = self.parse_unary()
-        while self.peek().kind == "|":
-            self.next()
-            b, f = self.parse_unary()
-            beta, free = beta | b, free | f
-        return beta, free
-
-    def parse_unary(self) -> Summary:
-        t = self.peek()
-        if self.depth == MAX_NESTING:
-            raise SourceError(f"terms nested more than {MAX_NESTING} deep", t.line, t.col)
-        self.depth += 1
-        try:
-            if t.kind == "int" and t.text == "0":
-                self.next()
-                return _NIL
+    def parse_system(self) -> Summary:
+        """Read the whole system in one loop over a stack of open frames,
+        each headed by its kind: `|` a composition (the system itself at the
+        bottom, a parenthesis above it), `new` a restriction and `!` a
+        replication whose body is being read, and `.` a prefix whose
+        continuation is being read.  Each pass reads the start of one unary
+        term; a term that ends there closes every frame it completes,
+        innermost first."""
+        # a `|` frame is ("|", in parentheses, summary of the terms so far)
+        stack: list[tuple] = [("|", False, _NIL)]
+        while True:
+            t = self.next()
             if t.kind == "(":
-                self.next()
-                summary = self.parse_proc()
-                self.expect(")")
-                return summary
+                stack.append(("|", True, _NIL))
+                continue
             if t.kind == "kw" and t.text == "new":
-                self.next()
-                names = [self.bind(self.expect("ident"), "restriction")]
-                while self.peek().kind == ",":
-                    self.next()
-                    names.append(self.bind(self.expect("ident"), "restriction"))
+                names = self.listed(lambda: self.bind(self.expect("ident"), "restriction"))
                 kw = self.expect("kw")
                 if kw.text != "in":
                     raise SourceError("expected 'in'", kw.line, kw.col)
-                beta, free = self.scoped(names, self.parse_unary)
-                self.restrictions.update(names)
-                return beta, free.difference(names)
+                self.scope.update(names)
+                stack.append(("new", names))
+                continue
             if t.kind == "!":
-                self.next()
-                label = None
-                nxt = self.peek()
-                if nxt.kind == "int":
-                    label = self.parse_label()
-                elif nxt.kind == "ident" and self.toks[self.i + 1].kind not in ("?", "!"):
-                    # an identifier directly followed by ?/! is a channel, not a label
-                    label = self.parse_label()
-                return self.replication(self.take(label, t), t)
+                # an identifier directly followed by ?/! is a channel, not a label
+                channel = self.peek().kind == "ident" and self.toks[self.i + 1].kind in ("?", "!")
+                l = self.take(None if channel else self.parse_label(), t)
+                # the generated labels are taken before the body is read
+                stack.append(("!", l, self.claim(f"{l}'", t), self.claim(f"{l}''", t)))
+                continue
             if t.kind in ("*", "ident"):
-                return self.parse_chain()
-            msg = "unexpected end of input" if t.kind == "eof" else f"unexpected token {t.text!r}"
-            raise SourceError(msg, t.line, t.col)
-        finally:
-            self.depth -= 1
+                stack.append(self.parse_prefix(t))
+                if self.accept("."):
+                    continue
+            elif not (t.kind == "int" and t.text == "0"):
+                msg = "unexpected end of input" if t.kind == "eof" else f"unexpected token {t.text!r}"
+                raise SourceError(msg, t.line, t.col)
+            summary = _NIL
+            while True:
+                frame = stack.pop()
+                if frame[0] == ".":
+                    _, kind, chan, label, args, bound = frame
+                    # binders are unique, so leaving the scope removes exactly `bound`
+                    self.scope.difference_update(bound)
+                    summary = self.site(kind, chan, label, args, summary)
+                elif frame[0] == "new":
+                    self.scope.difference_update(frame[1])
+                    self.restrictions.update(frame[1])
+                    summary = summary[0], summary[1].difference(frame[1])
+                elif frame[0] == "!":
+                    summary = self.replication(*frame[1:], summary)
+                else:
+                    summary = frame[2][0] | summary[0], frame[2][1] | summary[1]
+                    if self.accept("|"):
+                        stack.append(("|", frame[1], summary))
+                        break
+                    if not frame[1]:
+                        return summary
+                    self.expect(")")
 
-    def replication(self, l: Label, t: _Tok) -> Summary:
-        """`!l P`, whose `!` is `t`, as a restricted trigger channel `rec@l`
-        (the `@` keeps it out of the user namespace, so it is not free in
-        `P`) and a replicated forwarder:
-        `new rec@l in (rec@l!l[] | *rec@l?l'[].(rec@l!l''[] | P))`.
-        A generated label that repeats one taken before is reported at `t`."""
-        l1, l2 = self.claim(f"{l}'", t), self.claim(f"{l}''", t)
+    def replication(self, l: Label, l1: Label, l2: Label, body: Summary) -> Summary:
+        """`!l P`, whose body `P` has summary `body`, as a restricted trigger
+        channel `rec@l` (the `@` keeps it out of the user namespace, so it is
+        not free in `P`) and a replicated forwarder:
+        `new rec@l in (rec@l!l[] | *rec@l?l'[].(rec@l!l''[] | P))`."""
+        beta, free = body
         rec = f"rec@{l}"
-        beta, free = self.parse_unary()
         self.site(OUTPUT, rec, l2, (), _NIL)
         self.site(FETCH, rec, l1, (), (beta | {l2}, free | {rec}))
         self.site(OUTPUT, rec, l, (), _NIL)
@@ -282,39 +298,18 @@ class _Parser:
 
     def parse_label(self) -> Label | None:
         t = self.peek()
-        if t.kind == "int":
-            self.next()
-            return int(t.text)
-        if t.kind == "ident":
-            self.next()
-            return t.text
-        return None
+        if t.kind not in ("int", "ident"):
+            return None
+        if t.kind == "int" and not t.text.isdigit():
+            # a signed number, or a primed one, which names a generated label
+            raise SourceError(f"unexpected token {t.text!r}", t.line, t.col)
+        self.next()
+        return int(t.text) if t.kind == "int" else t.text
 
-    def parse_chain(self) -> Summary:
-        """A prefix whose continuation starts with a prefix, and so on: each
-        is read in turn, and the sites are recorded from the last back, each
-        with its continuation's summary."""
-        chain = []
-        cont = _NIL
-        while True:
-            chain.append(self.parse_prefix())
-            if self.peek().kind != ".":
-                break
-            self.next()
-            self.scope.update(chain[-1][4])
-            if self.peek().kind not in ("*", "ident"):
-                cont = self.parse_unary()
-                break
-        for kind, chan, label, args, bound in reversed(chain):
-            # binders are unique, so leaving the scope removes exactly `bound`
-            self.scope.difference_update(bound)
-            cont = self.site(kind, chan, label, args, cont)
-        return cont
-
-    def parse_prefix(self) -> tuple:
-        """`chan!l args`, `chan?l args` or `*chan?l args`, up to its
-        continuation: (kind, chan, label, args, the names it binds)."""
-        site = self.next()
+    def parse_prefix(self, site: _Tok) -> tuple:
+        """`chan!l args`, `chan?l args` or `*chan?l args`, whose first token
+        `site` has been read, up to its continuation, with the names it binds
+        put in scope: the frame `('.', kind, chan, label, args, bound)`."""
         if site.kind == "*":
             chan = self.expect("ident")
             self.expect("?")
@@ -328,12 +323,7 @@ class _Parser:
         self.use(chan)
         label = self.take(self.parse_label(), site)
         t = self.expect("[")
-        toks = []
-        if self.peek().kind != "]":
-            toks.append(self.expect("ident"))
-            while self.peek().kind == ",":
-                self.next()
-                toks.append(self.expect("ident"))
+        toks = [] if self.peek().kind == "]" else self.listed(lambda: self.expect("ident"))
         self.expect("]")
         args = tuple(a.text for a in toks)
         bound = ()
@@ -344,7 +334,8 @@ class _Parser:
             raise SourceError(f"input tuple variables must be distinct: {list(args)}", t.line, t.col)
         else:
             bound = [self.bind(a, f"input at {fmt_label(label)}") for a in toks]
-        return kind, chan.text, label, args, bound
+            self.scope.update(bound)
+        return ".", kind, chan.text, label, args, bound
 
 
 # --- Static index --------------------------------------------------------
@@ -419,10 +410,8 @@ def load_system(text: str) -> SystemIndex:
     every replication expanded, every name bound once.  Any error names its
     line and column."""
     parser = _Parser(text)
-    roots, _ = parser.parse_proc()
-    t = parser.peek()
-    if t.kind != "eof":
-        raise SourceError(f"trailing input {t.text!r}", t.line, t.col)
+    roots, _ = parser.parse_system()
+    parser.end()
 
     labels = tuple(sorted(parser.sites, key=label_key))
     kind, chan, arg, iface, launched, cont_free = {}, {}, {}, {}, {}, {}

@@ -5,7 +5,8 @@ realizes (which the partition-completeness tests and the oracle reference
 check compare with the abstract enumeration), and whether a configuration
 keeps a query's bound.
 Also the iteration that posts every pair in every round, which the
-change-driven rounds of `engine.iterate` must match."""
+change-driven rounds of `engine.iterate` must match, and the token-deletion
+mutants that the system and query readers are judged on."""
 
 import sys
 
@@ -20,7 +21,7 @@ from picount.concrete import (
 )
 from picount.engine import Analysis, FixpointResult, step
 from picount.partition import PartitionCase, member_key
-from picount.syntax import FETCH, INPUT, OUTPUT, Label, SystemIndex
+from picount.syntax import FETCH, INPUT, OUTPUT, Label, SystemIndex, _tokenize
 
 
 def enabled_steps(index: SystemIndex, config: Configuration) -> list[StepShape]:
@@ -46,6 +47,16 @@ def enabled_steps(index: SystemIndex, config: Configuration) -> list[StepShape]:
             shapes.append(table.shape(table.intern(r), table.intern(s)))
     shapes.sort(key=lambda shape: shape.key)
     return shapes
+
+
+def token_deletions(text: str):
+    """`text` with one token deleted, for each token in order."""
+    starts = [0]
+    for line in text.split("\n"):
+        starts.append(starts[-1] + len(line) + 1)
+    for tok in _tokenize(text)[:-1]:
+        at = starts[tok.line - 1] + tok.col - 1
+        yield text[:at] + text[at + len(tok.text):]
 
 
 def consumed(index: SystemIndex, shape: StepShape) -> frozenset:

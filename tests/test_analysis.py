@@ -64,7 +64,9 @@ def test_parse_query_checks_the_unit_before_the_pairs(memory_analysis):
     # `address` is an input variable, and (2,3) pairs two outputs
     with pytest.raises(SourceError) as info:
         parse_query("unit address: 1*y@(2,3) <= 0", memory_analysis)
-    assert str(info.value) == "query unit address is not a restriction variable"
+    assert str(info.value) == (
+        "unit address is not a restriction variable in query 'unit address: 1*y@(2,3) <= 0' at 1:6"
+    )
 
 
 def test_query_unit_and_expr(memory_index, memory_analysis):
@@ -124,7 +126,7 @@ def test_run_rejects_a_query_over_a_pair_that_never_steps(abstraction, max_iter)
     with pytest.raises(SourceError) as info:
         run(config)
     assert str(info.value) == (
-        f"query term y@(2,3) in {query!r}: (2,3) is not a step pair of the system"
+        f"query term y@(2,3) in {query!r}: (2,3) is not a step pair of the system at 1:11"
     )
 
 

@@ -186,6 +186,37 @@ def test_cli_bad_query_number_exits_two(query, message, capsys):
 
 
 @pytest.mark.parametrize(
+    "query, message, col",
+    [
+        # an empty set, a blank member and a missing token boundary
+        ("mutex unit cell over {}", "expected a label, found '}'", 23),
+        ("mutex unit cell over {,}", "expected a label, found ','", 23),
+        ("mutexunit cell over {2,6,10}", "expected 'unit', found 'mutexunit'", 1),
+        # `int()` would read `1_0` as 10
+        ("unit cell: 1*x@2 <= 1_0", "trailing input '_0'", 22),
+        ("unit a: 1*x@2 <=", "bound '' is not an integer", 17),
+        ("unit a: 1*x@99 <= 1", "unknown label '99'", 13),
+        ("unit a: 1*x@2 $ <= 1", "unexpected character '$'", 15),
+    ],
+)
+def test_cli_malformed_query_is_a_located_error(query, message, col, capsys):
+    assert main(["analyze", corpus_path("semaphore2.pi"), "--prove", query]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message} in query {query!r} at 1:{col}\n"
+
+
+@pytest.mark.parametrize("partition", ["chan", "marker"])
+def test_cli_query_unit_is_a_restriction_under_every_partition(partition, capsys):
+    query = "unit zzz: 1*x@2 <= 0"
+    argv = ["analyze", corpus_path("semaphore2.pi"), "--partition", partition, "--prove", query]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: unit zzz is not a restriction variable in query {query!r} at 1:6\n"
+    )
+
+
+@pytest.mark.parametrize(
     "query, term, pair",
     [
         ("unit a: 1*y@(2,3) <= 0", "y@(2,3)", "(2,3)"),
@@ -198,7 +229,7 @@ def test_cli_query_over_a_pair_that_never_steps_exits_two(query, term, pair, fla
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"error: query term {term} in {query!r}: {pair} is not a step pair of the system\n"
+        f"error: query term {term} in {query!r}: {pair} is not a step pair of the system at 1:11\n"
     )
 
 
@@ -299,20 +330,39 @@ def test_cli_reads_a_long_prefix_chain(command, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["analyze", "oracle-check"])
 @pytest.mark.parametrize(
-    "text, col",
+    "text",
     [
-        ("new a in " + "(" * 2000 + "a![]" + ")" * 2000, 309),
-        (" ".join(f"new a{i} in" for i in range(2000)) + " a0![]", 3491),
+        "new a in " + "(" * 2000 + "a![]" + ")" * 2000,
+        " ".join(f"new a{i} in" for i in range(2000)) + " a0![]",
     ],
     ids=("parentheses", "restrictions"),
 )
-def test_cli_nesting_too_deep_is_a_located_error(command, text, col, tmp_path, capsys):
+def test_cli_reads_deep_nesting(command, text, tmp_path, capsys):
+    # the parser keeps its own stack, so nesting is bounded only by memory
     system = tmp_path / "deep.pi"
+    system.write_text(text)
+    assert main([command, str(system)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["analyze", "oracle-check"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # query tokens: a trigger variable and a generated label
+        ("new c in rec@1![]", "expected '!' or '?' after channel at 1:13"),
+        ("new c in c!3'[]", "unexpected token \"3'\" at 1:12"),
+        ("new c in !1' 0", "unexpected token \"1'\" at 1:11"),
+        ("new c in c!1[] <= 0", "trailing input '<=' at 1:16"),
+    ],
+)
+def test_cli_query_syntax_in_a_system_is_a_located_error(command, text, message, tmp_path, capsys):
+    system = tmp_path / "bad.pi"
     system.write_text(text)
     assert main([command, str(system)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: terms nested more than 300 deep at 1:{col}\n"
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -24,11 +24,12 @@ import sys
 # first: conftest puts src/ on the path when this module runs as a script
 from conftest import CORPUS
 
-from picount.syntax import SourceError, SystemIndex, _tokenize, label_key, load_system
+from picount.syntax import SourceError, SystemIndex, label_key, load_system
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "scripts"))
 
 import smallscope
+from judges import token_deletions
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "index.txt")
@@ -63,16 +64,6 @@ def _plain(value):
 def canonical(index: SystemIndex) -> str:
     fields = {f: _plain(getattr(index, f)) for f in SystemIndex.__slots__}
     return json.dumps(fields, separators=(",", ":"))
-
-
-def token_deletions(text: str):
-    """`text` with one token deleted, for each token in order."""
-    starts = [0]
-    for line in text.split("\n"):
-        starts.append(starts[-1] + len(line) + 1)
-    for tok in _tokenize(text)[:-1]:
-        at = starts[tok.line - 1] + tok.col - 1
-        yield text[:at] + text[at + len(tok.text):]
 
 
 def outcome(text: str) -> str:

@@ -1,7 +1,8 @@
 """Start-up guard: a run imports none of the standard library's heavy
-modules.  `dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize`, and
-`fractions` pulls in `decimal` and `numbers`; together with building the
-classes, they cost about a third of a short run's CPU.
+modules, neither to read its system nor to read its query.  `dataclasses`
+pulls in `inspect`, `ast`, `dis` and `tokenize`, and `fractions` pulls in
+`decimal` and `numbers`; together with building the classes, they cost about
+a third of a short run's CPU.
 
 The child runs with `-S`, so no site `.pth` file can add or hide imports."""
 
@@ -17,9 +18,11 @@ CHILD = """
 import json, sys
 import picount.cli
 from picount import Analysis, getvar_channel, load_system
+from picount.analysis import parse_query
 with open(sys.argv[1], encoding="utf-8") as fh:
     index = load_system(fh.read())
-Analysis.build(index, getvar_channel(index))
+# the benchmark's query
+parse_query("mutex unit cell over {2,10}", Analysis.build(index, getvar_channel(index)))
 print(json.dumps(sorted(sys.modules)))
 """
 

@@ -1,12 +1,14 @@
 import gc
 import os
+import subprocess
+import sys
 
 import pytest
 
 from picount.syntax import SourceError, SystemIndex, load_system
 
 from conftest import CORPUS, MEMORY_WRITE
-from test_index_golden import token_deletions
+from judges import token_deletions
 
 
 def test_parse_nil():
@@ -157,6 +159,28 @@ def test_load_system_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+DEEP = """
+import sys
+sys.setrecursionlimit(100)
+from picount.syntax import load_system
+deep = [
+    "new a in " + "(" * 20000 + "a![]" + ")" * 20000,
+    " ".join(f"new a{i} in" for i in range(5000)) + " a0![]",
+    "new a in " + ".".join(["a![]"] * 5000),
+]
+print([len(load_system(text).labels) for text in deep])
+"""
+
+
+def test_nesting_costs_no_interpreter_stack():
+    # a fresh interpreter, whose recursion limit is far below the depths read
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", DEEP], env=env, capture_output=True, text=True, check=True, timeout=60
+    ).stdout
+    assert out == "[1, 1, 5000]\n"
 
 
 _MUTANT_SOURCES = [
