@@ -333,8 +333,7 @@ class Walk:
     step order.  A state is (configuration, tally): a bitset over the
     table's thread ids, and an int whose field `k` counts how often the
     step pair of counter `k` has involved its concrete unit of `gv` (0
-    without `gv`).  Equal states are equal values; `threads` and `tally`
-    decode one.
+    without `gv`).  Equal states are equal values.
 
     Each field is `max_configs.bit_length() + 1` bits wide, which no count
     of an admitted state or of its targets reaches: a step adds at most 1
@@ -372,15 +371,6 @@ class Walk:
         self.initial = (self.table._mask(self.table._launched(initial_config(index))), 0)
         self.visited: dict[tuple, tuple | None] = {self.initial: None}
         self.truncated = False
-
-    def threads(self, state) -> frozenset[Thread]:
-        return frozenset(self.table.members(state[0]))
-
-    def tally(self, state) -> dict[tuple, int]:
-        """((unit, pair) -> n), with no 0."""
-        tally, width = state[1], self.table.width
-        field = (1 << width) - 1
-        return {c: n for k, c in enumerate(self.table.counters) if (n := tally >> k * width & field)}
 
     def __iter__(self):
         frontier = [self.initial]

@@ -110,18 +110,12 @@ class ContentsDomain:
         return CUMap.of(entries)
 
     def widen(self, a: CUMap, b: CUMap) -> CUMap:
-        keys = sorted(set(a.units()) | set(b.units()), key=repr)
+        keys = set(a.units()) | set(b.units())
         entries = {
             u: numdom.widen(self.layout, a.accum(u, self.layout), b.accum(u, self.layout))
             for u in keys
         }
         return CUMap.of(entries)
-
-    def leq(self, a: CUMap, b: CUMap) -> bool:
-        keys = set(a.units()) | set(b.units())
-        return all(
-            numdom.leq(a.accum(u, self.layout), b.accum(u, self.layout)) for u in keys
-        )
 
     # -- transfer -----------------------------------------------------------
 

@@ -137,36 +137,7 @@ class AtomEnv:
         cons = [f"{a}={b}" for a, b in sorted(self.eqs)] + [f"{a}!={b}" for a, b in sorted(self.neqs)]
         return f"AtomEnv([{ls}] {' '.join(cons)})"
 
-    def leq(self, other: "AtomEnv") -> bool:
-        if self.is_bottom:
-            return True
-        if other.is_bottom:
-            return False
-        return (
-            all(self.labels[v] <= other.labels[v] for v in self.vars)
-            and other.eqs <= self.eqs
-            and other.neqs <= self.neqs
-        )
-
     # -- lattice ------------------------------------------------------------
-
-    @staticmethod
-    def join_all(elems) -> "AtomEnv":
-        elems = [e for e in elems if not e.is_bottom]
-        if not elems:
-            raise ValueError("join of bottoms needs an explicit variable set")
-        first = elems[0]
-        if any(e.vars != first.vars for e in elems):
-            raise ValueError("join across different variable sets")
-        if len(elems) == 1:
-            return first
-        labels = {
-            v: frozenset().union(*(e.labels[v] for e in elems)) for v in first.vars
-        }
-        eqs = frozenset.intersection(*(e.eqs for e in elems))
-        neqs = frozenset.intersection(*(e.neqs for e in elems))
-        # pointwise union / intersection of normal forms is normal
-        return AtomEnv(first.vars, False, labels, eqs, neqs)
 
     def join(self, other: "AtomEnv") -> "AtomEnv":
         # the join of equal normal forms is that normal form; keeping the
@@ -177,14 +148,11 @@ class AtomEnv:
             return other
         if other.is_bottom:
             return self
-        return AtomEnv.join_all([self, other])
-
-
-def normalize(a: AtomEnv) -> AtomEnv:
-    """Re-close an element; idempotent on normal forms."""
-    if a.is_bottom:
-        return a
-    return AtomEnv.make(a.vars, a.labels, a.eqs, a.neqs)
+        if self.vars != other.vars:
+            raise ValueError("join across different variable sets")
+        # pointwise union / intersection of normal forms is normal
+        labels = {v: self.labels[v] | other.labels[v] for v in self.vars}
+        return AtomEnv(self.vars, False, labels, self.eqs & other.eqs, self.neqs & other.neqs)
 
 
 def _project(m: AtomEnv, role: str, keep) -> AtomEnv:
@@ -234,10 +202,6 @@ class EnvMap:
             return frozenset()
         return a.labels[var]
 
-    def is_bottom(self) -> bool:
-        # a map over no program points admits the empty configuration
-        return bool(self.table) and all(a.is_bottom for _, a in self.table)
-
 
 class EnvDomain:
     """Environment abstraction of one system under one partitioning."""
@@ -280,9 +244,6 @@ class EnvDomain:
     def widen(self, a: EnvMap, b: EnvMap) -> EnvMap:
         # each per-label lattice is finite, so join is a widening
         return self.join([a, b])
-
-    def leq(self, a: EnvMap, b: EnvMap) -> bool:
-        return all(a.get(l).leq(b.get(l)) for l in self.index.labels)
 
     # -- transfer -----------------------------------------------------------
 

@@ -165,16 +165,6 @@ def affine_from_rows(raw_rows) -> tuple[Row, ...]:
     return _system(_echelon(({i: c for i, c in terms if c}, const) for terms, const in raw_rows))
 
 
-def affine_entailed(rows: tuple[Row, ...], terms, const) -> bool:
-    """Does the system imply sum(terms) == const?"""
-    acc = {i: c for i, c in terms if c}
-    pivots = {t[0][0]: (t, c) for t, c in rows}
-    for p in [i for i in acc if i in pivots]:
-        q, qconst = pivots[p]
-        const = _cancel(acc, const, acc[p], q, q[0][1], qconst)
-    return not acc and const == 0
-
-
 def _generator_hull(inputs, active) -> tuple[Row, ...]:
     """Affine hull over the counters `active` of inputs (rows, pins): a
     consistent canonical system over `active` and the {counter: value} pins
@@ -355,17 +345,6 @@ def _reduce(layout, ivs, rows) -> NumElem:
     return NumElem(layout, False, tuple(ivs), rows)
 
 
-def make(layout, ivs, rows) -> NumElem:
-    try:
-        canon = affine_from_rows(rows)
-    except Contradiction:
-        return bottom(layout)
-    for lo, hi in ivs:
-        if lo < 0 or (hi is not INF and lo > hi):
-            return bottom(layout)
-    return _reduce(layout, tuple(ivs), canon)
-
-
 def chi(layout, members) -> NumElem:
     """Characteristic vector: 1 on `members` (variable indices), 0 elsewhere."""
     ivs = [(0, 0)] * layout.size
@@ -437,29 +416,6 @@ def widen(layout, a: NumElem, b: NumElem) -> NumElem:
     # row over one counter would pin it in both.  It holds both inputs, so
     # it is not empty.
     return NumElem(layout, False, tuple(ivs), _hull_rows((a, b), ivs))
-
-
-def leq(a: NumElem, b: NumElem) -> bool:
-    """Structural inclusion test (sound, not complete)."""
-    if a.is_bottom:
-        return True
-    if b.is_bottom:
-        return False
-    for (alo, ahi), (blo, bhi) in zip(a.ivs, b.ivs):
-        if alo < blo or not _le(ahi, bhi):
-            return False
-    for terms, const in b.rows:
-        # a's pinned variables enter b's row as constants
-        rest = []
-        for i, c in terms:
-            lo, hi = a.ivs[i]
-            if lo == hi:
-                const -= c * lo
-            else:
-                rest.append((i, c))
-        if not affine_entailed(a.rows, rest, const):
-            return False
-    return True
 
 
 def sync_atleast(layout, requirements: dict[int, int], a: NumElem) -> NumElem:

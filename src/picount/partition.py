@@ -195,18 +195,6 @@ class PartitionCase:
             tuple(new_unit[i] for i in order),
         )
 
-    def class_of(self, member: Member) -> frozenset:
-        for c in self.classes:
-            if member in c:
-                return c
-        raise KeyError(member)
-
-    def unit_of(self, member: Member) -> tuple:
-        for c, a in zip(self.classes, self.assign):
-            if member in c:
-                return a
-        raise KeyError(member)
-
     def items(self):
         return zip(self.classes, self.assign)
 

@@ -1,12 +1,19 @@
 """Test judges over the concrete semantics: the table-free step reference
 (`enabled_steps`, `step_target`) over configurations as thread sets, what
-an uninstrumented `Walk` reaches, and the partition case a concrete step
-realizes (which the partition-completeness tests and the oracle reference
-check compare with the abstract enumeration), and whether a configuration
-keeps a query's bound.
+an uninstrumented `Walk` reaches and how a walk state decodes (`threads_of`,
+`tally_of`), and the partition case a concrete step realizes (which the
+partition-completeness tests and the oracle reference check compare with
+the abstract enumeration), and whether a configuration keeps a query's
+bound.
 Also the iteration that posts every pair in every round, which the
 change-driven rounds of `engine.iterate` must match, and the token-deletion
-mutants that the system and query readers are judged on."""
+mutants that the system and query readers are judged on.
+Over the abstract domains: a counting element from raw boxes and rows
+(`num_make`), the inclusion tests of each domain (`num_leq`, `atom_leq`,
+`envmap_leq`, `cumap_leq`) with `affine_entailed`, the re-closing of an
+environment element (`normalize`), the bottom test of an env map
+(`envmap_is_bottom`), and the class and unit of a member in a partition
+case (`class_of`, `unit_of`).  The analyzer runs none of these."""
 
 import sys
 
@@ -20,6 +27,17 @@ from picount.concrete import (
     make_config,
 )
 from picount.engine import Analysis, FixpointResult, step
+from picount.envdom import AtomEnv, EnvMap
+from picount.numdom import (
+    INF,
+    Contradiction,
+    NumElem,
+    _cancel,
+    _le,
+    _reduce,
+    affine_from_rows,
+    bottom,
+)
 from picount.partition import PartitionCase, member_key
 from picount.syntax import FETCH, INPUT, OUTPUT, Label, SystemIndex, _tokenize
 
@@ -83,6 +101,18 @@ def step_target(index: SystemIndex, config: Configuration, shape: StepShape) -> 
     return make_config((config - consumed(index, shape)) | launched(shape))
 
 
+def threads_of(walk: Walk, state) -> frozenset:
+    """The configuration of a walk state, as a thread set."""
+    return frozenset(walk.table.members(state[0]))
+
+
+def tally_of(walk: Walk, state) -> dict[tuple, int]:
+    """The step counts of a walk state: ((unit, pair) -> n), with no 0."""
+    packed, width = state[1], walk.table.width
+    field = (1 << width) - 1
+    return {c: n for k, c in enumerate(walk.table.counters) if (n := packed >> k * width & field)}
+
+
 def walked(index: SystemIndex, max_configs: int, max_depth: int = 1 << 30) -> Walk:
     """An uninstrumented walk, run to its end."""
     walk = Walk(index, max_configs, max_depth)
@@ -95,7 +125,7 @@ def reached(index: SystemIndex, max_configs: int, max_depth: int = 1 << 30) -> s
     """Configurations an uninstrumented walk admits, bounded by both their
     number and the transition depth."""
     walk = walked(index, max_configs, max_depth)
-    return {walk.threads(state) for state in walk.visited}
+    return {threads_of(walk, state) for state in walk.visited}
 
 
 def walk_steps(index: SystemIndex, max_configs: int) -> list[tuple]:
@@ -113,7 +143,7 @@ def walk_steps(index: SystemIndex, max_configs: int) -> list[tuple]:
             break
         if admitted:
             rank[target] = len(rank)
-        steps.append((walk.threads(source), shape, walk.threads(target)))
+        steps.append((threads_of(walk, source), shape, threads_of(walk, target)))
     return steps
 
 
@@ -192,3 +222,103 @@ def posted_every_round(analysis: Analysis, kind: str, max_iter: int = 1000) -> F
             return FixpointResult(*elem, n, True, trace)
         elem = nxt
     return FixpointResult(*elem, max_iter, False, trace)
+
+
+# --- Abstract domains -------------------------------------------------------
+
+
+def num_make(layout, ivs, rows) -> NumElem:
+    """The counting element of raw boxes and raw rows, reduced."""
+    try:
+        canon = affine_from_rows(rows)
+    except Contradiction:
+        return bottom(layout)
+    for lo, hi in ivs:
+        if lo < 0 or (hi is not INF and lo > hi):
+            return bottom(layout)
+    return _reduce(layout, tuple(ivs), canon)
+
+
+def affine_entailed(rows, terms, const) -> bool:
+    """Does the canonical system `rows` imply sum(terms) == const?"""
+    acc = {i: c for i, c in terms if c}
+    pivots = {t[0][0]: (t, c) for t, c in rows}
+    for p in [i for i in acc if i in pivots]:
+        q, qconst = pivots[p]
+        const = _cancel(acc, const, acc[p], q, q[0][1], qconst)
+    return not acc and const == 0
+
+
+def num_leq(a: NumElem, b: NumElem) -> bool:
+    """Structural inclusion test of counting elements (sound, not complete)."""
+    if a.is_bottom:
+        return True
+    if b.is_bottom:
+        return False
+    for (alo, ahi), (blo, bhi) in zip(a.ivs, b.ivs):
+        if alo < blo or not _le(ahi, bhi):
+            return False
+    for terms, const in b.rows:
+        # a's pinned variables enter b's row as constants
+        rest = []
+        for i, c in terms:
+            lo, hi = a.ivs[i]
+            if lo == hi:
+                const -= c * lo
+            else:
+                rest.append((i, c))
+        if not affine_entailed(a.rows, rest, const):
+            return False
+    return True
+
+
+def cumap_leq(dom, a, b) -> bool:
+    """Unit-wise inclusion of two `CUMap`s of the contents domain `dom`."""
+    keys = set(a.units()) | set(b.units())
+    return all(num_leq(a.accum(u, dom.layout), b.accum(u, dom.layout)) for u in keys)
+
+
+def atom_leq(a: AtomEnv, b: AtomEnv) -> bool:
+    """Inclusion of normal forms over one variable set."""
+    if a.is_bottom:
+        return True
+    if b.is_bottom:
+        return False
+    return (
+        all(a.labels[v] <= b.labels[v] for v in a.vars)
+        and b.eqs <= a.eqs
+        and b.neqs <= a.neqs
+    )
+
+
+def envmap_leq(dom, a: EnvMap, b: EnvMap) -> bool:
+    """Pointwise inclusion of two env maps of the env domain `dom`."""
+    return all(atom_leq(a.get(l), b.get(l)) for l in dom.index.labels)
+
+
+def envmap_is_bottom(m: EnvMap) -> bool:
+    # a map over no program points admits the empty configuration
+    return bool(m.table) and all(a.is_bottom for _, a in m.table)
+
+
+def normalize(a: AtomEnv) -> AtomEnv:
+    """Re-close an element; idempotent on normal forms."""
+    if a.is_bottom:
+        return a
+    return AtomEnv.make(a.vars, a.labels, a.eqs, a.neqs)
+
+
+def class_of(case: PartitionCase, member) -> frozenset:
+    """The class of `case` that holds `member`."""
+    for c in case.classes:
+        if member in c:
+            return c
+    raise KeyError(member)
+
+
+def unit_of(case: PartitionCase, member) -> tuple:
+    """The abstract unit `case` assigns to `member`'s class."""
+    for c, a in case.items():
+        if member in c:
+            return a
+    raise KeyError(member)

@@ -14,11 +14,11 @@ import pytest
 
 from picount import numdom as nd
 from picount.analysis import AnalysisConfig, check_soundness, run
-from picount.envdom import AtomEnv, atom_admits, normalize
+from picount.envdom import AtomEnv, atom_admits
 from picount.numdom import INF, CountLayout
 
 from conftest import corpus_path
-from judges import reached
+from judges import normalize, num_make, reached
 
 
 def report(line):
@@ -217,7 +217,7 @@ def test_criterion_5c_add_sub_sound_on_boxes():
             point = [rng.randint(lo, hi) for lo, hi in ivs]
             terms = tuple((i, rng.randrange(-2, 3)) for i in range(n))
             rows.append((terms, sum(c * point[i] for i, c in terms)))
-        elem = nd.make(lay, ivs, rows)
+        elem = num_make(lay, ivs, rows)
         if elem.is_bottom:
             continue
         consumed = {i for i in xs if rng.random() < 0.5}
@@ -238,10 +238,10 @@ def test_criterion_5c_add_sub_sound_on_boxes():
 def test_criterion_5d_widening_chains_stabilize():
     lay = CountLayout((1, 2, 3, 4), ())
     # interval chains: thresholds {0,1} then infinity
-    current = nd.make(lay, [(0, 0)] * lay.size, [])
+    current = num_make(lay, [(0, 0)] * lay.size, [])
     steps = 0
     for k in range(1, 20):
-        nxt = nd.widen(lay, current, nd.make(lay, [(0, k)] * lay.size, []))
+        nxt = nd.widen(lay, current, num_make(lay, [(0, k)] * lay.size, []))
         steps += 1
         if nxt == current:
             break
@@ -252,7 +252,7 @@ def test_criterion_5d_widening_chains_stabilize():
     current = nd.chi(lay, ())
     affine_steps = 0
     for p in points:
-        target = nd.make(
+        target = num_make(
             lay,
             [(min(v, 0), max(v, 1)) for v in p],
             [(((i, 1),), p[i]) for i in range(lay.size)],

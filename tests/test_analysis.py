@@ -26,7 +26,7 @@ from picount.partition import GetVar, getvar_channel, getvar_marker
 from picount.syntax import SourceError
 
 from conftest import corpus_path
-from judges import query_holds, reached
+from judges import num_make, query_holds, reached, threads_of
 from test_fuzz_soundness import random_system
 
 
@@ -265,7 +265,7 @@ def test_walk_computes_each_thread_unit_once(monkeypatch):
     threads = set()
     walk = concrete.Walk(analysis.index, 300, 1 << 30, analysis.gv)
     for source, _, target, _ in walk:
-        threads |= walk.threads(source) | walk.threads(target)
+        threads |= threads_of(walk, source) | threads_of(walk, target)
     calls = []
     original = GetVar.concrete_unit
 
@@ -426,7 +426,7 @@ def test_corrupted_contents_fixpoint_is_flagged():
     lay = result.analysis.layout
     cu = result.fix.con
     # pretend the semaphore unit never holds more than one pending output
-    capped = nd.make(
+    capped = num_make(
         lay,
         [(0, 1) if i == lay.x(2) else (0, 0) for i in range(lay.size)],
         [],

@@ -24,11 +24,15 @@ from picount.syntax import load_system
 from conftest import corpus_text
 from judges import (
     alpha_step,
+    class_of,
     dump_thread_sets,
     enabled_steps,
     reached,
     step_target,
     step_units,
+    tally_of,
+    threads_of,
+    unit_of,
     walk_steps,
     walked,
 )
@@ -142,7 +146,7 @@ def test_walk_admits_a_launched_site_hash_collision():
     index = load_system(f"new a, b in (b!1[] | a!3[] | a?4[].b!{m}[])")
     walk = Walk(index, max_configs=10, max_depth=1 << 30)
     ((source, _, target, admitted),) = list(walk)
-    source, target = walk.threads(source), walk.threads(target)
+    source, target = threads_of(walk, source), threads_of(walk, target)
     (present,) = [t for t in source if t.label == 1]
     (launched,) = target - source
     assert launched.label == m and launched.site != present.site
@@ -179,14 +183,14 @@ def test_name_provenance(semaphore_index):
         for t in step.launched_recv + step.launched_send:
             markers.add(t.marker)
     for state in walk.visited:
-        for t in walk.threads(state):
+        for t in threads_of(walk, state):
             for name in t.env.values():
                 assert name[1] in markers
 
 
 def test_explore_empty_system():
     walk = walked(load_system("0"), max_configs=10, max_depth=10)
-    assert [(walk.threads(s), walk.tally(s)) for s in walk.visited] == [(frozenset(), {})]
+    assert [(threads_of(walk, s), tally_of(walk, s)) for s in walk.visited] == [(frozenset(), {})]
     assert walk.truncated is False
 
 
@@ -356,7 +360,7 @@ def test_dump_configs_lines_equal_whole_record_encoding(name):
     walk = walked(load_system(corpus_text(name)), max_configs=300)
     out = io.StringIO()
     dump_configs(walk.table.threads, {config for config, _ in walk.visited}, out)
-    configs = {walk.threads(state) for state in walk.visited}
+    configs = {threads_of(walk, state) for state in walk.visited}
     ordered = sorted(configs, key=lambda c: sorted(map(Thread.sort_key, c)))
     expected = [
         json.dumps([thread_to_json(t) for t in sorted(c, key=Thread.sort_key)], sort_keys=True)
@@ -380,13 +384,13 @@ def test_walk_counts_steps_per_unit(synccomm_index):
     # 600 states yield 1,754 edges, at least the 1,558 of expanding all of 300
     walk = Walk(synccomm_index, max_configs=600, max_depth=1 << 30, gv=gv)
     for source, step, target, _ in walk:
-        before, after = walk.tally(source), walk.tally(target)
+        before, after = tally_of(walk, source), tally_of(walk, target)
         bumped = {(u, step.pair) for u in step_units(step, gv).values()}
         assert set(after) == set(before) | bumped
         for key, n in after.items():
             assert n == before.get(key, 0) + (key in bumped)
     # the instrumented walk reaches the same configurations as the plain one
-    configs = {walk.threads(state) for state in walk.visited}
+    configs = {threads_of(walk, state) for state in walk.visited}
     assert configs == reached(synccomm_index, max_configs=600)
 
 
@@ -405,8 +409,8 @@ def test_alpha_step_memory_walkthrough(memory_index):
     classes = {frozenset(c) for c in case.classes}
     assert frozenset({(5, "?"), (6, "?"), (10, "!")}) in classes
     assert frozenset({(7, "?")}) in classes
-    assert case.unit_of((5, "?")) == ("cell",)
-    assert case.unit_of((7, "?")) == ("ret",)
+    assert unit_of(case, (5, "?")) == ("cell",)
+    assert unit_of(case, (7, "?")) == ("ret",)
 
 
 def test_alpha_step_single_class(semaphore_index):
@@ -416,7 +420,7 @@ def test_alpha_step_single_class(semaphore_index):
     step = next(s for s in enabled_steps(index, config) if s.pair == (4, 2))
     case = alpha_step(step, gv)
     # receiver, sender and the relaunched output all share the channel
-    assert case.class_of((4, "?")) == case.class_of((2, "!")) == case.class_of((5, "?"))
+    assert class_of(case, (4, "?")) == class_of(case, (2, "!")) == class_of(case, (5, "?"))
 
 
 def test_alpha_step_alloc(memory_index):
@@ -425,10 +429,10 @@ def test_alpha_step_alloc(memory_index):
     config, _ = drive(index, initial_config(index), [("12'", 12)])
     step = next(s for s in enabled_steps(index, config) if s.pair == (1, 13))
     case = alpha_step(step, gv)
-    assert case.class_of((1, "?")) == case.class_of((13, "!"))
-    assert case.class_of((3, "?")) == case.class_of((14, "!"))
+    assert class_of(case, (1, "?")) == class_of(case, (13, "!"))
+    assert class_of(case, (3, "?")) == class_of(case, (14, "!"))
     singles = {frozenset({(2, "?")}), frozenset({(4, "?")}), frozenset({(8, "?")})}
     assert singles <= {frozenset(c) for c in case.classes}
-    assert case.unit_of((2, "?")) == ("cell",)
-    assert case.unit_of((1, "?")) == ("alloc",)
-    assert case.unit_of((3, "?")) == ("add",)
+    assert unit_of(case, (2, "?")) == ("cell",)
+    assert unit_of(case, (1, "?")) == ("alloc",)
+    assert unit_of(case, (3, "?")) == ("add",)

@@ -15,7 +15,15 @@ from picount.partition import (
 from picount.syntax import load_system
 
 from conftest import corpus_text
-from judges import alpha_step, step_units, unit_vector, walk_steps
+from judges import (
+    affine_entailed,
+    alpha_step,
+    cumap_leq,
+    num_make,
+    step_units,
+    unit_vector,
+    walk_steps,
+)
 
 
 def domain_for(index, gv=None):
@@ -34,7 +42,7 @@ def test_init_memory(memory_index):
     )
     rec = init.accum(("rec@12",), lay)
     assert rec.ivs[lay.x(12)] == (0, 1)
-    assert nd.affine_entailed(rec.rows, ((lay.x(12), 1), (lay.x("12'"), -1)), 0)
+    assert affine_entailed(rec.rows, ((lay.x(12), 1), (lay.x("12'"), -1)), 0)
     # an untouched unit holds no accumulation: it is the zero vector
     assert init.accum(("cell",), lay).is_bottom
     assert dom.admits_vector(init, ("cell",), {})
@@ -53,7 +61,7 @@ def test_init_semaphore_correlated(semaphore_index):
     init = dom.init()
     rec = init.accum(("rec@1",), lay)
     assert rec.ivs[lay.x(1)] == (0, 1)
-    assert nd.affine_entailed(rec.rows, ((lay.x(1), 1), (lay.x("1'"), -1)), 0)
+    assert affine_entailed(rec.rows, ((lay.x(1), 1), (lay.x("1'"), -1)), 0)
 
 
 def walkthrough_cu(memory_index):
@@ -61,7 +69,7 @@ def walkthrough_cu(memory_index):
     ivs = [(0, INF)] * lay.size
     ivs[lay.y((1, 13))] = (0, 1)
     rows = [(((lay.x(2), 1), (lay.x(6), 1), (lay.x(10), 1), (lay.y((1, 13)), -1)), 0)]
-    cell = nd.make(lay, ivs, rows)
+    cell = num_make(lay, ivs, rows)
     cu = CUMap.of({("cell",): cell})
     return dom, lay, cu
 
@@ -103,7 +111,7 @@ def test_post_infeasible_when_occupancy_refutes(memory_index):
     dom, lay, cu = walkthrough_cu(memory_index)
     # require a reader and a writer contents thread at once: x5 is pinned 0
     zero_x5 = CUMap.of(
-        {("cell",): nd.make(
+        {("cell",): num_make(
             lay,
             [(0, 0) if i == lay.x(5) else iv for i, iv in enumerate(cu.accum(("cell",), lay).ivs)],
             cu.accum(("cell",), lay).rows,
@@ -180,7 +188,7 @@ def test_post_bottom_propagates(memory_index):
 def test_post_monotone_per_unit(memory_index):
     dom, lay, cu = walkthrough_cu(memory_index)
     out = dom.join([cu], dom.post_delta(cu, 5, 10, case_5_10()))
-    assert dom.leq(cu, out)
+    assert cumap_leq(dom, cu, out)
 
 
 def test_decomposition_identity(semaphore_index, synccomm_index):

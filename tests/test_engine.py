@@ -8,7 +8,7 @@ from picount.partition import getvar_channel, getvar_marker
 from picount.syntax import load_system
 
 from conftest import corpus_text
-from judges import posted_every_round
+from judges import cumap_leq, envmap_leq, posted_every_round
 
 
 def test_abstract_step_labels_memory(memory_index):
@@ -214,8 +214,8 @@ def test_product_components_refine_standalone(semaphore_index, synccomm_index):
         product = analysis.run("product")
         env_alone = analysis.run("env").env
         con_alone = analysis.run("contents").con
-        assert analysis.env_dom.leq(product.env, env_alone)
-        assert analysis.con_dom.leq(product.con, con_alone)
+        assert envmap_leq(analysis.env_dom, product.env, env_alone)
+        assert cumap_leq(analysis.con_dom, product.con, con_alone)
 
 
 def test_trace_records_bottom_tallies(semaphore_index):

@@ -21,6 +21,7 @@ from picount.analysis import AnalysisConfig, run
 from test_numdom_differential import NEW, PAIR, SIZE, expressions, members, raw_elements, requirements
 
 from conftest import corpus_path
+from judges import num_make
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "scripts"))
 
@@ -48,14 +49,14 @@ def wide_elements(draw):
         idx = sorted(draw(st.sets(st.integers(0, SIZE - 1), min_size=2, max_size=SIZE)))
         terms = tuple((i, draw(st.integers(-3, 3))) for i in idx)
         rows.append((terms, sum(c * point[i] for i, c in terms)))
-    return nd.make(NEW, boxes, rows)
+    return num_make(NEW, boxes, rows)
 
 
 @settings(max_examples=300, deadline=None)
 @given(raw_elements(), raw_elements(), members, requirements, expressions)
 def test_integer_entails_matches_fraction_entails(raw_a, raw_b, plus, reqs, queries):
-    a = nd.make(NEW, *raw_a)
-    b = nd.make(NEW, *raw_b)
+    a = num_make(NEW, *raw_a)
+    b = num_make(NEW, *raw_b)
     join = nd.join(NEW, [a, b])
     step = nd.transfer(NEW, nd.sync_atleast(NEW, reqs, join), (), plus, PAIR)
     for elem in (a, b, join, step):
@@ -88,7 +89,7 @@ def test_integer_entails_matches_fraction_entails_over_denominators(elem, exprs)
     ],
 )
 def test_climb_compares_values_over_their_denominators(boxes, rows, expr, bound):
-    elem = nd.make(NEW, boxes, rows)
+    elem = num_make(NEW, boxes, rows)
     assert not elem.is_bottom
     assert ref.entails(elem, expr, bound)
     assert nd.entails(elem, expr, bound)

@@ -10,6 +10,8 @@ import numdom_reference as ref
 from picount import numdom as nd
 from picount.numdom import INF, CountLayout
 
+from judges import affine_entailed, num_leq, num_make
+
 
 def layout_of(n_labels, pairs=()):
     return CountLayout(tuple(range(1, n_labels + 1)), tuple(pairs))
@@ -84,7 +86,7 @@ def test_join_correlated_pair():
     lay = layout_of(2)
     j = nd.join(lay, [nd.chi(lay, (lay.x(1), lay.x(2))), nd.chi(lay, ())])
     assert j.ivs[lay.x(1)] == (0, 1) and j.ivs[lay.x(2)] == (0, 1)
-    assert nd.affine_entailed(j.rows, ((lay.x(1), 1), (lay.x(2), -1)), 0)
+    assert affine_entailed(j.rows, ((lay.x(1), 1), (lay.x(2), -1)), 0)
 
 
 def test_join_idempotent_and_bottom_neutral():
@@ -115,7 +117,7 @@ def test_widen_examples():
     x = lay.x(1)
 
     def boxed(lo, hi):
-        return nd.make(lay, [(lo, hi)], [])
+        return num_make(lay, [(lo, hi)], [])
 
     w = nd.widen(lay, boxed(0, 1), boxed(0, 2))
     assert w.ivs[x] == (0, INF)
@@ -128,10 +130,10 @@ def test_widen_examples():
 def test_widen_chain_stabilizes_quickly():
     lay = layout_of(1)
     x = lay.x(1)
-    current = nd.make(lay, [(0, 0)], [])
+    current = num_make(lay, [(0, 0)], [])
     steps = 0
     for n in range(1, 30):
-        nxt = nd.widen(lay, current, nd.make(lay, [(0, n)], []))
+        nxt = nd.widen(lay, current, num_make(lay, [(0, n)], []))
         steps += 1
         if nxt == current:
             break
@@ -148,7 +150,7 @@ def walkthrough_element():
     ivs = [(0, INF)] * lay.size
     ivs[lay.y((1, 13))] = (0, 1)
     rows = [(((lay.x(2), 1), (lay.x(6), 1), (lay.x(10), 1), (lay.y((1, 13)), -1)), 0)]
-    return lay, nd.make(lay, ivs, rows)
+    return lay, num_make(lay, ivs, rows)
 
 
 def test_sync_nonzero_reduction():
@@ -165,9 +167,9 @@ def test_sync_nonzero_reduction():
 
 def test_sync_multiplicities():
     lay = layout_of(1)
-    two = nd.make(lay, [(0, 2)], [])
+    two = num_make(lay, [(0, 2)], [])
     assert not nd.sync_atleast(lay, {lay.x(1): 2}, two).is_bottom
-    one = nd.make(lay, [(0, 1)], [])
+    one = num_make(lay, [(0, 1)], [])
     assert nd.sync_atleast(lay, {lay.x(1): 2}, one).is_bottom
 
 
@@ -203,10 +205,10 @@ def test_entails_examples():
     lay, a = walkthrough_element()
     q = {lay.x(2): 1, lay.x(6): 1, lay.x(10): 1}
     assert nd.entails(a, q, 1)
-    top = nd.make(lay, [(0, INF)] * lay.size, [])
+    top = num_make(lay, [(0, INF)] * lay.size, [])
     assert not nd.entails(top, {lay.x(1): 1}, 0)
     lay2 = layout_of(2)
-    b = nd.make(
+    b = num_make(
         lay2,
         [(0, 2), (0, 2)] + [(0, INF)] * (lay2.size - 2),
         [(((lay2.x(1), 1), (lay2.x(2), 1)), 2)],
@@ -240,7 +242,7 @@ def test_entails_never_unsound_on_samples():
         elem = nd.join(
             lay,
             [
-                nd.make(lay, [(v, v) for v in p], [(((i, 1),), p[i]) for i in range(lay.size)])
+                num_make(lay, [(v, v) for v in p], [(((i, 1),), p[i]) for i in range(lay.size)])
                 for p in pts
             ],
         )
@@ -308,7 +310,7 @@ def test_reduction_preserves_gamma_on_boxes():
             point = [rng.randint(lo, hi) for lo, hi in ivs]
             const = sum(c * point[i] for i, c in terms)
             rows.append((terms, const))
-        elem = nd.make(lay, ivs, rows)
+        elem = num_make(lay, ivs, rows)
         raw_points = [
             p
             for p in product(*[range(lo, hi + 1) for lo, hi in ivs])
@@ -333,7 +335,7 @@ def test_add_sub_sound_on_boxes():
     xs = [lay.x(l) for l in lay.labels]
     for _ in range(80):
         ivs = [(rng.randrange(2), rng.randrange(2, 4)) for _ in range(n)]
-        elem = nd.make(lay, ivs, [])
+        elem = num_make(lay, ivs, [])
         consumed = {i for i in xs if rng.random() < 0.5}
         created = {i for i in xs if rng.random() < 0.5}
         step = nd.transfer(lay, elem, consumed, created, (1, 2))
@@ -366,7 +368,7 @@ def small_elements(draw):
         anchor = [lo for lo, _ in ivs]
         const = sum(c * anchor[i] for i, c in terms)
         rows.append((terms, const))
-    return nd.make(_LAY3, ivs, rows)
+    return num_make(_LAY3, ivs, rows)
 
 
 def _box_points(limit=4):
@@ -378,7 +380,7 @@ def _box_points(limit=4):
 def test_join_and_widen_are_upper_bounds(a, b):
     j = nd.join(_LAY3, [a, b])
     w = nd.widen(_LAY3, a, b)
-    assert nd.leq(a, j) and nd.leq(b, j)
+    assert num_leq(a, j) and num_leq(b, j)
     for p in _box_points():
         inside = nd.contains_point(a, p) or nd.contains_point(b, p)
         if inside:
@@ -389,7 +391,7 @@ def test_join_and_widen_are_upper_bounds(a, b):
 @settings(max_examples=120, deadline=None)
 @given(small_elements(), small_elements())
 def test_leq_respects_membership(a, b):
-    if nd.leq(a, b):
+    if num_leq(a, b):
         for p in _box_points():
             if nd.contains_point(a, p):
                 assert nd.contains_point(b, p)

@@ -25,7 +25,7 @@ from picount.partition import GetVar, getvar_channel
 from picount.syntax import fmt_label, load_system
 
 from conftest import corpus_path
-from judges import step_units, unit_vector
+from judges import num_make, step_units, tally_of, threads_of, unit_vector
 from test_fuzz_soundness import random_system
 
 
@@ -44,7 +44,7 @@ def reference_violations(analysis, env_fix, con_fix, max_configs, max_depth, max
 
     def check(state):
         new = len(violations)
-        config, tally = walk.threads(state), walk.tally(state).items()
+        config, tally = threads_of(walk, state), tally_of(walk, state).items()
         if env_fix is not None:
             for t in config:
                 if t in checked_env:
@@ -119,7 +119,7 @@ def _corrupted_contents():
     result = run(AnalysisConfig(path=corpus_path("semaphore2.pi")))
     lay = result.analysis.layout
     # pretend the semaphore unit never holds more than one pending output
-    capped = nd.make(lay, [(0, 1) if i == lay.x(2) else (0, 0) for i in range(lay.size)], [])
+    capped = num_make(lay, [(0, 1) if i == lay.x(2) else (0, 0) for i in range(lay.size)], [])
     return result.analysis, result.fix.env, CUMap.of({("a",): capped})
 
 
@@ -178,7 +178,7 @@ def test_unit_checks_touch_only_the_units_a_step_touches(monkeypatch, synccomm_i
     result = run(AnalysisConfig(path=corpus_path("synccomm.pi")))
     analysis, gv = result.analysis, result.analysis.gv
     walk = Walk(synccomm_index, 1000, 1 << 30, gv)
-    initial = {gv.concrete_unit(t.label, t.env) for t in walk.threads(walk.initial)}
+    initial = {gv.concrete_unit(t.label, t.env) for t in threads_of(walk, walk.initial)}
     bound = len(initial) + sum(
         len(set(step_units(step, gv).values())) for _, step, _, admitted in walk if admitted
     )

@@ -20,7 +20,7 @@ from picount.partition import (
 from picount.syntax import SourceError, load_system
 
 from conftest import corpus_text
-from judges import alpha_step, step_units, walk_steps
+from judges import alpha_step, class_of, step_units, unit_of, walk_steps
 
 
 def set_partitions(items):
@@ -103,10 +103,10 @@ def test_enumerate_contexts_memory_pinpointed(memory_index):
     cases = list(enumerate_contexts(pair_plan(memory_index, analysis.gv, 5, 10), env))
     assert len(cases) == 1
     case = cases[0]
-    assert case.class_of((5, "?")) == case.class_of((6, "?")) == case.class_of((10, "!"))
-    assert case.class_of((7, "?")) == frozenset({(7, "?")})
-    assert case.unit_of((5, "?")) == ("cell",)
-    assert case.unit_of((7, "?")) == ("ret",)
+    assert class_of(case, (5, "?")) == class_of(case, (6, "?")) == class_of(case, (10, "!"))
+    assert class_of(case, (7, "?")) == frozenset({(7, "?")})
+    assert unit_of(case, (5, "?")) == ("cell",)
+    assert unit_of(case, (7, "?")) == ("ret",)
 
 
 def test_disjoint_hints_force_separation():
@@ -119,7 +119,7 @@ def test_disjoint_hints_force_separation():
 
     cases = list(enumerate_contexts(pair_plan(index, gv, 1, 3), Hint()))
     for case in cases:
-        assert case.class_of((2, "?")) != case.class_of((4, "!"))  # {p} vs {q}
+        assert class_of(case, (2, "?")) != class_of(case, (4, "!"))  # {p} vs {q}
 
 
 def test_enumeration_matches_brute_force_bell4():
@@ -165,8 +165,8 @@ def test_forced_merge_prunes_com_linked_members(semaphore_index):
     hint = TopHint(semaphore_index.name_universe)
     for case in enumerate_contexts(pair_plan(semaphore_index, gv, 4, 2), hint):
         # receiver, sender and every thread keyed by the same channel variable
-        assert case.class_of((4, "?")) == case.class_of((2, "!"))
-        assert case.class_of((4, "?")) == case.class_of((5, "?"))
+        assert class_of(case, (4, "?")) == class_of(case, (2, "!"))
+        assert class_of(case, (4, "?")) == class_of(case, (5, "?"))
 
 
 @pytest.mark.parametrize("name,mode", [("semaphore2", "chan"), ("synccomm", "chan"), ("semaphore2", "marker")])

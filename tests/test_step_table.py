@@ -40,7 +40,16 @@ from picount.partition import getvar_channel, getvar_marker
 from picount.syntax import FETCH, INPUT, OUTPUT, fmt_label, load_system
 
 from conftest import corpus_text
-from judges import consumed, enabled_steps, launched, step_target, step_units, unit_vector
+from judges import (
+    consumed,
+    enabled_steps,
+    launched,
+    step_target,
+    step_units,
+    tally_of,
+    threads_of,
+    unit_vector,
+)
 from test_concrete import CORPUS
 from test_fuzz_soundness import random_system
 
@@ -126,18 +135,18 @@ def cut(walk, edges, reference) -> list:
 def test_walk_edges_equal_table_free_steps(name, partition):
     index, walk, edges, expanded = walk_edges(name, partition)
     reference = (
-        (source, edge_record(shape, step_target(index, walk.threads(source), shape)))
+        (source, edge_record(shape, step_target(index, threads_of(walk, source), shape)))
         for source in expanded
-        for shape in enabled_steps(index, walk.threads(source))
+        for shape in enabled_steps(index, threads_of(walk, source))
     )
     assert [
-        (source, edge_record(shape, walk.threads(target))) for source, shape, target, _ in edges
+        (source, edge_record(shape, threads_of(walk, target))) for source, shape, target, _ in edges
     ] == cut(walk, edges, reference)
     if name not in DUMPED:
         return
     out = io.StringIO()
     dump_configs(walk.table.threads, {config for config, _ in walk.visited}, out)
-    assert out.getvalue().splitlines() == record_encoding(set(map(walk.threads, walk.visited)))
+    assert out.getvalue().splitlines() == record_encoding({threads_of(walk, s) for s in walk.visited})
 
 
 def all_pairs_steps(index, config) -> list[tuple]:
@@ -165,10 +174,10 @@ def test_bucketed_matching_equals_all_pairs(name, partition):
     reference = (
         (source, step)
         for source in expanded
-        for step in all_pairs_steps(index, walk.threads(source))
+        for step in all_pairs_steps(index, threads_of(walk, source))
     )
     assert [
-        (source, (shape.pair, shape.receiver, shape.sender, walk.threads(target)))
+        (source, (shape.pair, shape.receiver, shape.sender, threads_of(walk, target)))
         for source, shape, target, _ in edges
     ] == cut(walk, edges, reference)
 
@@ -231,7 +240,7 @@ def test_launching_two_threads_of_one_site_is_internal_error(monkeypatch, syncco
     walk, targets = Walk(synccomm_index, 1000, 1 << 30), []
     with pytest.raises(InternalError, match="two threads share"):
         for _, _, target, _ in walk:
-            targets.append(walk.threads(target))
+            targets.append(threads_of(walk, target))
     assert len(calls) > 1
     # refused at the first step that launches them, so no target holds both
     assert all(len({t.site for t in config}) == len(config) for config in targets)
@@ -260,11 +269,11 @@ def test_walk_builds_one_record_per_distinct_pair(monkeypatch, synccomm_index):
 def test_walk_keeps_one_object_per_distinct_thread(synccomm_index):
     walk = Walk(synccomm_index, SYNCCOMM_CONFIGS, 1 << 30, getvar_channel(synccomm_index))
     edges = [(step, target) for _, step, target, _ in walk]
-    threads = [t for state in walk.visited for t in walk.threads(state)]
+    threads = [t for state in walk.visited for t in threads_of(walk, state)]
     assert len({id(t) for t in threads}) == len(set(threads))
     assert len(set(walk.table.threads)) == len(walk.table.threads)
     for step, target in edges:
-        in_target = {id(t) for t in walk.threads(target)}
+        in_target = {id(t) for t in threads_of(walk, target)}
         assert {id(t) for t in step.launched_recv + step.launched_send} <= in_target
 
 
@@ -293,10 +302,10 @@ def regroup(walk, state, gv) -> dict:
     """Per-unit (label counts, step counts) of `state`, from its decoded
     threads and tally."""
     units: dict[tuple, tuple[dict, dict]] = {}
-    for t in walk.threads(state):
+    for t in threads_of(walk, state):
         c = units.setdefault(gv.concrete_unit(t.label, t.env), ({}, {}))[0]
         c[t.label] = c.get(t.label, 0) + 1
-    for (u, pair), n in walk.tally(state).items():
+    for (u, pair), n in tally_of(walk, state).items():
         units.setdefault(u, ({}, {}))[1][pair] = n
     return units
 
@@ -320,7 +329,7 @@ def test_step_changes_equal_configuration_differences(name, partition):
         if not ok:
             continue
         admitted += 1
-        source, target = walk.threads(source), walk.threads(target_state)
+        source, target = threads_of(walk, source), threads_of(walk, target_state)
         added, removed = target - source, source - target
         assert added == launched(shape)
         assert removed == consumed(index, shape)
