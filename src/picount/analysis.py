@@ -5,7 +5,6 @@ cross-check against bounded concrete exploration, render reports.
 from __future__ import annotations
 
 import gc
-import json
 
 from . import numdom
 from .concrete import Walk
@@ -208,6 +207,7 @@ class Report:
         return all(q["result"] == "proved" for q in self.queries)
 
     def to_json(self) -> str:
+        import json  # only a JSON report needs it
         payload = {
             "input": self.path,
             "partition": self.partition,

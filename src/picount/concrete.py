@@ -35,7 +35,6 @@ counterexample trace off `visited`.
 
 from __future__ import annotations
 
-import json
 import operator
 
 from .syntax import FETCH, OUTPUT, Label, SystemIndex, Var, fmt_label, label_key
@@ -410,6 +409,7 @@ def thread_to_json(t: Thread) -> list:
 
 
 def dump_configs(threads, configs, stream):
+    import json  # only a dump needs it
     # `configs` are bitsets over `threads`.  Each thread present is keyed,
     # ranked and encoded once.  A configuration is then sorted once, as the
     # list of its threads' ranks: ranks follow `Thread.sort_key`, so rank

@@ -22,7 +22,6 @@ only at the pair's two labels.
 
 from __future__ import annotations
 
-import json
 from itertools import product
 
 from .syntax import (
@@ -122,6 +121,7 @@ def load_partition_spec(path: str, index: SystemIndex) -> GetVar:
     """The strategy a JSON spec describes.  Any other top-level key is
     ignored, with a warning in `index.warnings`, so that a spec written for
     an older picount still runs."""
+    import json  # only a spec file needs it
     text = read_text(path, "partition spec")
     try:
         raw = json.loads(text)

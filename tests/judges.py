@@ -13,8 +13,11 @@ Over the abstract domains: a counting element from raw boxes and rows
 `envmap_leq`, `cumap_leq`) with `affine_entailed`, the re-closing of an
 environment element (`normalize`), the bottom test of an env map
 (`envmap_is_bottom`), and the class and unit of a member in a partition
-case (`class_of`, `unit_of`).  The analyzer runs none of these."""
+case (`class_of`, `unit_of`).  The analyzer runs none of these.
+Also the argparse parser the command line was read with (`build_arg_parser`),
+the reference for `cli.parse_args`."""
 
+import argparse
 import sys
 
 from picount.analysis import Query
@@ -322,3 +325,32 @@ def unit_of(case: PartitionCase, member) -> tuple:
         if member in c:
             return a
     raise KeyError(member)
+
+
+def build_arg_parser() -> argparse.ArgumentParser:
+    """The argparse parser `cli.parse_args` replaced, as it was."""
+    ap = argparse.ArgumentParser(prog="picount", description="Command line front end.")
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    an = sub.add_parser("analyze", help="run the abstract analysis and prove queries")
+    an.add_argument("file")
+    an.add_argument("--partition", default="chan", help="chan, marker, or a JSON spec path")
+    an.add_argument(
+        "--prove", action="append", default=[], metavar="QUERY",
+        help='e.g. "mutex unit cell over {2,6,10}" or "unit a: 1*x@2 + 1*x@3 <= 2"',
+    )
+    an.add_argument("--report", choices=("text", "json"), default="text")
+    an.add_argument("--max-iter", type=int, default=1000)
+    an.add_argument("--trace", action="store_true", help="include per-iteration tallies")
+    an.add_argument(
+        "--abstraction", choices=("product", "env", "contents"), default="product",
+        help="which abstraction to iterate (default: coalesced product)",
+    )
+
+    oc = sub.add_parser("oracle-check", help="cross-check the fixpoint against exploration")
+    oc.add_argument("file")
+    oc.add_argument("--partition", default="chan")
+    oc.add_argument("--max-configs", type=int, default=5000)
+    oc.add_argument("--max-depth", type=int, default=1 << 30)
+    oc.add_argument("--dump-oracle", metavar="PATH", help="also write the checked configurations (JSON lines)")
+    return ap

@@ -1,6 +1,8 @@
-# Dense reference implementation of the counting domain, kept unchanged for
+# Dense reference implementation of the counting domain, kept for
 # tests/test_numdom_differential.py: every pinned counter is also an `x = c`
-# row of the affine system.  Not used by the package.
+# row of the affine system.  Not used by the package.  One change since it
+# was the package's: reduction also gives bottom on a row with no integer
+# solution (`integer_empty`), which the sparse domain keeps.
 """Counting domain: reduced product of natural intervals and affine equalities.
 
 Values abstract functions from a fixed finite variable set K into the
@@ -413,7 +415,16 @@ def _reduce(layout, ivs, rows) -> NumElem:
                 break
     except Contradiction:
         return bottom(layout)
+    if integer_empty(rows):
+        return bottom(layout)
     return NumElem(layout, False, tuple(ivs), rows)
+
+
+def integer_empty(rows) -> bool:
+    """Does a row's coefficient gcd not divide its constant?  Such a row has
+    no integer solution, and its rational ones would give the hull fractional
+    constants."""
+    return any(const % gcd(*(c for _, c in terms)) for terms, const in rows)
 
 
 def make(layout, ivs, rows) -> NumElem:
