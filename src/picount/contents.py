@@ -95,18 +95,23 @@ class ContentsDomain:
         }
         return CUMap.of(entries)
 
-    def join(self, maps, deltas=None) -> CUMap:
-        """Join of `maps`, each unit also joined with its list of `deltas`."""
+    def join(self, maps, deltas=None, memo=None) -> CUMap:
+        """Join of `maps`, each unit also joined with its list of `deltas`.
+        `memo`, when given, keeps each unit's last join inputs and result: a
+        unit whose inputs equal its last ones reuses that result."""
         maps = list(maps)
         if not maps:
             return self.bottom()
         deltas = deltas or {}
+        memo = {} if memo is None else memo
         layout = self.layout
-        keys = {u for m in maps for u in m.units()} | set(deltas)
-        entries = {
-            u: numdom.join(layout, [m.accum(u, layout) for m in maps] + deltas.get(u, []))
-            for u in keys
-        }
+        entries = {}
+        for u in {u for m in maps for u in m.units()} | set(deltas):
+            inputs = [m.accum(u, layout) for m in maps] + deltas.get(u, [])
+            last = memo.get(u)
+            if last is None or last[0] != inputs:
+                last = memo[u] = (inputs, numdom.join(layout, inputs))
+            entries[u] = last[1]
         return CUMap.of(entries)
 
     def widen(self, a: CUMap, b: CUMap) -> CUMap:

@@ -17,16 +17,21 @@ round collects the surviving sub-cases' per-label and per-unit deltas and
 joins each slot once: init (computed once per `Analysis`), the current value
 if anything was posted, and the slot's deltas.
 
-Rounds are change-driven.  Posting a pair reads only a few slots: the env
-at `lq` and `le` (the hint reads nothing else, and `TopHint` is constant),
-and the accumulation of each unit that a sub-case reaching the contents
-transfer assigns (an untouched unit is the zero vector, which never
-changes).  `iterate` records per pair what it read and what it produced; a
-round re-posts only the pairs whose reads changed and replays the others'
-deltas in posting order, so every round, widening point and fixpoint is the
-one posting every pair gives.  Trace tallies count a round's sub-cases,
-posted or reused.  Each pair's roster and forced groups come from its
-`PairPlan`, built once per `Analysis`.
+Rounds are change-driven, and each pair is posted in two halves.  The env
+half enumerates the pair's sub-cases and runs their env transfers; it reads
+only the env at `lq` and `le` (the hint reads nothing else, and `TopHint`
+is constant, so a contents-only run enumerates each pair once).  The
+contents half runs the contents transfers of the sub-cases env admitted, in
+order, and keeps the env deltas of those contents admits too; it reads the
+accumulation of each unit those sub-cases assign (an untouched unit is the
+zero vector, which never changes).  `iterate` keeps a record per pair and
+re-runs a half only when its reads changed (a new env half brings a new
+contents half); each slot of a record holds each distinct delta once.  The
+contents join re-joins a unit only when its inputs differ from the last
+round's.  So every round, widening point and fixpoint is the one posting
+every pair gives.  Trace tallies count a round's sub-cases, posted or
+reused.  Each pair's roster and forced groups come from its `PairPlan`,
+built once per `Analysis`.
 """
 
 from __future__ import annotations
@@ -133,86 +138,80 @@ class Analysis:
 
 
 class _PairRecord:
-    """What posting one pair read, in the order `_reads` lists it, and what
-    it produced: its tallies, and its env and contents deltas per slot in
-    posting order."""
+    """One pair's posting, in two halves.  The env half is built from the
+    env at `lq` and `le` (`env_reads`): the count of sub-cases enumerated
+    (`cases`), and those env admits (`admitted`), each with its env delta's
+    items, in enumeration order, and the units they assign (`units`).  The
+    contents half, rebuilt by `contents` when the accumulation of a unit in
+    `units` moves (`con_reads`), runs the contents transfer of each admitted
+    sub-case in order: the count refuted by either side (`refuted`), and
+    per slot the distinct env and contents deltas of the sub-cases both
+    admit, in first-seen order (`env_out`, `con_out`)."""
 
-    __slots__ = ("reads", "units", "cases", "refuted", "env_out", "con_out")
+    __slots__ = ("env_reads", "cases", "admitted", "units", "con_reads", "refuted", "env_out", "con_out")
 
-    def __init__(self, reads, units, cases, refuted, env_out, con_out):
-        self.reads = reads
-        self.units = units
-        self.cases = cases
-        self.refuted = refuted
-        self.env_out = env_out
-        self.con_out = con_out
+    def __init__(self, analysis: Analysis, env: EnvMap | None, plan: PairPlan, hint, env_reads: tuple):
+        self.env_reads = env_reads
+        self.cases = 0
+        self.admitted = []
+        for case in enumerate_contexts(plan, hint):
+            self.cases += 1
+            if env is None:
+                self.admitted.append((case, ()))
+            elif (delta := analysis.env_dom.post_delta(*env_reads, plan.lq, plan.le, case)) is not None:
+                self.admitted.append((case, tuple(delta.items())))
+        self.units = tuple(dict.fromkeys(u for case, _ in self.admitted for u in case.assign))
+        self.con_reads = self.env_out = self.con_out = None
 
-
-def _reads(analysis: Analysis, elem: tuple, plan: PairPlan, units: tuple) -> tuple:
-    """The slots of `elem` that posting the plan's pair reads, given the
-    units its sub-cases handed to the contents transfer."""
-    env, con = elem
-    layout = analysis.layout
-    return (
-        () if env is None else (env.get(plan.lq), env.get(plan.le)),
-        () if con is None else tuple(con.accum(u, layout) for u in units),
-    )
-
-
-def _post(analysis: Analysis, elem: tuple, plan: PairPlan, hint) -> _PairRecord:
-    """Post every sub-case of one pair through the transfers of `elem`'s
-    components; a sub-case refuted by either is dropped for both."""
-    env, con = elem
-    lq, le = plan.lq, plan.le
-    env_dom, con_dom = analysis.env_dom, analysis.con_dom
-    cases = refuted = 0
-    units: dict = {}
-    env_out: dict = {}
-    con_out: dict = {}
-    for case in enumerate_contexts(plan, hint):
-        cases += 1
-        if env is not None:
-            env_delta = env_dom.post_delta(env.get(lq), env.get(le), lq, le, case)
-            if env_delta is None:
-                refuted += 1
-                continue
-        if con is not None:
-            units.update(dict.fromkeys(case.assign))
-            con_delta = con_dom.post_delta(con, lq, le, case)
-            if con_delta is None:
-                refuted += 1
-                continue
-            for u, elems in con_delta.items():
-                con_out.setdefault(u, []).extend(elems)
-        if env is not None:
-            for l, a in env_delta.items():
-                env_out.setdefault(l, []).append(a)
-    units = tuple(units)
-    return _PairRecord(_reads(analysis, elem, plan, units), units, cases, refuted, env_out, con_out)
+    def contents(self, analysis: Analysis, con: CUMap | None, plan: PairPlan, con_reads: tuple):
+        self.con_reads = con_reads
+        self.env_out = self.con_out = None  # free the old deltas before building new ones
+        refuted = self.cases - len(self.admitted)
+        env_out: dict = {}
+        con_out: dict = {}
+        for case, env_delta in self.admitted:
+            if con is not None:
+                con_delta = analysis.con_dom.post_delta(con, plan.lq, plan.le, case)
+                if con_delta is None:
+                    refuted += 1
+                    continue
+                for u, elems in con_delta.items():
+                    con_out.setdefault(u, {}).update(dict.fromkeys(elems))
+            for l, a in env_delta:
+                env_out.setdefault(l, {})[a] = None
+        self.refuted, self.env_out, self.con_out = refuted, env_out, con_out
 
 
 def step(
-    analysis: Analysis, elem: tuple, tallies: dict | None = None, record: dict | None = None
+    analysis: Analysis,
+    elem: tuple,
+    tallies: dict | None = None,
+    record: dict | None = None,
+    joins: dict | None = None,
 ) -> tuple:
     """One widened round from `elem`; `tallies`, when given, receives the
     cases and refuted cases of every pair that had any.  `record` maps each
-    plan to what posting its pair last read and produced: a pair whose reads
-    are unchanged reuses that, any other is posted and its entry replaced.
-    Without a record every pair is posted."""
+    plan to its `_PairRecord`: a pair rebuilds its env half only when its
+    env reads moved, and its contents half only then or when its contents
+    reads moved; any other pair replays its deltas.  `joins` is the
+    contents join's memo (see `ContentsDomain.join`).  Without a record
+    every pair is posted."""
     env, con = elem
-    env_dom, con_dom = analysis.env_dom, analysis.con_dom
+    env_dom, con_dom, layout = analysis.env_dom, analysis.con_dom, analysis.layout
     hint = TopHint(analysis.index.name_universe) if env is None else env
     record = {} if record is None else record
     env_deltas: dict = {}
     con_deltas: dict = {}
     posted = False
     for plan in analysis.plans:
-        last = record.pop(plan, None)
-        if last is not None and last.reads != _reads(analysis, elem, plan, last.units):
-            last = None  # free its deltas before posting makes new ones
-        if last is None:
-            last = _post(analysis, elem, plan, hint)
-        record[plan] = last
+        env_reads = () if env is None else (env.get(plan.lq), env.get(plan.le))
+        last = record.get(plan)
+        if last is None or last.env_reads != env_reads:
+            record[plan] = None  # free the old deltas before building new ones
+            last = record[plan] = _PairRecord(analysis, env, plan, hint, env_reads)
+        con_reads = () if con is None else tuple(con.accum(u, layout) for u in last.units)
+        if last.con_reads != con_reads:
+            last.contents(analysis, con, plan, con_reads)
         for l, atoms in last.env_out.items():
             env_deltas.setdefault(l, []).extend(atoms)
         for u, elems in last.con_out.items():
@@ -228,7 +227,7 @@ def step(
         env = env_dom.widen(env, env_dom.join(bases, env_deltas))
     if con is not None:
         bases = [analysis.con_init, con] if posted else [analysis.con_init]
-        con = con_dom.widen(con, con_dom.join(bases, con_deltas))
+        con = con_dom.widen(con, con_dom.join(bases, con_deltas, joins))
     return env, con
 
 
@@ -240,9 +239,10 @@ def iterate(
         raise ValueError("max_iter must be positive")
     trace: list[dict] = []
     record: dict = {}
+    joins: dict = {}
     for n in range(1, max_iter + 1):
         tallies: dict | None = {} if keep_trace else None
-        nxt = step(analysis, elem, tallies, record)
+        nxt = step(analysis, elem, tallies, record, joins)
         if keep_trace:
             trace.append(
                 {

@@ -191,6 +191,25 @@ def test_post_monotone_per_unit(memory_index):
     assert cumap_leq(dom, cu, out)
 
 
+def test_join_memo_rejoins_only_units_whose_inputs_moved(memory_index, monkeypatch):
+    dom, lay, cu = walkthrough_cu(memory_index)
+    init, deltas = dom.init(), dom.post_delta(cu, 5, 10, case_5_10())
+    joined, memo = [], {}
+    real = nd.join
+    monkeypatch.setattr(nd, "join", lambda layout, elems: joined.append(elems) or real(layout, elems))
+    first = dom.join([init, cu], deltas, memo)
+    assert len(joined) == len(memo) > 1  # each unit joined once
+    joined.clear()
+    assert dom.join([init, cu], deltas, memo) == first and joined == []
+    # only the cell's accumulation moves, so only the cell is joined again
+    moved = CUMap.of({("cell",): deltas[("cell",)][0]})
+    assert moved != cu
+    again = dom.join([init, moved], deltas, memo)
+    assert len(joined) == 1
+    monkeypatch.undo()
+    assert (first, again) == (dom.join([init, cu], deltas), dom.join([init, moved], deltas))
+
+
 def test_decomposition_identity(semaphore_index, synccomm_index):
     # per class: |created| - |consumed| equals the unit's concrete thread delta
     for index in (semaphore_index, synccomm_index):

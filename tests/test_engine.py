@@ -2,6 +2,7 @@ from collections.abc import Sized
 
 import pytest
 
+from picount import engine
 from picount import numdom as nd
 from picount.engine import Analysis, abstract_step_labels, iterate, step
 from picount.partition import getvar_channel, getvar_marker
@@ -82,9 +83,9 @@ def test_iterate_respects_max_iter(semaphore_index, monkeypatch):
     zero = nd.chi(analysis.layout, ())
     real_join = analysis.con_dom.join
 
-    def growing(maps, deltas=None):
+    def growing(maps, deltas=None, memo=None):
         counter[0] += 1
-        return real_join(maps, {**(deltas or {}), (f"u{counter[0]}",): [zero]})
+        return real_join(maps, {**(deltas or {}), (f"u{counter[0]}",): [zero]}, memo)
 
     monkeypatch.setattr(analysis.con_dom, "join", growing)
     fix = analysis.run("contents", max_iter=3)
@@ -126,30 +127,40 @@ def test_product_annihilates_on_either_bottom(semaphore_index, monkeypatch):
 
 def test_env_refuted_cases_never_reach_contents(synccomm_index, monkeypatch):
     # chan: contents refutes sub-cases env admits; marker: env refutes
-    # sub-cases its hint cannot prune, and contents must not see them
+    # sub-cases its hint cannot prune, and contents must not see them.  Per
+    # post, contents sees exactly the sub-cases env admitted, in enumeration
+    # order, and none is left over when the next post enumerates
     for gv in (getvar_channel(synccomm_index), getvar_marker(synccomm_index)):
         analysis = Analysis.build(synccomm_index, gv)
         real_env, real_con = analysis.env_dom.post_delta, analysis.con_dom.post_delta
-        admitted = [None]
+        real_enum = engine.enumerate_contexts
+        admitted = []  # env-admitted sub-cases of this post not yet seen by contents
         refuted = {"env": 0, "contents": 0}
+
+        def enum(plan, hint):
+            assert admitted == []
+            return real_enum(plan, hint)
 
         def env_post(input0, output0, lq, le, case):
             delta = real_env(input0, output0, lq, le, case)
-            admitted[0] = None if delta is None else (lq, le, case)
+            if delta is not None:
+                admitted.append((lq, le, case))
             refuted["env"] += delta is None
             return delta
 
         def con_post(cu, lq, le, case):
-            assert admitted[0] == (lq, le, case)
+            assert admitted.pop(0) == (lq, le, case)
             delta = real_con(cu, lq, le, case)
             refuted["contents"] += delta is None
             return delta
 
+        monkeypatch.setattr(engine, "enumerate_contexts", enum)
         monkeypatch.setattr(analysis.env_dom, "post_delta", env_post)
         monkeypatch.setattr(analysis.con_dom, "post_delta", con_post)
         # every round posts every pair, so each tallied sub-case is a transfer
         fix = posted_every_round(analysis, "product")
-        assert fix.stabilized
+        monkeypatch.undo()
+        assert fix.stabilized and admitted == []
         assert sum(t["bottom_posts"] for t in fix.trace) == refuted["env"] + refuted["contents"]
         assert refuted["env" if gv.mode == "marker-only" else "contents"] > 0
 

@@ -1,12 +1,12 @@
-"""Change-driven rounds: `iterate` re-posts a step pair only when what it
-reads has changed, and must reach what posting every pair in every round
-reaches, round by round."""
+"""Change-driven rounds: `iterate` re-runs each half of a step pair only
+when what that half reads has changed, and must reach what posting every
+pair in every round reaches, round by round."""
 
 import random
 
 import pytest
 
-from picount import partition
+from picount import engine, partition
 from picount.engine import Analysis
 from picount.partition import getvar_channel, getvar_marker
 from picount.syntax import load_system
@@ -40,6 +40,48 @@ def test_a_round_posts_only_pairs_whose_reads_changed(memory_write_index, monkey
     assert fix.stabilized and fix.iterations == 8
     assert sum(t["posts"] for t in fix.trace) == 38
     assert len(calls) == 10
+
+
+def _counted(monkeypatch, owner, name: str, calls: list):
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or real(*args))
+
+
+def test_each_half_of_a_pair_reruns_only_when_its_reads_move(memory_write_index, monkeypatch):
+    # product: a pair whose contents reads moved but whose env reads did not
+    # re-runs only its contents transfers (42 env transfers before the split)
+    analysis = Analysis.build(memory_write_index, getvar_channel(memory_write_index))
+    env_calls, con_calls = [], []
+    _counted(monkeypatch, analysis.env_dom, "post_delta", env_calls)
+    _counted(monkeypatch, analysis.con_dom, "post_delta", con_calls)
+    fix = analysis.run("product", keep_trace=True)
+    assert fix.stabilized
+    assert sum(t["posts"] for t in fix.trace) == 58
+    assert (len(env_calls), len(con_calls)) == (10, 42)
+
+    # contents-only: every pair is enumerated once per run under `TopHint`
+    # (38,360 sub-cases before the split), and at the end the records hold
+    # each distinct contents delta of a slot once (6,161 before)
+    monkeypatch.undo()
+    analysis = Analysis.build(memory_write_index, getvar_channel(memory_write_index))
+    cases, records = [], []
+    real_enum, real_step = engine.enumerate_contexts, engine.step
+
+    def enum(plan, hint):
+        for case in real_enum(plan, hint):
+            cases.append(case)
+            yield case
+
+    monkeypatch.setattr(engine, "enumerate_contexts", enum)
+    monkeypatch.setattr(engine, "step", lambda *args: records.append(args[3]) or real_step(*args))
+    fix = analysis.run("contents", keep_trace=True)
+    assert fix.stabilized and fix.iterations == 10
+    assert sum(t["posts"] for t in fix.trace) == 38_360  # tallied per round, as before
+    assert len(cases) == 3_836
+    (record,) = {id(r): r for r in records}.values()  # one record, kept across rounds
+    slots = [list(elems) for rec in record.values() for elems in rec.con_out.values()]
+    assert all(len(set(elems)) == len(elems) for elems in slots)
+    assert sum(map(len, slots)) == 496
 
 
 def _count_plan_work(monkeypatch) -> dict:
