@@ -103,11 +103,13 @@ class ContentsDomain:
         if not maps:
             return self.bottom()
         deltas = deltas or {}
-        memo = {} if memo is None else memo
         layout = self.layout
         entries = {}
         for u in {u for m in maps for u in m.units()} | set(deltas):
             inputs = [m.accum(u, layout) for m in maps] + deltas.get(u, [])
+            if memo is None:
+                entries[u] = numdom.join(layout, inputs)
+                continue
             last = memo.get(u)
             if last is None or last[0] != inputs:
                 last = memo[u] = (inputs, numdom.join(layout, inputs))

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from picount import engine, partition
+from picount import engine, numdom, partition
 from picount.engine import Analysis
 from picount.partition import getvar_channel, getvar_marker
 from picount.syntax import load_system
@@ -82,6 +82,33 @@ def test_each_half_of_a_pair_reruns_only_when_its_reads_move(memory_write_index,
     slots = [list(elems) for rec in record.values() for elems in rec.con_out.values()]
     assert all(len(set(elems)) == len(elems) for elems in slots)
     assert sum(map(len, slots)) == 496
+
+
+def test_contents_join_rejoins_only_units_whose_inputs_moved(memory_write_index, monkeypatch):
+    # memory_write.pi product: 19 of the 56 unit joins of its rounds have
+    # the last round's inputs and reuse its result
+    analysis = Analysis.build(memory_write_index, getvar_channel(memory_write_index))
+    units, joined, inside = [], [], []
+    real_join, real_num_join = analysis.con_dom.join, numdom.join
+
+    def join(maps, deltas=None, memo=None):
+        maps = list(maps)
+        units.extend({u for m in maps for u in m.units()} | set(deltas or {}))
+        inside.append(True)
+        try:
+            return real_join(maps, deltas, memo)
+        finally:
+            inside.pop()
+
+    def num_join(layout, elems):
+        if inside:
+            joined.append(elems)
+        return real_num_join(layout, elems)
+
+    monkeypatch.setattr(analysis.con_dom, "join", join)
+    monkeypatch.setattr(numdom, "join", num_join)
+    assert analysis.run("product").stabilized
+    assert (len(units), len(joined)) == (56, 37)
 
 
 def _count_plan_work(monkeypatch) -> dict:

@@ -56,6 +56,7 @@ CASES = {
     ],
     "synccomm-contents": ["corpus/synccomm.pi", "--abstraction", "contents"],
     "write-marker-contents": [WRITE, "--partition", "marker", "--abstraction", "contents"],
+    "memory-contents": ["corpus/memory.pi", "--abstraction", "contents"],
 }
 
 
